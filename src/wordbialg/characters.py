@@ -9,19 +9,29 @@ The induced morphism sends a word to the sum over compositions of its
 length of the character's block coefficients times monomial functions.
 For the four basic kinds this collapses to a single fundamental function
 indexed by the violation set; for the four peak-style convolutions it
-collapses to a peak function.  Class images sum member images, truncated
-by degree; their correctness rests on the relation engine's headroom
-stability certificate.
+collapses to a peak function indexed by the peak or valley set.
+
+Images of classes and linear combinations therefore depend on one
+statistic per word.  They are aggregated in a single pass into a weighted
+histogram over (length, violation mask) or over peak compositions, and
+each histogram is expanded into monomial coefficients once: a subset-sum
+(zeta) transform per length takes fundamental coefficients to monomial
+ones, and each distinct peak index is expanded once through its cached
+peak-function terms.  Convolution pairs without a closed form fall back to
+the generic per-word image.  Class images are truncated by degree; their
+correctness rests on the relation engine's headroom stability
+certificate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable
 
 from .lincomb import LinComb
-from .qsym import QSym, fundamental_L, omega_L, peak_K, qs_zero
+from .qsym import QSym, _peak_terms, fundamental_L, omega_L, peak_K, qs_zero
 from .words import (
     Anchored,
     Composition,
@@ -164,6 +174,8 @@ def word_image(w: Word, char: Character, degree: int | None = None) -> QSym:
 
 @lru_cache(maxsize=None)
 def _compositions_of(n: int) -> tuple[Composition, ...]:
+    """Compositions of ``n`` indexed by the mask of their cut set (cut
+    ``i`` is bit ``i - 1``), the order :func:`compositions` yields."""
     from .words import compositions
 
     return tuple(compositions(n))
@@ -179,21 +191,93 @@ _PEAK_REVERSED_FORMS = {
 }
 
 
+def _has_peak_closed_form(char: Character) -> bool:
+    return char in _PEAK_CLOSED_FORMS or char in _PEAK_REVERSED_FORMS
+
+
+def _peak_index(w: Word, char: tuple[str, str]) -> Composition:
+    """The peak composition of the closed form: read off the peak or valley
+    set of the word (of its reversal, then flattened, for the two reversed
+    kinds)."""
+    n = len(w)
+    if char in _PEAK_CLOSED_FORMS:
+        return comp_from_set(n, _PEAK_CLOSED_FORMS[char](w))
+    return comp_flat(comp_from_set(n, _PEAK_REVERSED_FORMS[char](w[::-1])))
+
+
 def peak_image_closed_form(w: Word, char: tuple[str, str], degree: int | None = None) -> QSym:
     """Closed form for the four peak-style convolutions: a single peak
     function whose index is read off the peak or valley set of the word
     (of its reversal for the two reversed kinds)."""
+    if not _has_peak_closed_form(char):
+        raise ValueError(f"no closed form for {char}")
     w = _as_word(w)
-    n = len(w)
-    if degree is None:
-        degree = n
-    if char in _PEAK_CLOSED_FORMS:
-        alpha = comp_from_set(n, _PEAK_CLOSED_FORMS[char](w))
-        return peak_K(alpha, degree)
-    if char in _PEAK_REVERSED_FORMS:
-        alpha = comp_from_set(n, _PEAK_REVERSED_FORMS[char](w[::-1]))
-        return peak_K(comp_flat(alpha), degree)
-    raise ValueError(f"no closed form for {char}")
+    return peak_K(_peak_index(w, char), len(w) if degree is None else degree)
+
+
+def _violation_mask(w: Word, kind: str) -> int:
+    """The violation set of a basic kind as a bit mask: position ``i`` is
+    bit ``i - 1``, the bit order of :func:`_compositions_of`."""
+    mask = 0
+    for i in _VIOLATIONS[kind](w):
+        mask |= 1 << (i - 1)
+    return mask
+
+
+def _subset_sums(values: list) -> None:
+    """Zeta transform in place over a table indexed by masks of ``[n-1]``:
+    ``values[m]`` becomes the sum over submasks of ``m``.  On fundamental
+    coefficients by violation mask this gives the monomial coefficients."""
+    for bit in range(len(values).bit_length() - 1):
+        step = 1 << bit
+        for mask in range(len(values)):
+            if mask & step:
+                values[mask] += values[mask ^ step]
+
+
+def _image_terms(
+    weighted: Iterable[tuple[Word, object]], char: Character, degree: int
+) -> dict[Composition, object]:
+    """Monomial coefficients of ``sum c * image(w)`` over ``(w, c)`` pairs,
+    words longer than ``degree`` contributing nothing.
+
+    One pass bins the words by their statistic: (length, violation mask)
+    for a basic kind, the peak composition for a peak-style convolution,
+    the word itself for a pair without a closed form.  Each bin is then
+    expanded once, so coefficients stay plain ints (or the weights' type)
+    until the caller builds a single QSym."""
+    if isinstance(char, str):
+        stat = lambda w: (len(w), _violation_mask(w, char))
+    elif _has_peak_closed_form(char):
+        stat = lambda w: _peak_index(w, char)
+    else:
+        stat = lambda w: w
+    hist: dict = {}
+    for w, c in weighted:
+        w = _as_word(w)
+        if len(w) <= degree:
+            key = stat(w)
+            hist[key] = hist.get(key, 0) + c
+    terms: dict[Composition, object] = {}
+    if isinstance(char, str):
+        by_length: dict[int, list] = {}
+        for (n, mask), c in hist.items():
+            by_length.setdefault(n, [0] * (1 << max(n - 1, 0)))[mask] = c
+        for n, values in by_length.items():
+            _subset_sums(values)
+            terms.update(
+                (alpha, c) for alpha, c in zip(_compositions_of(n), values) if c
+            )
+        return terms
+    closed = _has_peak_closed_form(char)
+    for key, c in hist.items():
+        if closed:
+            expansion = _peak_terms(key)
+        else:
+            expansion = word_image(key, char, degree).terms.items()
+        for beta, x in expansion:
+            terms[beta] = terms.get(beta, 0) + c * x
+    return terms
 
 
 def class_image(
@@ -201,20 +285,11 @@ def class_image(
 ) -> QSym:
     """Sum of member images, truncated: members longer than the degree
     bound contribute nothing."""
-    out = qs_zero(degree)
-    for w in members:
-        if len(_as_word(w)) <= degree:
-            out = out + word_image(w, char, degree)
-    return out
+    return QSym(degree, _image_terms(zip(members, repeat(1)), char, degree))
 
 
 def lincomb_image(x: LinComb, char: Character, degree: int) -> QSym:
-    out = qs_zero(degree)
-    for key, coeff in x.items():
-        w = _as_word(key)
-        if len(w) <= degree:
-            out = out + word_image(w, char, degree).scale(coeff)
-    return out
+    return QSym(degree, _image_terms(x.items(), char, degree))
 
 
 def to_qsym(x, char: Character, degree: int | None = None) -> QSym:
@@ -356,12 +431,9 @@ def grothendieck_family(pi: Permutation, degree: int) -> dict[str, QSym]:
     above the permutation length.  ``J = omega(K)`` is asserted.
     """
     ell = permutation_length(pi)
-    k_image = qs_zero(degree)
-    j_image = qs_zero(degree)
-    for d in range(ell, degree + 1):
-        for w in hecke_words(pi, d):
-            k_image = k_image + word_image(w, "gt", degree)
-            j_image = j_image + word_image(w, "le", degree)
+    words = [(w, 1) for d in range(ell, degree + 1) for w in hecke_words(pi, d)]
+    k_image = QSym(degree, _image_terms(words, "gt", degree))
+    j_image = QSym(degree, _image_terms(words, "le", degree))
     if j_image != omega_L(k_image):
         raise AssertionError("weak and signless stable images are not omega-related")
     g_terms = {
@@ -376,10 +448,8 @@ def grassmannian_stable_family(lam: Partition, degree: int) -> dict[str, QSym]:
 
 def stanley_symmetric_bottom(pi: Permutation) -> QSym:
     """Degree-``length`` part of the stable family from reduced words only."""
-    out = qs_zero(permutation_length(pi))
-    for w in all_reduced_words(pi):
-        out = out + word_image(w, "gt")
-    return out
+    ell = permutation_length(pi)
+    return QSym(ell, _image_terms(zip(all_reduced_words(pi), repeat(1)), "gt", ell))
 
 
 # --- identities used as cross-checks ---------------------------------------

@@ -123,22 +123,42 @@ def _cache_key(payload: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+# Part of every cache signature: bump it whenever the engine's results or
+# the row layout change, so a cache written by an older engine is not merged.
+CACHE_VERSION = 2
+
+
 class ContentCache:
-    """Append-only jsonl cache so interrupted extended runs lose nothing."""
+    """Append-only jsonl cache so interrupted extended runs lose nothing.
+
+    Rows are read back up to the first line that is not a complete JSON
+    object ending in a newline; that torn tail, left by an interrupted
+    append, is cut off so its content is recomputed and appended again."""
 
     def __init__(self, cache_dir: str | None, signature: dict):
         self.path = None
         self.done: dict = {}
         if cache_dir:
             os.makedirs(cache_dir, exist_ok=True)
-            self.path = os.path.join(
-                cache_dir, f"scan-{_cache_key(signature)}.jsonl"
-            )
+            key = _cache_key({**signature, "cache_version": CACHE_VERSION})
+            self.path = os.path.join(cache_dir, f"scan-{key}.jsonl")
             if os.path.exists(self.path):
-                with open(self.path) as fh:
-                    for line in fh:
-                        row = json.loads(line)
-                        self.done[tuple(row["content"])] = row
+                self._load()
+
+    def _load(self) -> None:
+        good = 0
+        with open(self.path, "rb") as fh:
+            for line in fh:
+                try:
+                    row = json.loads(line) if line.endswith(b"\n") else None
+                except ValueError:
+                    row = None
+                if not isinstance(row, dict) or "content" not in row:
+                    break
+                self.done[tuple(row["content"])] = row
+                good += len(line)
+        if good < os.path.getsize(self.path):
+            os.truncate(self.path, good)
 
     def record(self, content, payload: dict) -> None:
         if self.path is None:
@@ -163,7 +183,10 @@ def cmd_classes(args) -> int:
         return EXIT_RESOURCE_CAP
     t0 = time.time()
     per_length = []
+    # packed words of length n use the letters 1..n, so an alphabet of
+    # max_len letters holds every packed word the listing counts
     if pres.homogeneous and pres.content_preserving and pres.builtin:
+        bounds = {"alphabet": args.max_len, "max_len": args.max_len}
         for n in lengths:
             cache = ContentCache(
                 args.cache_dir if n > EXTENDED_CLASS_LIMIT else None,
@@ -184,14 +207,19 @@ def cmd_classes(args) -> int:
                 {"length": n, "packed_words": words, "classes": classes}
             )
     else:
+        alphabet = args.max_len if args.alphabet is None else args.alphabet
         try:
             inst = relations.close(
-                pres, args.alphabet or args.max_len, args.max_len,
-                args.headroom, cap=args.cap,
+                pres, alphabet, args.max_len, args.headroom, cap=args.cap
             )
         except relations.ResourceCapError as err:
             print(str(err), file=sys.stderr)
             return EXIT_RESOURCE_CAP
+        bounds = {
+            "alphabet": alphabet,
+            "max_len": args.max_len,
+            "headroom": inst.headroom,
+        }
         for n in lengths:
             classes = inst.packed_classes(n)
             words = sum(1 for w in inst.words if len(w) == n and is_packed(w))
@@ -205,6 +233,7 @@ def cmd_classes(args) -> int:
             )
     payload = {
         "relation": pres.name,
+        "bounds": bounds,
         "lengths": per_length,
         "class_counts": [row["classes"] for row in per_length],
     }
@@ -476,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classes", help="packed-word class counts per length")
     common(p, relation_default="exotic-knuth")
-    p.set_defaults(func=cmd_classes)
+    p.set_defaults(func=cmd_classes, alphabet=None)
 
     p = sub.add_parser("check", help="classify a relation at bounded scale")
     common(p)

@@ -690,30 +690,8 @@ def check_algebraic(
         **({"witness": witness} if witness else {}),
     }
 
-    witness_b = None
-    checked_b = 0
-    for rep, w in pairs:
-        for m, n in _intervals(inst.alphabet):
-            rv = shift(restrict(rep, range(m + 1, n + 1)), -m)
-            wv = shift(restrict(w, range(m + 1, n + 1)), -m)
-            checked_b += 1
-            if not inst.related(rv, wv):
-                witness_b = {
-                    "pair": (rep, w),
-                    "interval": (m + 1, n),
-                    "restrictions": (rv, wv),
-                }
-                break
-        if witness_b:
-            break
-    condition_b = {
-        "condition": "interval-restriction",
-        "status": "fail" if witness_b else "pass",
-        "checked": checked_b,
-        **({"witness": witness_b} if witness_b else {}),
-    }
-
-    status = "fail" if (witness or witness_b) else (
+    condition_b = _interval_restriction(inst, pairs)
+    status = "fail" if (witness or condition_b["status"] == "fail") else (
         "bounded-evidence" if sampled else "pass"
     )
     return {
@@ -721,6 +699,35 @@ def check_algebraic(
         "status": status,
         "conditions": [condition_a, condition_b],
         "bounds": {"alphabet": inst.alphabet, "max_len": inst.max_len},
+    }
+
+
+def _interval_restriction(
+    inst: RelationInstance, pairs: Iterable[tuple[Word, Word]]
+) -> dict:
+    """Condition (b) of an algebraic relation: restricting both words of a
+    related pair to a letter interval and shifting down keeps them related."""
+    witness = None
+    checked = 0
+    for rep, w in pairs:
+        for m, n in _intervals(inst.alphabet):
+            rv = shift(restrict(rep, range(m + 1, n + 1)), -m)
+            wv = shift(restrict(w, range(m + 1, n + 1)), -m)
+            checked += 1
+            if not inst.related(rv, wv):
+                witness = {
+                    "pair": (rep, w),
+                    "interval": (m + 1, n),
+                    "restrictions": (rv, wv),
+                }
+                break
+        if witness:
+            break
+    return {
+        "condition": "interval-restriction",
+        "status": "fail" if witness else "pass",
+        "checked": checked,
+        **({"witness": witness} if witness else {}),
     }
 
 
@@ -853,15 +860,14 @@ def check_p_algebraic(inst: RelationInstance, prime: int | None = None) -> dict:
         "checked": checked,
         **({"witness": witness} if witness else {}),
     }
-    base = check_algebraic(inst)
-    condition_b = base["conditions"][1]
+    condition_b = _interval_restriction(inst, _observed_pairs(inst))
     status = "fail" if (witness or condition_b["status"] == "fail") else "pass"
     return {
         "property": "p-algebraic",
         "status": status,
         "prime": prime,
         "conditions": [condition_a, condition_b],
-        "bounds": base["bounds"],
+        "bounds": {"alphabet": inst.alphabet, "max_len": inst.max_len},
     }
 
 

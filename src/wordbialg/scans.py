@@ -16,10 +16,16 @@ decided by exact triangular solves against cached tableau-count matrices.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .characters import _VIOLATIONS, class_image
+from .characters import (
+    _compositions_of,
+    _subset_sums,
+    _violation_mask,
+    class_image,
+)
 from .qsym import (
     _schur_in_m,
     _schur_q_in_m,
@@ -37,7 +43,6 @@ from .words import (
     Composition,
     Word,
     all_words,
-    comp_from_set,
     comp_sort,
     compositions,
     format_word,
@@ -99,13 +104,6 @@ def content_components(
 # --- aggregated class statistics -------------------------------------------
 
 
-def _violation_mask(w: Word, kind: str) -> int:
-    mask = 0
-    for i in _VIOLATIONS[kind](w):
-        mask |= 1 << (i - 1)
-    return mask
-
-
 def _peak_mask(w: Word, conv: tuple[str, str]) -> int:
     if conv == ("gt", "le"):
         spots = peaks(w)
@@ -128,10 +126,7 @@ class ScanTables:
         self.basis = basis
         n = length
         self.nmasks = 1 << max(n - 1, 0)
-        self.comp_by_mask = [None] * self.nmasks
-        for mask in range(self.nmasks):
-            subset = {i + 1 for i in range(n) if mask >> i & 1}
-            self.comp_by_mask[mask] = comp_from_set(n, subset)
+        self.comp_by_mask = _compositions_of(n)
         # fibers of sorting: partition -> masks of its rearrangements
         self.fibers: dict[Composition, list[int]] = {}
         for mask, comp in enumerate(self.comp_by_mask):
@@ -174,7 +169,6 @@ class ScanTables:
 
     def class_verdict(self, members: Sequence[Word]) -> dict:
         """Aggregate one class and decide symmetry plus positivity."""
-        n = self.length
         char = self.character
         if isinstance(char, tuple):
             counts = [0] * len(self.peak_masks)
@@ -188,12 +182,7 @@ class ScanTables:
             coeff_at = [0] * self.nmasks
             for w in members:
                 coeff_at[_violation_mask(w, char)] += 1
-            # subset sums: fundamental -> monomial
-            for bit in range(max(n - 1, 0)):
-                step = 1 << bit
-                for mask in range(self.nmasks):
-                    if mask & step:
-                        coeff_at[mask] += coeff_at[mask ^ step]
+            _subset_sums(coeff_at)  # fundamental -> monomial
             scale = lambda mask: 1
         symmetric = True
         for lam, masks in self.fibers.items():
@@ -285,6 +274,19 @@ def _scan_content(content: Composition) -> tuple[Composition, list[dict]]:
     return content, out
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _worker_count(jobs: int, tasks: int) -> int:
+    """Pool size for ``tasks`` contents: never more workers than requested,
+    than usable CPUs, or than contents to hand out, and at least one."""
+    return max(1, min(jobs, _usable_cpus(), tasks))
+
+
 def _pool(builtin_name: str, length: int, scan_args, jobs: int):
     return multiprocessing.get_context("fork").Pool(
         jobs, initializer=_init_worker, initargs=(builtin_name, length, scan_args)
@@ -318,7 +320,8 @@ def packed_class_count(
         if progress is not None:
             progress(content, classes, words)
 
-    if jobs <= 1:
+    jobs = _worker_count(jobs, len(contents))
+    if jobs == 1:
         _init_worker(builtin_name, length, None)
         for content in contents:
             absorb(*_count_content(content))
@@ -376,7 +379,8 @@ def positivity_scan_homogeneous(
             progress(content, verdicts)
 
     scan_args = (character, bases, detail)
-    if jobs <= 1:
+    jobs = _worker_count(jobs, len(contents))
+    if jobs == 1:
         _init_worker(builtin_name, length, scan_args)
         for content in contents:
             absorb(*_scan_content(content))

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wordbialg.bialgebra import (
     anchored_basis,
@@ -41,6 +43,7 @@ from wordbialg.qsym import (
     omega_L,
     peak_expand,
     q_function,
+    qs_zero,
     schur,
     substitute_geometric,
 )
@@ -195,6 +198,50 @@ def test_to_qsym_dispatch():
     )
     with pytest.raises(ValueError):
         to_qsym([w], "le")
+
+
+# --- the histogram kernel against per-member sums --------------------------------
+
+PEAK_CONVOLUTIONS = [("gt", "le"), ("lt", "ge"), ("ge", "lt"), ("le", "gt")]
+KERNEL_CHARACTERS = list(BASIC_KINDS) + PEAK_CONVOLUTIONS
+short_words = st.lists(st.integers(1, 4), max_size=7).map(tuple)
+
+
+def member_sum(weighted, char, degree):
+    """Oracle: add up the image of every member, one QSym at a time (peak
+    characters go through the generic convolution)."""
+    out = qs_zero(degree)
+    for w, c in weighted:
+        out = out + word_image(w, char, degree).scale(c)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    members=st.lists(short_words, max_size=12),
+    char=st.sampled_from(KERNEL_CHARACTERS),
+    degree=st.integers(0, 6),
+)
+@example(members=[(), (2, 1, 1), (1, 3, 2, 4, 1, 2, 3)], char=("le", "gt"), degree=3)
+@example(members=[(), (), (3, 1, 2)], char="ge", degree=0)
+def test_class_image_is_member_sum(members, char, degree):
+    image = class_image(members, char, degree)
+    assert image.degree == degree
+    assert image == member_sum([(w, 1) for w in members], char, degree)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(short_words, st.fractions(min_value=-3, max_value=3, max_denominator=4)),
+        max_size=10,
+    ),
+    char=st.sampled_from(KERNEL_CHARACTERS),
+    degree=st.integers(0, 6),
+)
+def test_lincomb_image_is_member_sum(terms, char, degree):
+    x = LinComb(terms)
+    assert lincomb_image(x, char, degree) == member_sum(x.items(), char, degree)
 
 
 def test_character_parsing():

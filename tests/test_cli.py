@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from wordbialg.cli import main, resolve_relation
+from wordbialg import cli
+from wordbialg.cli import ContentCache, main, resolve_relation
 
 
 def run_cli(*args):
@@ -33,6 +34,19 @@ def test_classes_generic_path():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["lengths"][2]["packed_words"] == 3
+
+
+def test_classes_generic_path_defaults_alphabet_to_max_len():
+    # every packed word of length 4 needs 4 letters; a 3-letter default
+    # would report 51 words and 13 classes
+    proc = run_cli(
+        "classes", "--relation", "k-knuth", "--max-len", "4", "--format", "json"
+    )
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    assert payload["lengths"][4]["packed_words"] == 75
+    assert payload["lengths"][4]["classes"] == 23
+    assert payload["bounds"] == {"alphabet": 4, "max_len": 4, "headroom": 2}
 
 
 def test_classes_requires_extended_for_long_lengths():
@@ -164,3 +178,47 @@ def test_scan_cache_resume(tmp_path):
     assert first.returncode == cached.returncode == 0
     assert json.loads(first.stdout) == json.loads(cached.stdout)
     assert list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("cut", [1, 9])
+def test_content_cache_drops_torn_tail(tmp_path, cut):
+    signature = {"command": "test"}
+    cache = ContentCache(str(tmp_path), signature)
+    for content in [(1,), (2,), (1, 1)]:
+        cache.record(content, {"classes": 1})
+    data = open(cache.path, "rb").read()
+    # an append interrupted before the end of the last row
+    with open(cache.path, "wb") as fh:
+        fh.write(data[:-cut])
+    resumed = ContentCache(str(tmp_path), signature)
+    assert set(resumed.done) == {(1,), (2,)}
+    resumed.record((1, 1), {"classes": 1})
+    assert open(cache.path, "rb").read() == data
+    assert set(ContentCache(str(tmp_path), signature).done) == {(1,), (2,), (1, 1)}
+
+
+def test_scan_resumes_after_torn_cache_row(tmp_path, capsys):
+    args = [
+        "conjectures", "--which", "exotic-sym", "--max-len", "4",
+        "--cache-dir", str(tmp_path), "--format", "json",
+    ]
+    assert main(args) == 0
+    fresh = capsys.readouterr().out
+    (path,) = tmp_path.iterdir()
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) - len(data.splitlines()[-1]) // 2 - 1])
+    assert main(args) == 0
+    assert capsys.readouterr().out == fresh
+    assert path.read_bytes().count(b"\n") == data.count(b"\n")
+
+
+def test_content_cache_ignores_stale_versions(tmp_path, monkeypatch):
+    signature = {"command": "test"}
+    row = json.dumps({"content": [1], "classes": 99}) + "\n"
+    # the file an engine without a cache version would have written
+    (tmp_path / f"scan-{cli._cache_key(signature)}.jsonl").write_text(row)
+    assert ContentCache(str(tmp_path), signature).done == {}
+    ContentCache(str(tmp_path), signature).record((1,), {"classes": 1})
+    assert set(ContentCache(str(tmp_path), signature).done) == {(1,)}
+    monkeypatch.setattr(cli, "CACHE_VERSION", cli.CACHE_VERSION + 1)
+    assert ContentCache(str(tmp_path), signature).done == {}

@@ -1,5 +1,6 @@
 import pytest
 
+from wordbialg import scans
 from wordbialg.relations import builtin_relation, close
 from wordbialg.scans import (
     content_components,
@@ -120,3 +121,45 @@ def test_weak_hecke_doubling_theorem():
 def test_reversed_doubling_search_is_clean_small():
     report = doubling_check("k-knuth", 2, 3)
     assert report["mismatches"] == []
+
+
+def test_worker_count_clamps(monkeypatch):
+    monkeypatch.setattr(scans, "_usable_cpus", lambda: 2)
+    assert scans._worker_count(10_000, 50) == 2
+    assert scans._worker_count(2, 50) == 2
+    assert scans._worker_count(8, 1) == 1
+    assert scans._worker_count(4, 0) == 1
+    assert scans._worker_count(0, 50) == 1
+    assert scans._worker_count(-3, 50) == 1
+
+
+def test_scans_fork_the_clamped_pool(monkeypatch):
+    # the stand-in pool records its size and maps in this process, so no
+    # worker process is ever started
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, builtin_name, length, scan_args, jobs):
+            sizes.append(jobs)
+            scans._init_worker(builtin_name, length, scan_args)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(scans, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(scans, "_pool", InlinePool)
+    peak = ("gt", "le")
+    report = positivity_scan_homogeneous("exotic-knuth", 4, peak, "Q", jobs=10_000)
+    assert sizes == [2]
+    assert report == positivity_scan_homogeneous("exotic-knuth", 4, peak, "Q")
+    assert packed_class_count("exotic-knuth", 4, jobs=10_000) == (31, 75)
+    assert sizes == [2, 2]
+    # a single content needs no pool at all
+    assert packed_class_count("exotic-knuth", 1, jobs=10_000) == (1, 1)
+    assert sizes == [2, 2]
