@@ -19,7 +19,6 @@ from .characters import (
     grassmannian_stable_family,
     grothendieck_family,
     multi_fundamental,
-    to_qsym,
     word_image,
 )
 from .lincomb import LinComb
@@ -58,8 +57,6 @@ from .scans import (
     doubling_check,
     packed_class_count,
     positivity_scan_homogeneous,
-    positivity_scan,
-    symmetry_scan,
 )
 from .words import Anchored, anchored, flatten, is_packed, parse_word
 

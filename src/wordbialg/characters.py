@@ -11,16 +11,18 @@ For the four basic kinds this collapses to a single fundamental function
 indexed by the violation set; for the four peak-style convolutions it
 collapses to a peak function indexed by the peak or valley set.
 
-Images of classes and linear combinations therefore depend on one
-statistic per word.  They are aggregated in a single pass into a weighted
-histogram over (length, violation mask) or over peak compositions, and
-each histogram is expanded into monomial coefficients once: a subset-sum
-(zeta) transform per length takes fundamental coefficients to monomial
-ones, and each distinct peak index is expanded once through its cached
-peak-function terms.  Convolution pairs without a closed form fall back to
-the generic per-word image.  Class images are truncated by degree; their
-correctness rests on the relation engine's headroom stability
-certificate.
+Images of classes and linear combinations therefore depend on one bit
+mask per word: the violation mask for a basic kind, the peak mask (read
+off a violation mask) for a peak convolution.  Words are binned by length
+and mask, and each length's histogram is expanded into monomial
+coefficients indexed by cut mask with one subset-sum (zeta) transform:
+the transform itself for a fundamental, the transform read at the
+thickened cut set and scaled by ``2^l`` for a peak function.  The scans
+read symmetry and positivity off the same per-length coefficient lists
+(:func:`image_by_mask`).  Convolution pairs without a closed form fall
+back to the generic per-word image.  Class images are truncated by
+degree; their correctness rests on the relation engine's headroom
+stability certificate.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from itertools import repeat
 from typing import Iterable
 
 from .lincomb import LinComb
-from .qsym import QSym, _peak_terms, fundamental_L, omega_L, peak_K, qs_zero
+from .qsym import QSym, fundamental_L, omega_L, peak_K, qs_zero
 from .words import (
     Anchored,
     Composition,
@@ -40,16 +42,13 @@ from .words import (
     Word,
     all_reduced_words,
     ascents,
-    comp_flat,
     comp_from_set,
     descent_letters,
     descents,
     grassmannian_permutation,
     identity_permutation,
-    peaks,
     permutation_length,
     swap_values,
-    valleys,
     weak_ascents,
     weak_descents,
 )
@@ -181,38 +180,37 @@ def _compositions_of(n: int) -> tuple[Composition, ...]:
     return tuple(compositions(n))
 
 
-_PEAK_CLOSED_FORMS = {
-    ("gt", "le"): peaks,
-    ("lt", "ge"): valleys,
+# The peak statistic of each closed form, read off the violation mask V of
+# a basic kind: position i >= 2 is a peak when i is in V and i - 1 is not
+# (``True``), or when i - 1 is in V and i is not (``False``).  The first
+# two are the peak and valley sets; the two reversed kinds give the peak
+# and valley sets of the reversed word, flattened.
+_PEAK_FORMS = {
+    ("gt", "le"): ("le", True),
+    ("lt", "ge"): ("ge", True),
+    ("ge", "lt"): ("ge", False),
+    ("le", "gt"): ("le", False),
 }
-_PEAK_REVERSED_FORMS = {
-    ("ge", "lt"): peaks,
-    ("le", "gt"): valleys,
-}
 
 
-def _has_peak_closed_form(char: Character) -> bool:
-    return char in _PEAK_CLOSED_FORMS or char in _PEAK_REVERSED_FORMS
-
-
-def _peak_index(w: Word, char: tuple[str, str]) -> Composition:
-    """The peak composition of the closed form: read off the peak or valley
-    set of the word (of its reversal, then flattened, for the two reversed
-    kinds)."""
-    n = len(w)
-    if char in _PEAK_CLOSED_FORMS:
-        return comp_from_set(n, _PEAK_CLOSED_FORMS[char](w))
-    return comp_flat(comp_from_set(n, _PEAK_REVERSED_FORMS[char](w[::-1])))
+def _peak_mask(w: Word, char: tuple[str, str]) -> int:
+    """Cut mask of the peak composition indexing the closed form."""
+    kind, starts = _PEAK_FORMS[char]
+    v = _violation_mask(w, kind)
+    if starts:
+        return v & ~(v << 1) & ~1
+    return (v << 1) & ~v & ((1 << max(len(w) - 1, 0)) - 1)
 
 
 def peak_image_closed_form(w: Word, char: tuple[str, str], degree: int | None = None) -> QSym:
     """Closed form for the four peak-style convolutions: a single peak
     function whose index is read off the peak or valley set of the word
     (of its reversal for the two reversed kinds)."""
-    if not _has_peak_closed_form(char):
+    if char not in _PEAK_FORMS:
         raise ValueError(f"no closed form for {char}")
     w = _as_word(w)
-    return peak_K(_peak_index(w, char), len(w) if degree is None else degree)
+    n = len(w)
+    return peak_K(_compositions_of(n)[_peak_mask(w, char)], n if degree is None else degree)
 
 
 def _violation_mask(w: Word, kind: str) -> int:
@@ -235,48 +233,61 @@ def _subset_sums(values: list) -> None:
                 values[mask] += values[mask ^ step]
 
 
+def image_by_mask(
+    weighted: Iterable[tuple[Word, object]], char: Character, n: int
+) -> list:
+    """Monomial coefficients of ``sum c * image(w)`` over ``(w, c)`` pairs
+    of words of length ``n``, as a list indexed by cut mask (the order of
+    :func:`_compositions_of`).
+
+    A closed form bins the words by violation or peak mask and expands the
+    histogram with one zeta transform ``z``.  A fundamental ``L_V`` is the
+    sum of ``M_S`` over ``S`` containing ``V``, so ``z`` is the answer; a
+    peak function ``K_P`` is ``2^l(S)`` times the sum of ``M_S`` over ``S``
+    whose cut set, thickened by one, contains ``P``, so the coefficient at
+    ``S`` is ``2^l(S) * z[(S | S << 1) & full]``.  A pair without a closed
+    form sums its members' generic images."""
+    values = [0] * (1 << max(n - 1, 0))
+    if isinstance(char, str) or char in _PEAK_FORMS:
+        stat = _violation_mask if isinstance(char, str) else _peak_mask
+        for w, c in weighted:
+            values[stat(w, char)] += c
+        _subset_sums(values)
+        if isinstance(char, str):
+            return values
+        full = len(values) - 1
+        return [
+            ((2 << s.bit_count()) if n else 1) * values[(s | s << 1) & full]
+            for s in range(len(values))
+        ]
+    position = {alpha: m for m, alpha in enumerate(_compositions_of(n))}
+    for w, c in weighted:
+        for beta, x in word_image(w, char, n).terms.items():
+            values[position[beta]] += c * x
+    return values
+
+
 def _image_terms(
     weighted: Iterable[tuple[Word, object]], char: Character, degree: int
 ) -> dict[Composition, object]:
     """Monomial coefficients of ``sum c * image(w)`` over ``(w, c)`` pairs,
     words longer than ``degree`` contributing nothing.
 
-    One pass bins the words by their statistic: (length, violation mask)
-    for a basic kind, the peak composition for a peak-style convolution,
-    the word itself for a pair without a closed form.  Each bin is then
-    expanded once, so coefficients stay plain ints (or the weights' type)
-    until the caller builds a single QSym."""
-    if isinstance(char, str):
-        stat = lambda w: (len(w), _violation_mask(w, char))
-    elif _has_peak_closed_form(char):
-        stat = lambda w: _peak_index(w, char)
-    else:
-        stat = lambda w: w
-    hist: dict = {}
+    The pairs are split by length and each length goes through
+    :func:`image_by_mask` once, so coefficients stay plain ints (or the
+    weights' type) until the caller builds a single QSym."""
+    by_length: dict[int, list] = {}
     for w, c in weighted:
         w = _as_word(w)
         if len(w) <= degree:
-            key = stat(w)
-            hist[key] = hist.get(key, 0) + c
+            by_length.setdefault(len(w), []).append((w, c))
     terms: dict[Composition, object] = {}
-    if isinstance(char, str):
-        by_length: dict[int, list] = {}
-        for (n, mask), c in hist.items():
-            by_length.setdefault(n, [0] * (1 << max(n - 1, 0)))[mask] = c
-        for n, values in by_length.items():
-            _subset_sums(values)
-            terms.update(
-                (alpha, c) for alpha, c in zip(_compositions_of(n), values) if c
-            )
-        return terms
-    closed = _has_peak_closed_form(char)
-    for key, c in hist.items():
-        if closed:
-            expansion = _peak_terms(key)
-        else:
-            expansion = word_image(key, char, degree).terms.items()
-        for beta, x in expansion:
-            terms[beta] = terms.get(beta, 0) + c * x
+    for n, pairs in by_length.items():
+        terms.update(
+            (alpha, c)
+            for alpha, c in zip(_compositions_of(n), image_by_mask(pairs, char, n))
+            if c
+        )
     return terms
 
 
@@ -290,22 +301,6 @@ def class_image(
 
 def lincomb_image(x: LinComb, char: Character, degree: int) -> QSym:
     return QSym(degree, _image_terms(x.items(), char, degree))
-
-
-def to_qsym(x, char: Character, degree: int | None = None) -> QSym:
-    """Morphism image of a word, anchored word, linear combination, or an
-    iterable of class members."""
-    if isinstance(x, LinComb):
-        if degree is None:
-            raise ValueError("a degree bound is required for linear combinations")
-        return lincomb_image(x, char, degree)
-    if isinstance(x, (tuple, Anchored)) and (
-        isinstance(x, Anchored) or all(isinstance(a, int) for a in x)
-    ):
-        return word_image(x, char, degree)
-    if degree is None:
-        raise ValueError("a degree bound is required for class images")
-    return class_image(x, char, degree)
 
 
 # --- multi-fundamental functions ------------------------------------------
@@ -360,48 +355,6 @@ def _comp_cut_positions(alpha: Composition) -> list[int]:
         total += part
         out.append(total)
     return out
-
-
-def multi_fundamental_brute(alpha: Composition, degree: int, nvars: int) -> QSym:
-    """Reference enumeration over explicit subset chains of ``[nvars]``."""
-    import itertools
-
-    alpha = tuple(alpha)
-    n = sum(alpha)  # number of chain slots
-    cuts = set(_comp_cut_positions(alpha))
-    subsets = [
-        frozenset(s)
-        for k in range(1, nvars + 1)
-        for s in itertools.combinations(range(1, nvars + 1), k)
-    ]
-    terms: dict[Composition, Fraction] = {}
-    if n == 0:
-        return QSym(degree, {(): 1})
-
-    def rec(slot: int, prev: frozenset | None, usage: dict[int, int]) -> None:
-        if slot == n:
-            top = max(usage)
-            if sorted(usage) != list(range(1, top + 1)):
-                return
-            beta = tuple(usage[i] for i in range(1, top + 1))
-            if sum(beta) <= degree:
-                terms[beta] = terms.get(beta, Fraction(0)) + 1
-            return
-        for s in subsets:
-            if prev is not None:
-                if slot in cuts:
-                    if not max(prev) < min(s):
-                        continue
-                elif not max(prev) <= min(s):
-                    continue
-            new_usage = dict(usage)
-            for i in s:
-                new_usage[i] = new_usage.get(i, 0) + 1
-            if sum(new_usage.values()) <= degree:
-                rec(slot + 1, s, new_usage)
-
-    rec(0, None, {})
-    return QSym(degree, terms)
 
 
 # --- Hecke words and the stable family -------------------------------------

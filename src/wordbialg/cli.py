@@ -199,10 +199,8 @@ def cmd_classes(args) -> int:
                 progress=lambda content, c, w, cache=cache: cache.record(
                     content, {"classes": c, "words": w}
                 ),
-                skip_contents=set(cache.done),
+                cached={c: (r["classes"], r["words"]) for c, r in cache.done.items()},
             )
-            classes += sum(r["classes"] for r in cache.done.values())
-            words += sum(r["words"] for r in cache.done.values())
             per_length.append(
                 {"length": n, "packed_words": words, "classes": classes}
             )
@@ -363,34 +361,19 @@ def cmd_conjectures(args) -> int:
         reports = []
         rows: list[dict] = []
         for n in range(args.max_len + 1):
-            use_cache = cache.path is not None and n == args.max_len
-            skip = set(cache.done) if use_cache else set()
-
-            def progress(content, verdicts, use_cache=use_cache):
-                if use_cache:
-                    cache.record(content, {"verdicts": verdicts})
-
+            # only the longest length is cached: the shorter ones are quick
+            last = n == args.max_len
             rep = scans.positivity_scan_homogeneous(
                 "exotic-knuth", n, ("gt", "le"), bases,
-                jobs=args.jobs, progress=progress, skip_contents=skip,
-                detail=want_csv,
+                jobs=args.jobs, detail=want_csv,
+                progress=(
+                    lambda content, verdicts: cache.record(
+                        content, {"verdicts": verdicts}
+                    )
+                ) if last else None,
+                cached={c: r["verdicts"] for c, r in cache.done.items()}
+                if last else {},
             )
-            if use_cache and skip:
-                for row in cache.done.values():
-                    for verdict in row["verdicts"]:
-                        rep["total_classes"] += 1
-                        if verdict["symmetric"]:
-                            rep["symmetric"] += 1
-                            if all(verdict["positive"].values()):
-                                rep["positive"] += 1
-                            else:
-                                rep["non_positive"].append(verdict["representative"])
-                        else:
-                            rep["non_symmetric"].append(verdict["representative"])
-                        if want_csv:
-                            rep.setdefault("classes", []).append(verdict)
-                rep["non_positive"].sort()
-                rep["non_symmetric"].sort()
             if want_csv:
                 for v in rep.pop("classes", []):
                     rows.append(

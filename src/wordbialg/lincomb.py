@@ -127,10 +127,3 @@ class LinComb:
         bits = [f"{format_scalar(c)}*{k!r}" for k, c in self.sorted_items()]
         return "LinComb(" + " + ".join(bits) + ")"
 
-
-def apply_linear(f: Callable[[Hashable], LinComb], a: LinComb) -> LinComb:
-    return a.apply(f)
-
-
-def tensor(a: LinComb, b: LinComb) -> LinComb:
-    return a.tensor(b)

@@ -35,7 +35,6 @@ from .words import (
     is_strict_partition,
     multiset_permutations,
     partitions,
-    strict_partitions,
 )
 
 
@@ -343,43 +342,52 @@ def schur(lam: Partition, degree: int | None = None) -> QSym:
     return QSym(degree, terms)
 
 
-def _triangular_solve(f, index, pivot_coeff, basis_in_m, basis_tag):
-    """Solve ``f = sum c_lam B_lam`` along reverse-lexicographic order."""
-    expansion = to_monomial_sym(f)
-    residual = dict(expansion.terms)
-    coeffs: dict[Partition, Fraction] = {}
-    for lam in sorted(index, reverse=True):
-        c = residual.get(lam, Fraction(0))
-        if not c:
-            continue
-        c = c / pivot_coeff(lam)
+def _triangular_solve(
+    terms: Mapping[Partition, object], basis: str
+) -> dict[Partition, object]:
+    """Coefficients of the symmetric function with monomial expansion
+    ``terms`` in the Schur (``"s"``) or Schur-Q (``"Q"``) basis.
+
+    Elimination runs from the largest residual partition down, since each
+    basis element has only smaller monomials besides its own; a largest
+    one that indexes no basis element (non-strict, for Schur-Q) can never
+    cancel, so the element is outside the span.  Exact: ints stay ints
+    while the Schur-Q pivot ``2^l(lam)`` divides, Fractions where not."""
+    in_m = _schur_in_m if basis == "s" else _schur_q_in_m
+    residual = {lam: c for lam, c in terms.items() if c}
+    coeffs: dict[Partition, object] = {}
+    while residual:
+        lam = max(residual)
+        c = residual[lam]
+        if basis == "Q":
+            if not is_strict_partition(lam):
+                raise ValueError(
+                    f"element is not in the span of the Q basis; residual at {lam}"
+                )
+            pivot = 1 << len(lam)
+            c = c // pivot if isinstance(c, int) and not c % pivot else Fraction(c, pivot)
         coeffs[lam] = c
-        for mu, x in basis_in_m(lam).items():
-            acc = residual.get(mu, Fraction(0)) - c * x
+        for mu, x in in_m(lam).items():
+            acc = residual.get(mu, 0) - c * x
             if acc:
                 residual[mu] = acc
             else:
                 residual.pop(mu, None)
-    if residual:
-        raise ValueError(
-            f"element is not in the span of the {basis_tag} basis; residual at "
-            f"{sorted(residual)[:3]}"
-        )
-    return SymExpansion(basis_tag, f.degree, coeffs)
+    return coeffs
 
 
 @lru_cache(maxsize=None)
-def _schur_in_m(lam: Partition) -> dict[Partition, Fraction]:
+def _schur_in_m(lam: Partition) -> dict[Partition, int]:
     return {
-        mu: Fraction(kostka(lam, mu))
+        mu: kostka(lam, mu)
         for mu in partitions(sum(lam))
         if kostka(lam, mu)
     }
 
 
 def schur_expand(f: QSym) -> SymExpansion:
-    index = [lam for d in range(f.degree + 1) for lam in partitions(d)]
-    return _triangular_solve(f, index, lambda lam: Fraction(1), _schur_in_m, "s")
+    terms = _triangular_solve(to_monomial_sym(f).terms, "s")
+    return SymExpansion("s", f.degree, terms)
 
 
 def schur_positive(f: QSym) -> PositivityCertificate:
@@ -469,19 +477,17 @@ def schur_q(lam: Partition, degree: int | None = None) -> QSym:
 
 
 @lru_cache(maxsize=None)
-def _schur_q_in_m(lam: Partition) -> dict[Partition, Fraction]:
+def _schur_q_in_m(lam: Partition) -> dict[Partition, int]:
     return {
-        mu: Fraction(marked_shifted_count(lam, mu))
+        mu: marked_shifted_count(lam, mu)
         for mu in partitions(sum(lam))
         if marked_shifted_count(lam, mu)
     }
 
 
 def schur_q_expand(f: QSym) -> SymExpansion:
-    index = [lam for d in range(f.degree + 1) for lam in strict_partitions(d)]
-    return _triangular_solve(
-        f, index, lambda lam: Fraction(2 ** len(lam)), _schur_q_in_m, "Q"
-    )
+    terms = _triangular_solve(to_monomial_sym(f).terms, "Q")
+    return SymExpansion("Q", f.degree, terms)
 
 
 def schur_q_positive(f: QSym) -> PositivityCertificate:

@@ -455,6 +455,9 @@ class RelationInstance:
             cid: tuple(sorted(ws, key=lambda t: (len(t), t)))
             for cid, ws in members.items()
         }
+        # condition (a) of the algebraic check by (sample_cap, seed): the
+        # uniform check repeats it, and it is the expensive part
+        self._congruence: dict[tuple[int, int], dict] = {}
 
     @property
     def limit(self) -> int:
@@ -647,6 +650,25 @@ def check_algebraic(
     (a) concatenation congruence, via one-sided contexts against class
     representatives; (b) interval restriction with down-shift.
     """
+    condition_a = _concatenation_congruence(inst, sample_cap, seed)
+    condition_b = _interval_restriction(inst, _observed_pairs(inst))
+    return {
+        "property": "algebraic",
+        "status": "fail" if condition_b["status"] == "fail" else condition_a["status"],
+        "conditions": [condition_a, condition_b],
+        "bounds": {"alphabet": inst.alphabet, "max_len": inst.max_len},
+    }
+
+
+def _concatenation_congruence(
+    inst: RelationInstance, sample_cap: int, seed: int
+) -> dict:
+    """Condition (a), computed once per instance and (sample_cap, seed):
+    related pairs stay related under one-sided concatenation, checked
+    exhaustively or, past ``sample_cap`` checks, on a seeded sample."""
+    key = (sample_cap, seed)
+    if key in inst._congruence:
+        return inst._congruence[key]
     contexts = [w for w in inst.words if len(w) <= inst.max_len]
     pairs = list(_observed_pairs(inst))
     total = 2 * len(pairs) * len(contexts)
@@ -683,23 +705,13 @@ def check_algebraic(
             if witness:
                 break
 
-    condition_a = {
+    inst._congruence[key] = {
         "condition": "concatenation-congruence",
         "status": "fail" if witness else ("bounded-evidence" if sampled else "pass"),
         "checked": checked,
         **({"witness": witness} if witness else {}),
     }
-
-    condition_b = _interval_restriction(inst, pairs)
-    status = "fail" if (witness or condition_b["status"] == "fail") else (
-        "bounded-evidence" if sampled else "pass"
-    )
-    return {
-        "property": "algebraic",
-        "status": status,
-        "conditions": [condition_a, condition_b],
-        "bounds": {"alphabet": inst.alphabet, "max_len": inst.max_len},
-    }
+    return inst._congruence[key]
 
 
 def _interval_restriction(

@@ -6,29 +6,32 @@ content: each composition of the length is an independent flood-fill over
 the distinct rearrangements of its multiset.  That slicing is what makes
 the length-8/9 runs tractable and embarrassingly parallel; workers handle
 whole contents and the parent merges in sorted content order, so output
-is deterministic for any worker count.
+is deterministic for any worker count.  A resumed run hands the scan the
+per-content results it cached, which are folded in with the fresh ones.
 
-Per class, a morphism image is aggregated as an integer vector indexed by
-violation or peak sets; symmetry and Schur/Schur-Q positivity are then
-decided by exact triangular solves against cached tableau-count matrices.
+Per class, the scan takes the image's monomial coefficients by cut mask
+from the characters kernel (:func:`characters.image_by_mask`), so every
+character the kernel knows scans, the four peak convolutions included.
+Symmetry is constancy on sorting fibers; Schur and Schur-Q positivity come
+from the exact triangular solve in :mod:`qsym`, fed the coefficient at one
+partition per fiber.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .characters import (
     _compositions_of,
-    _subset_sums,
-    _violation_mask,
     class_image,
+    format_character,
+    image_by_mask,
 )
 from .qsym import (
-    _schur_in_m,
-    _schur_q_in_m,
+    _triangular_solve,
     is_symmetric,
     schur_positive,
     schur_q_positive,
@@ -41,16 +44,13 @@ from .relations import (
 )
 from .words import (
     Composition,
+    Partition,
     Word,
     all_words,
     comp_sort,
     compositions,
     format_word,
     multiset_permutations,
-    partitions,
-    peaks,
-    strict_partitions,
-    valleys,
 )
 
 Members = list[Word]
@@ -101,128 +101,46 @@ def content_components(
         yield component
 
 
-# --- aggregated class statistics -------------------------------------------
-
-
-def _peak_mask(w: Word, conv: tuple[str, str]) -> int:
-    if conv == ("gt", "le"):
-        spots = peaks(w)
-    elif conv == ("lt", "ge"):
-        spots = valleys(w)
-    else:
-        raise ValueError(f"scan supports gt-le and lt-ge convolutions, not {conv}")
-    mask = 0
-    for i in spots:
-        mask |= 1 << (i - 1)
-    return mask
+# --- class verdicts ---------------------------------------------------------
 
 
 class ScanTables:
-    """Shared exact data for deciding symmetry and positivity at one length."""
+    """The sorting fibers of one length, for deciding symmetry and
+    positivity of class images in one basis."""
 
     def __init__(self, length: int, character, basis: str):
+        if basis not in ("s", "Q"):
+            raise ValueError(f"unknown basis {basis!r}")
         self.length = length
         self.character = character
         self.basis = basis
-        n = length
-        self.nmasks = 1 << max(n - 1, 0)
-        self.comp_by_mask = _compositions_of(n)
-        # fibers of sorting: partition -> masks of its rearrangements
-        self.fibers: dict[Composition, list[int]] = {}
-        for mask, comp in enumerate(self.comp_by_mask):
+        comps = _compositions_of(length)
+        # fibers of sorting: partition -> cut masks of its rearrangements
+        self.fibers: dict[Partition, list[int]] = {}
+        for mask, comp in enumerate(comps):
             self.fibers.setdefault(comp_sort(comp), []).append(mask)
-        self.partitions = sorted(partitions(n), reverse=True)
         self.mask_of_partition = {
-            lam: next(
-                m for m in self.fibers[lam] if self.comp_by_mask[m] == lam
-            )
-            for lam in self.partitions
+            lam: next(m for m in masks if comps[m] == lam)
+            for lam, masks in self.fibers.items()
         }
-        if isinstance(character, tuple):
-            # peak-style: element = sum of peak functions by peak set
-            self.peak_masks = [
-                m
-                for m in range(self.nmasks)
-                if not (m & 1) and not (m & (m << 1))
-            ]
-            self.peak_index = {m: i for i, m in enumerate(self.peak_masks)}
-            self.compat = []
-            for mask in range(self.nmasks):
-                allowed = mask | (mask << 1)
-                self.compat.append(
-                    tuple(
-                        i
-                        for i, p in enumerate(self.peak_masks)
-                        if p & ~allowed == 0
-                    )
-                )
-        if basis == "s":
-            self.matrix = {lam: _schur_in_m(lam) for lam in partitions(n)}
-            self.index = sorted(partitions(n), reverse=True)
-            self.pivot = {lam: Fraction(1) for lam in self.index}
-        elif basis == "Q":
-            self.matrix = {lam: _schur_q_in_m(lam) for lam in strict_partitions(n)}
-            self.index = sorted(strict_partitions(n), reverse=True)
-            self.pivot = {lam: Fraction(2 ** len(lam)) for lam in self.index}
-        else:
-            raise ValueError(f"unknown basis {basis!r}")
 
     def class_verdict(self, members: Sequence[Word]) -> dict:
-        """Aggregate one class and decide symmetry plus positivity."""
-        char = self.character
-        if isinstance(char, tuple):
-            counts = [0] * len(self.peak_masks)
-            for w in members:
-                counts[self.peak_index[_peak_mask(w, char)]] += 1
-            coeff_at = [0] * self.nmasks  # monomial coefficient / 2^{l(beta)}
-            for mask in range(self.nmasks):
-                coeff_at[mask] = sum(counts[i] for i in self.compat[mask])
-            scale = lambda mask: 1 << (bin(mask).count("1") + 1)
-        else:
-            coeff_at = [0] * self.nmasks
-            for w in members:
-                coeff_at[_violation_mask(w, char)] += 1
-            _subset_sums(coeff_at)  # fundamental -> monomial
-            scale = lambda mask: 1
-        symmetric = True
-        for lam, masks in self.fibers.items():
-            first = coeff_at[masks[0]]
-            if any(coeff_at[m] != first for m in masks[1:]):
-                symmetric = False
-                break
-        result = {
-            "size": len(members),
-            "symmetric": symmetric,
-            "positive": None,
-        }
-        if not symmetric:
-            return result
-        residual = {
-            lam: Fraction(coeff_at[self.mask_of_partition[lam]] * scale(self.mask_of_partition[lam]))
-            for lam in self.partitions
-            if coeff_at[self.mask_of_partition[lam]]
-        }
-        positive = True
-        in_span = True
-        for lam in self.index:
-            c = residual.get(lam)
-            if not c:
-                continue
-            c = c / self.pivot[lam]
-            if c < 0:
+        """Aggregate one class and decide symmetry plus positivity; an
+        image outside the basis span is not positive."""
+        coeffs = image_by_mask(zip(members, repeat(1)), self.character, self.length)
+        symmetric = all(
+            len({coeffs[m] for m in masks}) == 1 for masks in self.fibers.values()
+        )
+        positive = None
+        if symmetric:
+            m_terms = {lam: coeffs[m] for lam, m in self.mask_of_partition.items()}
+            try:
+                expansion = _triangular_solve(m_terms, self.basis)
+            except ValueError:
                 positive = False
-            for mu, x in self.matrix[lam].items():
-                acc = residual.get(mu, Fraction(0)) - c * x
-                if acc:
-                    residual[mu] = acc
-                else:
-                    residual.pop(mu, None)
-        if residual:
-            in_span = False
-            positive = False
-        result["positive"] = positive
-        result["in_span"] = in_span
-        return result
+            else:
+                positive = all(c >= 0 for c in expansion.values())
+        return {"size": len(members), "symmetric": symmetric, "positive": positive}
 
 
 # --- multiprocessing workers ------------------------------------------------
@@ -293,44 +211,52 @@ def _pool(builtin_name: str, length: int, scan_args, jobs: int):
     )
 
 
+def _fresh_results(
+    builtin_name: str, length: int, scan_args, task, jobs: int, cached: Mapping
+) -> Iterator[tuple]:
+    """``task(content)`` for every packed content of the length that is not
+    in ``cached``, in one process or on a clamped fork pool."""
+    pres = builtin_relation(builtin_name)
+    if not (pres.homogeneous and pres.content_preserving):
+        raise ValueError(f"{builtin_name} does not split by content")
+    contents = [c for c in packed_contents(length) if c not in cached]
+    jobs = _worker_count(jobs, len(contents))
+    if jobs == 1:
+        _init_worker(builtin_name, length, scan_args)
+        yield from map(task, contents)
+    else:
+        with _pool(builtin_name, length, scan_args, jobs) as pool:
+            yield from pool.imap_unordered(task, contents)
+
+
 def packed_class_count(
     builtin_name: str,
     length: int,
     jobs: int = 1,
     progress: Callable[[Composition, int, int], None] | None = None,
-    skip_contents: Iterable[Composition] = (),
+    cached: Mapping[Composition, tuple[int, int]] = {},
 ) -> tuple[int, int]:
     """(number of packed classes, number of packed words) at one length.
 
     Only valid for homogeneous, content-preserving built-ins.  ``progress``
-    receives each finished content with its class and word counts;
-    ``skip_contents`` supports resuming from a cache."""
-    pres = builtin_relation(builtin_name)
-    if not (pres.homogeneous and pres.content_preserving):
-        raise ValueError(f"{builtin_name} does not split by content")
-    skip = set(skip_contents)
-    contents = [c for c in packed_contents(length) if c not in skip]
+    receives each content it computes with its class and word counts;
+    ``cached`` maps contents already counted (by a resumed run) to their
+    ``(classes, words)``, which are summed in instead of recomputed."""
     total_classes = 0
     total_words = 0
 
-    def absorb(content, classes, words):
+    def absorb(classes, words):
         nonlocal total_classes, total_words
         total_classes += classes
         total_words += words
+
+    for classes, words in cached.values():
+        absorb(classes, words)
+    fresh = _fresh_results(builtin_name, length, None, _count_content, jobs, cached)
+    for content, classes, words in fresh:
+        absorb(classes, words)
         if progress is not None:
             progress(content, classes, words)
-
-    jobs = _worker_count(jobs, len(contents))
-    if jobs == 1:
-        _init_worker(builtin_name, length, None)
-        for content in contents:
-            absorb(*_count_content(content))
-    else:
-        with _pool(builtin_name, length, None, jobs) as pool:
-            for content, classes, words in pool.imap_unordered(
-                _count_content, contents
-            ):
-                absorb(content, classes, words)
     return total_classes, total_words
 
 
@@ -341,7 +267,7 @@ def positivity_scan_homogeneous(
     basis: str | tuple[str, ...],
     jobs: int = 1,
     progress: Callable[[Composition, list[dict]], None] | None = None,
-    skip_contents: Iterable[Composition] = (),
+    cached: Mapping[Composition, list[dict]] = {},
     detail: bool = False,
 ) -> dict:
     """Symmetry and positivity of every packed class image at one length.
@@ -349,20 +275,16 @@ def positivity_scan_homogeneous(
     ``basis`` may name one basis or several; the report counts classes,
     symmetric classes, and positive-in-every-basis classes, listing a
     representative for each failure (for every class with ``detail``).
-    ``progress`` receives each content's finished batch (for streaming and
-    caching); ``skip_contents`` supports resuming an interrupted run."""
-    pres = builtin_relation(builtin_name)
-    if not (pres.homogeneous and pres.content_preserving):
-        raise ValueError(f"{builtin_name} does not split by content")
+    ``progress`` receives each content's computed batch (for streaming and
+    caching); ``cached`` maps contents already scanned (by a resumed run)
+    to their batches, which are folded in instead of recomputed."""
     bases = (basis,) if isinstance(basis, str) else tuple(basis)
-    skip = set(skip_contents)
-    contents = [c for c in packed_contents(length) if c not in skip]
     totals = {"classes": 0, "symmetric": 0, "positive": 0}
     non_symmetric: list[str] = []
     non_positive: list[str] = []
     rows: list[dict] = []
 
-    def absorb(content, verdicts):
+    def absorb(verdicts):
         for v in verdicts:
             totals["classes"] += 1
             if v["symmetric"]:
@@ -375,22 +297,18 @@ def positivity_scan_homogeneous(
                 non_symmetric.append(v["representative"])
             if detail:
                 rows.append(v)
+
+    for verdicts in cached.values():
+        absorb(verdicts)
+    scan_args = (character, bases, detail)
+    fresh = _fresh_results(builtin_name, length, scan_args, _scan_content, jobs, cached)
+    for content, verdicts in fresh:
+        absorb(verdicts)
         if progress is not None:
             progress(content, verdicts)
-
-    scan_args = (character, bases, detail)
-    jobs = _worker_count(jobs, len(contents))
-    if jobs == 1:
-        _init_worker(builtin_name, length, scan_args)
-        for content in contents:
-            absorb(*_scan_content(content))
-    else:
-        with _pool(builtin_name, length, scan_args, jobs) as pool:
-            for content, verdicts in pool.imap_unordered(_scan_content, contents):
-                absorb(content, verdicts)
     report = {
         "relation": builtin_name,
-        "character": character if isinstance(character, str) else "-".join(character),
+        "character": format_character(character),
         "basis": "+".join(bases),
         "length": length,
         "total_classes": totals["classes"],
@@ -450,7 +368,7 @@ def instance_scan(
                 non_positive.append(rep)
     return {
         "relation": inst.presentation.name,
-        "character": character if isinstance(character, str) else "-".join(character),
+        "character": format_character(character),
         "basis": basis,
         "bounds": {
             "alphabet": inst.alphabet,
@@ -461,14 +379,6 @@ def instance_scan(
         "non_symmetric": sorted(non_symmetric),
         "non_positive": sorted(non_positive),
     }
-
-
-def symmetry_scan(inst, character, degree: int) -> dict:
-    return instance_scan(inst, character, degree, basis=None)
-
-
-def positivity_scan(inst, character, degree: int, basis: str) -> dict:
-    return instance_scan(inst, character, degree, basis=basis)
 
 
 # --- bounded conjecture searches ---------------------------------------------

@@ -25,16 +25,15 @@ from wordbialg.characters import (
     hecke_words,
     lincomb_image,
     multi_fundamental,
-    multi_fundamental_brute,
     nsym_generator_image,
     parse_character,
     peak_image_closed_form,
     stanley_symmetric_bottom,
-    to_qsym,
     word_image,
 )
 from wordbialg.lincomb import LinComb
 from wordbialg.qsym import (
+    QSym,
     canonical_character,
     coproduct_terms,
     fundamental_L,
@@ -189,17 +188,6 @@ def test_nsym_generator_images():
         assert nsym_generator_image(n, ("gt", "le")) == q_function(n)
 
 
-def test_to_qsym_dispatch():
-    w = (3, 1, 2)
-    assert to_qsym(w, "le") == word_image(w, "le")
-    assert to_qsym(anchored(w, 3), "le") == word_image(w, "le")
-    assert to_qsym([w, (1, 2, 3)], "le", 3) == word_image(w, "le") + word_image(
-        (1, 2, 3), "le"
-    )
-    with pytest.raises(ValueError):
-        to_qsym([w], "le")
-
-
 # --- the histogram kernel against per-member sums --------------------------------
 
 PEAK_CONVOLUTIONS = [("gt", "le"), ("lt", "ge"), ("ge", "lt"), ("le", "gt")]
@@ -258,6 +246,46 @@ def test_character_parsing():
 def test_multi_fundamental_bottom_is_fundamental():
     for alpha in [(1,), (2,), (1, 1), (2, 1), (1, 2), (3,), (1, 1, 1), (2, 2)]:
         assert multi_fundamental(alpha, sum(alpha)) == fundamental_L(alpha)
+
+
+def multi_fundamental_brute(alpha, degree: int, nvars: int) -> QSym:
+    """Reference enumeration over explicit subset chains of ``[nvars]``."""
+    alpha = tuple(alpha)
+    n = sum(alpha)  # number of chain slots
+    cuts = set(itertools.accumulate(alpha[:-1]))
+    subsets = [
+        frozenset(s)
+        for k in range(1, nvars + 1)
+        for s in itertools.combinations(range(1, nvars + 1), k)
+    ]
+    terms: dict = {}
+    if n == 0:
+        return QSym(degree, {(): 1})
+
+    def rec(slot: int, prev, usage: dict) -> None:
+        if slot == n:
+            top = max(usage)
+            if sorted(usage) != list(range(1, top + 1)):
+                return
+            beta = tuple(usage[i] for i in range(1, top + 1))
+            if sum(beta) <= degree:
+                terms[beta] = terms.get(beta, 0) + 1
+            return
+        for s in subsets:
+            if prev is not None:
+                if slot in cuts:
+                    if not max(prev) < min(s):
+                        continue
+                elif not max(prev) <= min(s):
+                    continue
+            new_usage = dict(usage)
+            for i in s:
+                new_usage[i] = new_usage.get(i, 0) + 1
+            if sum(new_usage.values()) <= degree:
+                rec(slot + 1, s, new_usage)
+
+    rec(0, None, {})
+    return QSym(degree, terms)
 
 
 @pytest.mark.parametrize("alpha", [(1,), (2,), (1, 1), (2, 1), (3,)])

@@ -180,6 +180,29 @@ def test_scan_cache_resume(tmp_path):
     assert list(tmp_path.iterdir())
 
 
+def test_scan_cache_resume_csv_is_byte_identical(tmp_path, capsys):
+    args = [
+        "conjectures", "--which", "exotic-sym", "--max-len", "4",
+        "--format", "csv",
+    ]
+    assert main(args) == 0
+    fresh = capsys.readouterr().out
+    assert fresh.count("\n") == 1 + (1 + 1 + 3 + 9 + 31)  # header, classes
+    cached = args + ["--cache-dir", str(tmp_path)]
+    assert main(cached) == 0
+    assert capsys.readouterr().out == fresh
+    (path,) = tmp_path.iterdir()
+    rows = path.read_bytes().splitlines(keepends=True)
+    # an interrupted run: two contents cached, the rest recomputed
+    path.write_bytes(b"".join(rows[:2]))
+    assert main(cached) == 0
+    assert capsys.readouterr().out == fresh
+    assert len(path.read_bytes().splitlines()) == len(rows)
+    # every content cached
+    assert main(cached) == 0
+    assert capsys.readouterr().out == fresh
+
+
 @pytest.mark.parametrize("cut", [1, 9])
 def test_content_cache_drops_torn_tail(tmp_path, cut):
     signature = {"command": "test"}

@@ -163,6 +163,32 @@ def test_gap_braid_relation_classification():
     assert is_finite_type_bounded(inst)["stable"]
 
 
+def test_concatenation_congruence_runs_once_per_instance():
+    # every check calls ``related`` once per counted case, so the calls add
+    # up to condition (a) once, condition (b) twice and the injections once
+    inst = close(builtin_relation("knuth"), 3, 5)
+    calls = 0
+    related = inst.related
+
+    def counting(v, w):
+        nonlocal calls
+        calls += 1
+        return related(v, w)
+
+    inst.related = counting
+    alg = check_algebraic(inst)
+    uni = check_uniformly_algebraic(inst)
+    congruence, interval = alg["conditions"]
+    assert uni["conditions"][:2] == alg["conditions"]
+    assert congruence["checked"] > 0 and uni["status"] == alg["status"] == "pass"
+    injections = uni["conditions"][2]
+    assert calls == (
+        congruence["checked"] + 2 * interval["checked"] + injections["checked"]
+    )
+    # another sampling bound or seed is a different check
+    assert check_algebraic(inst, sample_cap=10, seed=1)["status"] == "bounded-evidence"
+
+
 def test_whole_word_relation_fails_algebraic():
     pres = explicit_relation(
         "whole-word", [((1, 2, 3), (3, 2, 1))], context_rewrites=False

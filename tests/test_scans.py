@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordbialg import scans
-from wordbialg.relations import builtin_relation, close
+from wordbialg.characters import BASIC_KINDS, class_image
+from wordbialg.qsym import is_symmetric, schur_positive, schur_q_positive
+from wordbialg.relations import bfs_class, builtin_relation, close
 from wordbialg.scans import (
     content_components,
     doubling_check,
@@ -9,7 +13,6 @@ from wordbialg.scans import (
     packed_class_count,
     packed_contents,
     positivity_scan_homogeneous,
-    symmetry_scan,
 )
 from wordbialg.relations import compile_neighbors
 from wordbialg.words import multiset_permutations
@@ -88,7 +91,7 @@ def test_exotic_q_positivity_exception_at_six():
 
 def test_collapse_relation_has_non_symmetric_images():
     inst = close(builtin_relation("k-equivalence"), 3, 4)
-    rep = symmetry_scan(inst, "le", 4)
+    rep = instance_scan(inst, "le", 4)
     assert "121" in rep["non_symmetric"]
 
 
@@ -99,17 +102,82 @@ def test_knuth_symmetry_scan_generic():
 
 
 def test_scan_progress_and_resume():
-    seen = []
-    positivity_scan_homogeneous(
-        "exotic-knuth", 4, ("gt", "le"), "Q",
-        progress=lambda content, verdicts: seen.append((content, len(verdicts))),
+    peak = ("gt", "le")
+    seen = {}
+    full = positivity_scan_homogeneous(
+        "exotic-knuth", 4, peak, "Q",
+        progress=lambda content, verdicts: seen.setdefault(content, verdicts),
     )
-    assert sum(k for _, k in seen) == 31
-    partial = positivity_scan_homogeneous(
-        "exotic-knuth", 4, ("gt", "le"), "Q",
-        skip_contents=[c for c, _ in seen[:2]],
+    assert sum(len(v) for v in seen.values()) == 31
+    # a resumed run folds the cached batches in and computes only the rest
+    cached = dict(list(seen.items())[:2])
+    fresh = []
+    resumed = positivity_scan_homogeneous(
+        "exotic-knuth", 4, peak, "Q",
+        progress=lambda content, verdicts: fresh.append(content),
+        cached=cached,
     )
-    assert partial["total_classes"] == 31 - seen[0][1] - seen[1][1]
+    assert resumed == full
+    assert sorted(fresh) == sorted(set(seen) - set(cached))
+    counts = {}
+    total = packed_class_count(
+        "exotic-knuth", 4, progress=lambda content, c, w: counts.setdefault(content, (c, w))
+    )
+    assert total == (31, 75)
+    cached_counts = dict(list(counts.items())[:3])
+    assert packed_class_count("exotic-knuth", 4, cached=cached_counts) == total
+    assert packed_class_count("exotic-knuth", 4, cached=counts) == total
+
+
+CLOSED_FORMS = list(BASIC_KINDS) + [
+    ("gt", "le"), ("lt", "ge"), ("ge", "lt"), ("le", "gt"),
+]
+
+
+def _generic_verdict(members, char, basis, n):
+    image = class_image(members, char, n)
+    if not is_symmetric(image):
+        return {"size": len(members), "symmetric": False, "positive": None}
+    try:
+        cert = (schur_positive if basis == "s" else schur_q_positive)(image)
+        positive = cert.nonnegative
+    except ValueError:  # outside the Schur-Q span
+        positive = False
+    return {"size": len(members), "symmetric": True, "positive": positive}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 5).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(1, 4), min_size=n, max_size=n),
+            st.lists(st.lists(st.integers(1, 4), min_size=n, max_size=n), max_size=3),
+        )
+    ),
+    st.sampled_from(["knuth", "exotic-knuth"]),
+)
+def test_class_verdict_matches_generic_path(data, relation):
+    # a class is often symmetric, so both the symmetry test and the solve
+    # are reached; extra words usually break the symmetry
+    n, seed, extra = data
+    members = bfs_class(builtin_relation(relation), tuple(seed), n)
+    members = sorted(set(members) | {tuple(w) for w in extra})
+    for char in CLOSED_FORMS:
+        for basis in ("s", "Q"):
+            verdict = scans.ScanTables(n, char, basis).class_verdict(members)
+            assert verdict == _generic_verdict(members, char, basis, n), (char, basis)
+
+
+def test_reversed_peak_scan_matches_generic_scan():
+    for char in [("ge", "lt"), ("le", "gt")]:
+        fast = positivity_scan_homogeneous("exotic-knuth", 5, char, "Q")
+        inst = close(builtin_relation("exotic-knuth"), 5, 5, headroom=0)
+        generic = instance_scan(inst, char, 5, basis="Q", lengths=[5])
+        assert fast["total_classes"] == generic["total_classes"] == 110
+        assert fast["non_symmetric"] == generic["non_symmetric"]
+        assert fast["non_positive"] == generic["non_positive"]
+        assert fast["character"] == generic["character"]
 
 
 def test_weak_hecke_doubling_theorem():
