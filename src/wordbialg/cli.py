@@ -251,14 +251,15 @@ def cmd_check(args) -> int:
         inst = relations.close(
             pres, args.alphabet, args.max_len, args.headroom, cap=args.cap
         )
+        # both certificates close the universe one length wider
+        stability = relations.headroom_stability(inst, cap=args.cap)
+        ftype = relations.is_finite_type_bounded(inst, cap=args.cap)
     except relations.ResourceCapError as err:
         print(str(err), file=sys.stderr)
         return EXIT_RESOURCE_CAP
-    stability = relations.headroom_stability(inst)
     alg = relations.check_algebraic(inst)
     uni = relations.check_uniformly_algebraic(inst)
     palg = relations.check_p_algebraic(inst, prime=args.prime)
-    ftype = relations.is_finite_type_bounded(inst)
     payload = {
         "relation": pres.name,
         "bounds": {
@@ -477,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alphabet", type=int, default=3)
         p.add_argument("--max-len", type=int, default=6)
         p.add_argument("--headroom", type=int, default=None)
-        p.add_argument("--cap", type=int, default=2_000_000)
+        p.add_argument("--cap", type=int, default=relations.DEFAULT_CAP)
         p.add_argument("--degree", type=int, default=None)
         p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--cache-dir", default=None)

@@ -2,7 +2,10 @@
 
 Keys may be any hashable, comparable basis labels (words, anchored words,
 tensor pairs, compositions).  Zero coefficients are never stored, so
-equality is support-and-coefficient equality.
+equality is support-and-coefficient equality.  A coefficient is a plain
+``int`` unless a division made it fractional, and only then a
+``Fraction``; every structure constant of the word bialgebras is an
+integer, so their arithmetic never builds a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -20,8 +23,28 @@ def parse_scalar(s: str) -> Fraction:
     return Fraction(s)
 
 
+def _exact(x):
+    """``x`` as an ``int`` when it is whole, else as a ``Fraction``."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _add_into(out: dict, key, c) -> None:
+    """``out[key] += c``, dropping a zero sum and keeping whole sums ``int``."""
+    acc = out.get(key, 0) + c
+    if not acc:
+        out.pop(key, None)
+    elif type(acc) is int or acc.denominator != 1:
+        out[key] = acc
+    else:
+        out[key] = acc.numerator
+
+
 class LinComb:
-    """A finitely supported map from basis keys to nonzero rationals."""
+    """A finitely supported map from basis keys to nonzero rationals
+    (``int`` when whole, ``Fraction`` otherwise)."""
 
     __slots__ = ("_terms",)
 
@@ -29,31 +52,34 @@ class LinComb:
         data: dict = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for key, coeff in items:
-            coeff = Fraction(coeff)
-            if not coeff:
-                continue
-            acc = data.get(key, 0) + coeff
-            if acc:
-                data[key] = acc
-            else:
-                data.pop(key, None)
+            if coeff:
+                _add_into(data, key, _exact(coeff))
         self._terms = data
 
     @classmethod
+    def _of(cls, terms: dict) -> "LinComb":
+        """Wrap a dict that already holds only nonzero, normalised
+        coefficients."""
+        result = cls.__new__(cls)
+        result._terms = terms
+        return result
+
+    @classmethod
     def zero(cls) -> "LinComb":
-        return cls()
+        return cls._of({})
 
     @classmethod
     def basis(cls, key: Hashable, coeff=1) -> "LinComb":
-        return cls([(key, coeff)])
+        coeff = _exact(coeff)
+        return cls._of({key: coeff} if coeff else {})
 
-    def coeff(self, key: Hashable) -> Fraction:
-        return self._terms.get(key, Fraction(0))
+    def coeff(self, key: Hashable) -> int | Fraction:
+        return self._terms.get(key, 0)
 
-    def items(self) -> Iterator[tuple[Hashable, Fraction]]:
+    def items(self) -> Iterator[tuple[Hashable, int | Fraction]]:
         return iter(self._terms.items())
 
-    def sorted_items(self) -> list[tuple[Hashable, Fraction]]:
+    def sorted_items(self) -> list[tuple[Hashable, int | Fraction]]:
         return sorted(self._terms.items(), key=lambda kv: repr(kv[0]))
 
     def support(self) -> set:
@@ -74,14 +100,8 @@ class LinComb:
     def __add__(self, other: "LinComb") -> "LinComb":
         out = dict(self._terms)
         for key, coeff in other._terms.items():
-            acc = out.get(key, 0) + coeff
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        result = LinComb.zero()
-        result._terms = out
-        return result
+            _add_into(out, key, coeff)
+        return LinComb._of(out)
 
     def __neg__(self) -> "LinComb":
         return self.scale(-1)
@@ -90,40 +110,33 @@ class LinComb:
         return self + (-other)
 
     def scale(self, c) -> "LinComb":
-        c = Fraction(c)
+        c = _exact(c)
         if not c:
             return LinComb.zero()
-        result = LinComb.zero()
-        result._terms = {key: c * coeff for key, coeff in self._terms.items()}
-        return result
+        return LinComb._of(
+            {key: _exact(c * coeff) for key, coeff in self._terms.items()}
+        )
 
     def tensor(self, other: "LinComb") -> "LinComb":
         """Tensor product; keys of the result are ordered pairs of keys."""
-        result = LinComb.zero()
-        result._terms = {
-            (k1, k2): c1 * c2
-            for k1, c1 in self._terms.items()
-            for k2, c2 in other._terms.items()
-        }
-        return result
+        return LinComb._of(
+            {
+                (k1, k2): _exact(c1 * c2)
+                for k1, c1 in self._terms.items()
+                for k2, c2 in other._terms.items()
+            }
+        )
 
     def apply(self, f: Callable[[Hashable], "LinComb"]) -> "LinComb":
         """Linear extension of a basis map ``key -> LinComb``."""
         out: dict = {}
         for key, coeff in self._terms.items():
             for k2, c2 in f(key)._terms.items():
-                acc = out.get(k2, 0) + coeff * c2
-                if acc:
-                    out[k2] = acc
-                else:
-                    out.pop(k2, None)
-        result = LinComb.zero()
-        result._terms = out
-        return result
+                _add_into(out, k2, coeff * c2)
+        return LinComb._of(out)
 
     def __repr__(self) -> str:
         if not self._terms:
             return "LinComb(0)"
         bits = [f"{format_scalar(c)}*{k!r}" for k, c in self.sorted_items()]
         return "LinComb(" + " + ".join(bits) + ")"
-

@@ -44,6 +44,9 @@ class ResourceCapError(RuntimeError):
     """Raised when a requested closure exceeds the configured universe cap."""
 
 
+DEFAULT_CAP = 2_000_000  # universe words a closure may hold unless told otherwise
+
+
 @dataclass(frozen=True)
 class CoxeterM:
     """Symmetric pair-order function m(i, j) with m(i, i) = 1.
@@ -455,9 +458,12 @@ class RelationInstance:
             cid: tuple(sorted(ws, key=lambda t: (len(t), t)))
             for cid, ws in members.items()
         }
-        # condition (a) of the algebraic check by (sample_cap, seed): the
-        # uniform check repeats it, and it is the expensive part
+        # condition (a) of the algebraic check by (sample_cap, seed) and
+        # condition (b): the uniform and P-algebraic checks repeat them
         self._congruence: dict[tuple[int, int], dict] = {}
+        self._interval: dict | None = None
+        # what the certificates read off the closure one length wider
+        self._wider: tuple[frozenset, int] | None = None
 
     @property
     def limit(self) -> int:
@@ -512,10 +518,17 @@ class RelationInstance:
         """Number of classes meeting the length <= max_len slice."""
         return sum(1 for _ in self.iter_classes())
 
-    def slice_partition(self) -> frozenset[frozenset[Word]]:
-        return frozenset(
-            frozenset(members) for members in self.iter_classes()
+    def slice_partition(
+        self, max_len: int | None = None
+    ) -> frozenset[frozenset[Word]]:
+        """The classes cut down to length <= ``max_len`` (default: the
+        reported slice), empty cuts left out."""
+        bound = self.max_len if max_len is None else max_len
+        cuts = (
+            frozenset(x for x in members if len(x) <= bound)
+            for members in self._members.values()
         )
+        return frozenset(cut for cut in cuts if cut)
 
 
 def close(
@@ -523,17 +536,13 @@ def close(
     alphabet: int,
     max_len: int,
     headroom: int | None = None,
-    cap: int = 2_000_000,
+    cap: int = DEFAULT_CAP,
 ) -> RelationInstance:
     """Union-find closure of the presentation on a bounded universe."""
     if headroom is None:
         headroom = 0 if pres.homogeneous else 2
     limit = max_len + headroom
-    size = universe_size(alphabet, limit)
-    if size > cap:
-        raise ResourceCapError(
-            f"universe of {size} words exceeds cap {cap}; raise --cap or shrink bounds"
-        )
+    _check_cap(alphabet, limit, cap)
     words = tuple(all_words(alphabet, limit))
     index = {w: i for i, w in enumerate(words)}
     parent = list(range(len(words)))
@@ -565,6 +574,14 @@ def close(
     )
 
 
+def _check_cap(alphabet: int, limit: int, cap: int) -> None:
+    size = universe_size(alphabet, limit)
+    if size > cap:
+        raise ResourceCapError(
+            f"universe of {size} words exceeds cap {cap}; raise --cap or shrink bounds"
+        )
+
+
 def bfs_class(
     pres: RelationPresentation,
     seed: Word,
@@ -590,19 +607,30 @@ def bfs_class(
     return tuple(sorted(seen, key=lambda t: (len(t), t)))
 
 
-def headroom_stability(inst: RelationInstance) -> dict:
+def _wider_facts(inst: RelationInstance, cap: int) -> tuple[frozenset, int]:
+    """Close the universe one length past the instance's and return its
+    partition of the reported slice and its class count at ``max_len + 1``.
+
+    One more unit of headroom and one more unit of ``max_len`` give the
+    same universe with the same class ids, so the headroom and finite-type
+    certificates share this closure; it runs once per instance and only
+    the two facts are kept.  The cap is checked on every call."""
+    _check_cap(inst.alphabet, inst.limit + 1, cap)
+    if inst._wider is None:
+        wider = close(
+            inst.presentation, inst.alphabet, inst.max_len + 1, inst.headroom, cap
+        )
+        inst._wider = (wider.slice_partition(inst.max_len), wider.class_count())
+    return inst._wider
+
+
+def headroom_stability(inst: RelationInstance, cap: int = DEFAULT_CAP) -> dict:
     """Recompute with one more unit of headroom; certify the reported slice.
 
     Also flags explicit generator pairs that straddle the universe boundary,
-    since such pairs can never fire inside the closed universe."""
-    bigger = close(
-        inst.presentation,
-        inst.alphabet,
-        inst.max_len,
-        inst.headroom + 1,
-        cap=2**62,
-    )
-    stable = inst.slice_partition() == bigger.slice_partition()
+    since such pairs can never fire inside the closed universe.  Raises
+    ``ResourceCapError`` when the wider universe exceeds ``cap``."""
+    stable = inst.slice_partition() == _wider_facts(inst, cap)[0]
     straddling = [
         (v, w)
         for v, w in _all_generator_pairs(inst.presentation)
@@ -651,7 +679,7 @@ def check_algebraic(
     representatives; (b) interval restriction with down-shift.
     """
     condition_a = _concatenation_congruence(inst, sample_cap, seed)
-    condition_b = _interval_restriction(inst, _observed_pairs(inst))
+    condition_b = _interval_restriction(inst)
     return {
         "property": "algebraic",
         "status": "fail" if condition_b["status"] == "fail" else condition_a["status"],
@@ -697,8 +725,15 @@ def _concatenation_congruence(
                 witness = {"pair": (rep, w), "context": u}
             budget -= 2
     else:
+        # contexts are length-sorted, so those short enough to concatenate
+        # with a pair inside the slice form a prefix
+        fitting = [0] * (inst.max_len + 1)
+        for u in contexts:
+            fitting[len(u)] += 1
+        fitting = list(itertools.accumulate(fitting))
         for rep, w in pairs:
-            for u in contexts:
+            room = inst.max_len - max(len(rep), len(w))
+            for u in itertools.islice(contexts, fitting[room]):
                 if not congruent(rep, w, u):
                     witness = {"pair": (rep, w), "context": u}
                     break
@@ -714,16 +749,23 @@ def _concatenation_congruence(
     return inst._congruence[key]
 
 
-def _interval_restriction(
-    inst: RelationInstance, pairs: Iterable[tuple[Word, Word]]
-) -> dict:
-    """Condition (b) of an algebraic relation: restricting both words of a
-    related pair to a letter interval and shifting down keeps them related."""
+def _interval_restriction(inst: RelationInstance) -> dict:
+    """Condition (b) of an algebraic relation, computed once per instance:
+    restricting both words of a related pair to a letter interval and
+    shifting down keeps them related."""
+    if inst._interval is not None:
+        return inst._interval
     witness = None
     checked = 0
-    for rep, w in pairs:
-        for m, n in _intervals(inst.alphabet):
-            rv = shift(restrict(rep, range(m + 1, n + 1)), -m)
+    intervals = _intervals(inst.alphabet)
+    last_rep, rep_cuts = None, []
+    for rep, w in _observed_pairs(inst):
+        if rep is not last_rep:  # pairs come one class at a time
+            last_rep = rep
+            rep_cuts = [
+                shift(restrict(rep, range(m + 1, n + 1)), -m) for m, n in intervals
+            ]
+        for (m, n), rv in zip(intervals, rep_cuts):
             wv = shift(restrict(w, range(m + 1, n + 1)), -m)
             checked += 1
             if not inst.related(rv, wv):
@@ -735,12 +777,13 @@ def _interval_restriction(
                 break
         if witness:
             break
-    return {
+    inst._interval = {
         "condition": "interval-restriction",
         "status": "fail" if witness else "pass",
         "checked": checked,
         **({"witness": witness} if witness else {}),
     }
+    return inst._interval
 
 
 def check_uniformly_algebraic(inst: RelationInstance, **kwargs) -> dict:
@@ -812,10 +855,14 @@ def check_p_algebraic(inst: RelationInstance, prime: int | None = None) -> dict:
     blocks are replaced by equivalent packed words (equal in characteristic
     zero, congruent mod ``prime`` otherwise), plus interval restriction."""
     packed_class_of: dict[Word, int] = {}
+    # class id -> length -> packed slice members, in member order
+    packed_by_len: dict[int, dict[int, list[Word]]] = {}
     for members in inst.iter_classes():
+        cid = inst.class_id(members[0])
         for w in members:
             if is_packed(w):
-                packed_class_of[w] = inst.class_id(w)
+                packed_class_of[w] = cid
+                packed_by_len.setdefault(cid, {}).setdefault(len(w), []).append(w)
 
     witness = None
     checked = 0
@@ -831,21 +878,10 @@ def check_p_algebraic(inst: RelationInstance, prime: int | None = None) -> dict:
                 continue
             blocks.setdefault((cu, cv, len(u) + len(v)), {})[(u, v)] = c
         for (cu, cv, total_len), seen in blocks.items():
-            us = [
-                u
-                for u in inst.class_of(inst.words[_first_index(inst, cu)])
-                if is_packed(u)
-            ]
-            vs = [
-                v
-                for v in inst.class_of(inst.words[_first_index(inst, cv)])
-                if is_packed(v)
-            ]
+            vs_by_len = packed_by_len[cv]
             expected = None
-            for u in us:
-                for v in vs:
-                    if len(u) + len(v) != total_len:
-                        continue
+            for u in itertools.chain.from_iterable(packed_by_len[cu].values()):
+                for v in vs_by_len.get(total_len - len(u), ()):
                     c = seen.get((u, v), 0)
                     checked += 1
                     if expected is None:
@@ -872,7 +908,7 @@ def check_p_algebraic(inst: RelationInstance, prime: int | None = None) -> dict:
         "checked": checked,
         **({"witness": witness} if witness else {}),
     }
-    condition_b = _interval_restriction(inst, _observed_pairs(inst))
+    condition_b = _interval_restriction(inst)
     status = "fail" if (witness or condition_b["status"] == "fail") else "pass"
     return {
         "property": "p-algebraic",
@@ -887,27 +923,17 @@ def _congruent(a: int, b: int, prime: int | None) -> bool:
     return a == b if prime is None else (a - b) % prime == 0
 
 
-def _first_index(inst: RelationInstance, cid: int) -> int:
-    return inst.index[inst._members[cid][0]]
-
-
 def is_homogeneous_observed(inst: RelationInstance) -> bool:
     return all(
         len({len(w) for w in members}) == 1 for members in inst.iter_classes(full=True)
     )
 
 
-def is_finite_type_bounded(inst: RelationInstance) -> dict:
+def is_finite_type_bounded(inst: RelationInstance, cap: int = DEFAULT_CAP) -> dict:
     """Certificate that the class count over the alphabet has stabilized:
-    the count at max_len equals the count at max_len + 1."""
-    bigger = close(
-        inst.presentation,
-        inst.alphabet,
-        inst.max_len + 1,
-        inst.headroom,
-        cap=2**62,
-    )
-    n0, n1 = inst.class_count(), bigger.class_count()
+    the count at max_len equals the count at max_len + 1.  Raises
+    ``ResourceCapError`` when the wider universe exceeds ``cap``."""
+    n0, n1 = inst.class_count(), _wider_facts(inst, cap)[1]
     return {
         "stable": n0 == n1,
         "count": n0,
@@ -930,5 +956,5 @@ def braid_lemma_check(a: int, b: int, length: int, m: CoxeterM) -> bool:
     alphabet = max(a, b)
     v = _alternating(a, b, length)
     w = _alternating(b, a, length)
-    inst = close(coxeter_relation(m), alphabet, length, headroom=2, cap=2**62)
+    inst = close(coxeter_relation(m), alphabet, length, headroom=2)
     return inst.related(v, w)

@@ -106,14 +106,16 @@ def content_components(
 
 class ScanTables:
     """The sorting fibers of one length, for deciding symmetry and
-    positivity of class images in one basis."""
+    positivity of class images in one basis or several."""
 
-    def __init__(self, length: int, character, basis: str):
-        if basis not in ("s", "Q"):
-            raise ValueError(f"unknown basis {basis!r}")
+    def __init__(self, length: int, character, basis: str | tuple[str, ...]):
+        self.bases = (basis,) if isinstance(basis, str) else tuple(basis)
+        for b in self.bases:
+            if b not in ("s", "Q"):
+                raise ValueError(f"unknown basis {b!r}")
+        self.basis = basis
         self.length = length
         self.character = character
-        self.basis = basis
         comps = _compositions_of(length)
         # fibers of sorting: partition -> cut masks of its rearrangements
         self.fibers: dict[Partition, list[int]] = {}
@@ -125,21 +127,26 @@ class ScanTables:
         }
 
     def class_verdict(self, members: Sequence[Word]) -> dict:
-        """Aggregate one class and decide symmetry plus positivity; an
-        image outside the basis span is not positive."""
+        """Aggregate one class once and decide symmetry plus positivity in
+        each basis; an image outside a basis span is not positive there.
+        ``positive`` maps basis to verdict when the tables were built for
+        a tuple of bases, and is the one verdict for a single basis."""
         coeffs = image_by_mask(zip(members, repeat(1)), self.character, self.length)
         symmetric = all(
             len({coeffs[m] for m in masks}) == 1 for masks in self.fibers.values()
         )
-        positive = None
+        positive: dict[str, bool | None] = dict.fromkeys(self.bases)
         if symmetric:
             m_terms = {lam: coeffs[m] for lam, m in self.mask_of_partition.items()}
-            try:
-                expansion = _triangular_solve(m_terms, self.basis)
-            except ValueError:
-                positive = False
-            else:
-                positive = all(c >= 0 for c in expansion.values())
+            for b in self.bases:
+                try:
+                    expansion = _triangular_solve(m_terms, b)
+                except ValueError:
+                    positive[b] = False
+                else:
+                    positive[b] = all(c >= 0 for c in expansion.values())
+        if isinstance(self.basis, str):
+            positive = positive[self.basis]
         return {"size": len(members), "symmetric": symmetric, "positive": positive}
 
 
@@ -154,7 +161,7 @@ def _init_worker(builtin_name: str, length: int, scan_args) -> None:
     )
     if scan_args:
         character, bases, detail = scan_args
-        _WORKER["tables"] = [ScanTables(length, character, b) for b in bases]
+        _WORKER["tables"] = ScanTables(length, character, bases)
         _WORKER["detail"] = detail
     else:
         _WORKER["tables"] = None
@@ -173,16 +180,11 @@ def _count_content(content: Composition) -> tuple[Composition, int, int]:
 
 def _scan_content(content: Composition) -> tuple[Composition, list[dict]]:
     neighbors = _WORKER["neighbors"]
-    tables_by_basis: list[ScanTables] = _WORKER["tables"]
+    tables: ScanTables = _WORKER["tables"]
     detail: bool = _WORKER["detail"]
     out = []
     for component in content_components(content, neighbors):
-        verdict: dict = {"positive": {}}
-        for tables in tables_by_basis:
-            v = tables.class_verdict(component)
-            verdict["size"] = v["size"]
-            verdict["symmetric"] = v["symmetric"]
-            verdict["positive"][tables.basis] = v["positive"]
+        verdict = tables.class_verdict(component)
         failing = not verdict["symmetric"] or not all(
             verdict["positive"].values()
         )

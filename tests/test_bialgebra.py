@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -192,3 +193,195 @@ def test_basis_sizes():
     assert len(packed_basis(3)) == 1 + 1 + 3 + 13
     words = anchored_basis(2, 2)
     assert Anchored((), 0) in words and Anchored((2, 1), 2) in words
+
+
+def test_axiom_checked_counts_at_benchmark_bounds():
+    anchored_counts = [
+        (r["axiom"], r["status"], r["checked"])
+        for r in verify_bialgebra_axioms("anchored", 4, 3)
+    ]
+    assert anchored_counts == [
+        ("unit-law", "pass", 158),
+        ("associativity", "pass", 19168),
+        ("counit-law", "pass", 158),
+        ("coassociativity", "pass", 158),
+        ("product-coproduct-compatibility", "pass", 2080),
+        ("counit-multiplicativity", "pass", 2080),
+        ("unit-comultiplicativity", "pass", 1),
+    ]
+    packed_counts = [
+        (r["axiom"], r["status"], r["checked"])
+        for r in verify_bialgebra_axioms("packed", 5)
+    ]
+    assert packed_counts == [
+        ("unit-law", "pass", 634),
+        ("associativity", "pass", 2786),
+        ("counit-law", "pass", 634),
+        ("coassociativity", "pass", 634),
+        ("product-coproduct-compatibility", "pass", 1537),
+        ("counit-multiplicativity", "pass", 1537),
+        ("unit-comultiplicativity", "pass", 1),
+    ]
+
+
+# --- an un-memoised, all-Fraction reference for the axiom check ------------
+
+
+def _fr(x: LinComb) -> dict:
+    return {k: Fraction(c) for k, c in x.items()}
+
+
+def _acc(out: dict, key, c) -> None:
+    total = out.get(key, Fraction(0)) + c
+    if total:
+        out[key] = total
+    else:
+        out.pop(key, None)
+
+
+def _lin(terms) -> dict:
+    out: dict = {}
+    for key, c in terms:
+        _acc(out, key, Fraction(c))
+    return out
+
+
+def _ext(x: dict, f) -> dict:
+    """Linear extension of ``f: key -> dict`` to ``x``."""
+    return _lin((k2, c * c2) for k, c in x.items() for k2, c2 in f(k).items())
+
+
+def _reference_axioms(basis, degree, max_degree, product, coproduct, counit, unit):
+    """The axiom check with every structure map recomputed each time it is
+    needed and every coefficient a Fraction; returns (axiom, status,
+    checked, witness) per axiom."""
+    prod = lambda a, b: _fr(product(a, b))
+    coprod = lambda a: _fr(coproduct(a))
+    cu = lambda a: Fraction(counit(a))
+    one = _fr(unit)
+    out = []
+
+    def run(axiom, cases, check):
+        checked, witness = 0, None
+        for case in cases:
+            checked += 1
+            if not check(case):
+                witness = repr(case)
+                break
+        out.append((axiom, "pass" if witness is None else "fail", checked, witness))
+
+    pairs = [
+        (a, b) for a in basis for b in basis if degree(a) + degree(b) <= max_degree
+    ]
+    triples = [
+        (a, b, c)
+        for a, b in pairs
+        for c in basis
+        if degree(a) + degree(b) + degree(c) <= max_degree
+    ]
+    run(
+        "unit-law",
+        basis,
+        lambda a: _ext(one, lambda u: prod(u, a)) == {a: 1}
+        and _ext(one, lambda u: prod(a, u)) == {a: 1},
+    )
+    run(
+        "associativity",
+        triples,
+        lambda t: _ext(prod(t[0], t[1]), lambda x: prod(x, t[2]))
+        == _ext(prod(t[1], t[2]), lambda x: prod(t[0], x)),
+    )
+    run(
+        "counit-law",
+        basis,
+        lambda a: _lin((k2, c * cu(k1)) for (k1, k2), c in coprod(a).items()) == {a: 1}
+        and _lin((k1, c * cu(k2)) for (k1, k2), c in coprod(a).items()) == {a: 1},
+    )
+    run(
+        "coassociativity",
+        basis,
+        lambda a: _lin(
+            ((j1, j2, k2), c * d)
+            for (k1, k2), c in coprod(a).items()
+            for (j1, j2), d in coprod(k1).items()
+        )
+        == _lin(
+            ((k1, j1, j2), c * d)
+            for (k1, k2), c in coprod(a).items()
+            for (j1, j2), d in coprod(k2).items()
+        ),
+    )
+
+    def compat(ab):
+        a, b = ab
+        left = _ext(prod(a, b), coprod)
+        right: dict = {}
+        for (a1, a2), c1 in coprod(a).items():
+            for (b1, b2), c2 in coprod(b).items():
+                for k1, x1 in prod(a1, b1).items():
+                    for k2, x2 in prod(a2, b2).items():
+                        _acc(right, (k1, k2), c1 * c2 * x1 * x2)
+        return left == right
+
+    run("product-coproduct-compatibility", pairs, compat)
+    run(
+        "counit-multiplicativity",
+        pairs,
+        lambda ab: sum((c * cu(k) for k, c in prod(*ab).items()), Fraction(0))
+        == cu(ab[0]) * cu(ab[1]),
+    )
+    run(
+        "unit-comultiplicativity",
+        [unit],
+        lambda u: _ext(_fr(u), coprod)
+        == _lin(((k1, k2), c1 * c2) for k1, c1 in one.items() for k2, c2 in one.items())
+        and sum((c * cu(k) for k, c in one.items()), Fraction(0)) == 1,
+    )
+    return out
+
+
+def _lopsided(product, degree):
+    """``product`` with the degree-(1, 2) products halved: not associative,
+    since ``x(yz)`` is halved and ``(xy)z`` is not."""
+
+    def skewed(a, b):
+        out = product(a, b)
+        return out.scale(Fraction(1, 2)) if (degree(a), degree(b)) == (1, 2) else out
+
+    return skewed
+
+
+@pytest.mark.parametrize(
+    "structure, bounds, basis, degree, unit, maps",
+    [
+        (
+            "anchored", (3, 2), anchored_basis(3, 2), lambda a: len(a.word),
+            LinComb.basis(Anchored((), 0)),
+            (shifted_shuffle, deconcat_coproduct, deconcat_counit),
+        ),
+        (
+            "packed", (4,), packed_basis(4), len, LinComb.basis(()),
+            (packed_product, packed_coproduct, packed_counit),
+        ),
+    ],
+)
+def test_memoised_check_matches_fraction_reference(
+    structure, bounds, basis, degree, unit, maps
+):
+    product, coproduct, counit = maps
+    skewed = _lopsided(product, degree)
+    reports = verify_bialgebra_axioms(structure, *bounds, product=skewed)
+    got = [(r["axiom"], r["status"], r["checked"], r.get("witness")) for r in reports]
+    want = _reference_axioms(
+        basis, degree, bounds[0], skewed, coproduct, counit, unit
+    )
+    assert got == want
+    failed = {axiom for axiom, status, _, _ in got if status == "fail"}
+    assert {"associativity", "product-coproduct-compatibility"} <= failed
+    # the unaltered maps pass the reference too
+    assert all(
+        status == "pass"
+        for _, status, _, _ in _reference_axioms(
+            basis, degree, bounds[0], product, coproduct, counit, unit
+        )
+    )

@@ -62,6 +62,16 @@ def test_json_outputs_are_byte_stable():
     assert run_cli(*args).stdout == run_cli(*args).stdout
 
 
+def test_check_cap_on_the_certificates_exits_3():
+    # knuth at alphabet 3, max_len 6 closes 1,093 words; the headroom and
+    # finite-type certificates close 3,280
+    args = ["check", "--relation", "knuth", "--format", "json"]
+    proc = run_cli(*args, "--cap", "2000")
+    assert proc.returncode == 3
+    assert "exceeds cap 2000" in proc.stderr and not proc.stdout
+    assert run_cli(*args, "--cap", "3280").returncode == 0
+
+
 def test_check_verdicts():
     proc = run_cli(
         "check", "--relation", "k-knuth", "--alphabet", "2",

@@ -35,6 +35,36 @@ def test_universe_cap():
         close(builtin_relation("knuth"), 4, 10, headroom=0, cap=1000)
 
 
+def test_certificates_obey_the_cap_on_the_wider_universe():
+    # the instance's universe (1,093 words) fits; the certificates' one
+    # length wider (3,280 words) does not
+    inst = close(builtin_relation("knuth"), 3, 6, cap=2000)
+    with pytest.raises(ResourceCapError):
+        headroom_stability(inst, cap=2000)
+    with pytest.raises(ResourceCapError):
+        is_finite_type_bounded(inst, cap=2000)
+    assert headroom_stability(inst, cap=3280)["stable"]
+    assert is_finite_type_bounded(inst, cap=3280)["count"] == 259
+    # the shared wider closure is kept as facts, but the cap still holds
+    with pytest.raises(ResourceCapError):
+        is_finite_type_bounded(inst, cap=3279)
+
+
+def test_certificates_share_one_wider_closure():
+    # one more unit of headroom and one more unit of max_len close the
+    # same universe; the certificates agree with both separate closures
+    for name in ("hecke", "knuth", "k-knuth"):
+        pres = builtin_relation(name)
+        inst = close(pres, 3, 4)
+        more_headroom = close(pres, 3, 4, inst.headroom + 1)
+        longer = close(pres, 3, 5, inst.headroom)
+        assert more_headroom.words == longer.words
+        assert more_headroom.class_ids == longer.class_ids
+        stable = inst.slice_partition() == more_headroom.slice_partition()
+        assert headroom_stability(inst)["partition_stable"] == stable
+        assert is_finite_type_bounded(inst)["count_next"] == longer.class_count()
+
+
 def test_knuth_generator_instance():
     inst = close(builtin_relation("knuth"), 3, 3)
     assert inst.related((1, 3, 2), (3, 1, 2))
@@ -165,7 +195,7 @@ def test_gap_braid_relation_classification():
 
 def test_concatenation_congruence_runs_once_per_instance():
     # every check calls ``related`` once per counted case, so the calls add
-    # up to condition (a) once, condition (b) twice and the injections once
+    # up to conditions (a) and (b) once each and the injections once
     inst = close(builtin_relation("knuth"), 3, 5)
     calls = 0
     related = inst.related
@@ -183,7 +213,13 @@ def test_concatenation_congruence_runs_once_per_instance():
     assert congruence["checked"] > 0 and uni["status"] == alg["status"] == "pass"
     injections = uni["conditions"][2]
     assert calls == (
-        congruence["checked"] + 2 * interval["checked"] + injections["checked"]
+        congruence["checked"] + interval["checked"] + injections["checked"]
+    )
+    # the P-algebraic check reuses condition (b) as well
+    palg = check_p_algebraic(inst)
+    assert palg["conditions"][1] == interval
+    assert calls == (
+        congruence["checked"] + interval["checked"] + injections["checked"]
     )
     # another sampling bound or seed is a different check
     assert check_algebraic(inst, sample_cap=10, seed=1)["status"] == "bounded-evidence"
@@ -199,6 +235,39 @@ def test_whole_word_relation_fails_algebraic():
     assert report["status"] == "fail"
     interval_cond = report["conditions"][1]
     assert interval_cond["status"] == "fail"
+
+
+def _congruence_over_all_contexts(inst):
+    """Condition (a) by the plain double loop over every pair and context."""
+    contexts = [u for u in inst.words if len(u) <= inst.max_len]
+    checked = 0
+    for members in inst.iter_classes():
+        rep = members[0]
+        for w in members[1:]:
+            for u in contexts:
+                for left, right in ((rep + u, w + u), (u + rep, u + w)):
+                    if max(len(left), len(right)) > inst.max_len:
+                        continue
+                    checked += 1
+                    if not inst.related(left, right):
+                        return checked, {"pair": (rep, w), "context": u}
+    return checked, None
+
+
+def test_congruence_skips_only_contexts_that_cannot_fit():
+    whole_word = explicit_relation(
+        "whole-word", [((1, 2, 3), (3, 2, 1))], context_rewrites=False
+    )
+    cases = [
+        close(builtin_relation("hecke"), 3, 5),
+        close(builtin_relation("k-knuth"), 2, 5),
+        close(whole_word, 3, 4, headroom=0),
+    ]
+    for inst in cases:
+        cond = check_algebraic(inst)["conditions"][0]
+        checked, witness = _congruence_over_all_contexts(inst)
+        assert cond["checked"] == checked
+        assert cond.get("witness") == witness
 
 
 def test_trivial_relation_passes():

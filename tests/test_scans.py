@@ -231,3 +231,30 @@ def test_scans_fork_the_clamped_pool(monkeypatch):
     # a single content needs no pool at all
     assert packed_class_count("exotic-knuth", 1, jobs=10_000) == (1, 1)
     assert sizes == [2, 2]
+
+
+def test_scan_over_two_bases_bins_each_class_once(monkeypatch):
+    binned = 0
+    image_by_mask = scans.image_by_mask
+
+    def counting(*args):
+        nonlocal binned
+        binned += 1
+        return image_by_mask(*args)
+
+    monkeypatch.setattr(scans, "image_by_mask", counting)
+    report = positivity_scan_homogeneous(
+        "exotic-knuth", 5, ("gt", "le"), ("s", "Q"), detail=True
+    )
+    assert binned == report["total_classes"] == 110
+    # one tables object for both bases gives each single-basis verdict
+    for row in report["classes"]:
+        members = bfs_class(
+            builtin_relation("exotic-knuth"),
+            tuple(int(a) for a in row["representative"]),
+            5,
+        )
+        for basis in ("s", "Q"):
+            single = scans.ScanTables(5, ("gt", "le"), basis).class_verdict(members)
+            assert single["positive"] == row["positive"][basis]
+            assert single["symmetric"] == row["symmetric"]
