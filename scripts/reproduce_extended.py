@@ -2,10 +2,13 @@
 """Extended reproduction run: class counts at lengths 8 and 9 and the
 length-9 Schur-Q positivity scan of the exotic relation.
 
-Writes one JSON artifact per stage and streams per-content progress, so an
-interrupted run can be resumed via the same --cache-dir.
+Writes one JSON artifact for all stages.  With --cache-dir, every stage
+records each content it finishes there, so an interrupted run resumes
+where it stopped when started again with the same --cache-dir.  The class
+counts share their cache files with ``wordbialg classes --extended``.
 
-    python3 scripts/reproduce_extended.py --jobs 8 --out extended.json
+    python3 scripts/reproduce_extended.py --jobs 8 --out extended.json \\
+        --cache-dir .extended-cache
 """
 
 import argparse
@@ -17,20 +20,44 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from wordbialg.scans import packed_class_count, positivity_scan_homogeneous
+from wordbialg.cli import ContentCache, cached_class_count, cached_scan
+
+RELATION = "exotic-knuth"
+CHARACTER = ("gt", "le")
+
+
+def count_stage(length: int, jobs: int, cache_dir: str | None) -> tuple[int, int]:
+    """(packed classes, packed words) at one length."""
+    signature = {"command": "classes", "relation": RELATION, "length": length}
+    cache = ContentCache(cache_dir, signature)
+    return cached_class_count(RELATION, length, jobs, cache)
+
+
+def scan_stage(length: int, jobs: int, cache_dir: str | None) -> dict:
+    """The Schur-Q positivity scan of the peak-character images at one length."""
+    signature = {
+        "command": "reproduce-extended-scan",
+        "relation": RELATION,
+        "character": "-".join(CHARACTER),
+        "bases": ["Q"],
+        "length": length,
+    }
+    cache = ContentCache(cache_dir, signature)
+    return cached_scan(RELATION, length, CHARACTER, ("Q",), jobs, cache)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--jobs", type=int, default=multiprocessing.cpu_count())
     parser.add_argument("--out", default="extended_results.json")
+    parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--skip-scan", action="store_true")
     args = parser.parse_args()
 
     results = {}
     for length, expected in [(8, 6465), (9, 27021)]:
         t0 = time.time()
-        classes, words = packed_class_count("exotic-knuth", length, jobs=args.jobs)
+        classes, words = count_stage(length, args.jobs, args.cache_dir)
         results[f"d_{length}"] = {
             "classes": classes,
             "packed_words": words,
@@ -43,9 +70,7 @@ def main() -> int:
 
     if not args.skip_scan:
         t0 = time.time()
-        rep = positivity_scan_homogeneous(
-            "exotic-knuth", 9, ("gt", "le"), "Q", jobs=args.jobs
-        )
+        rep = scan_stage(9, args.jobs, args.cache_dir)
         results["q_scan_9"] = {
             "total_classes": rep["total_classes"],
             "symmetric": rep["symmetric"],

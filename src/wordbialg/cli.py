@@ -168,6 +168,40 @@ class ContentCache:
             fh.write(json.dumps(row, sort_keys=True, default=_jsonable) + "\n")
 
 
+def cached_class_count(
+    relation: str, length: int, jobs: int, cache: ContentCache
+) -> tuple[int, int]:
+    """``scans.packed_class_count`` resumed from ``cache``, recording there
+    each content it computes."""
+
+    def record(content, classes, words):
+        cache.record(content, {"classes": classes, "words": words})
+
+    cached = {c: (r["classes"], r["words"]) for c, r in cache.done.items()}
+    return scans.packed_class_count(relation, length, jobs, record, cached)
+
+
+def cached_scan(
+    relation: str,
+    length: int,
+    character,
+    bases: tuple[str, ...],
+    jobs: int,
+    cache: ContentCache,
+    detail: bool = False,
+) -> dict:
+    """``scans.positivity_scan_homogeneous`` resumed from ``cache``,
+    recording there each content's verdicts."""
+
+    def record(content, verdicts):
+        cache.record(content, {"verdicts": verdicts})
+
+    cached = {c: r["verdicts"] for c, r in cache.done.items()}
+    return scans.positivity_scan_homogeneous(
+        relation, length, character, bases, jobs, record, cached, detail
+    )
+
+
 # --- subcommands ------------------------------------------------------------
 
 
@@ -185,22 +219,20 @@ def cmd_classes(args) -> int:
     per_length = []
     # packed words of length n use the letters 1..n, so an alphabet of
     # max_len letters holds every packed word the listing counts
-    if pres.homogeneous and pres.content_preserving and pres.builtin:
+    # homogeneous built-ins, named or as {"builtin": ...} files, split by content
+    if (
+        pres.homogeneous
+        and pres.content_preserving
+        and pres.name in relations.BUILTIN_NAMES
+        and pres == relations.builtin_relation(pres.name)
+    ):
         bounds = {"alphabet": args.max_len, "max_len": args.max_len}
         for n in lengths:
             cache = ContentCache(
                 args.cache_dir if n > EXTENDED_CLASS_LIMIT else None,
                 {"command": "classes", "relation": pres.name, "length": n},
             )
-            classes, words = scans.packed_class_count(
-                pres.builtin,
-                n,
-                jobs=args.jobs,
-                progress=lambda content, c, w, cache=cache: cache.record(
-                    content, {"classes": c, "words": w}
-                ),
-                cached={c: (r["classes"], r["words"]) for c, r in cache.done.items()},
-            )
+            classes, words = cached_class_count(pres.name, n, args.jobs, cache)
             per_length.append(
                 {"length": n, "packed_words": words, "classes": classes}
             )
@@ -363,17 +395,10 @@ def cmd_conjectures(args) -> int:
         rows: list[dict] = []
         for n in range(args.max_len + 1):
             # only the longest length is cached: the shorter ones are quick
-            last = n == args.max_len
-            rep = scans.positivity_scan_homogeneous(
-                "exotic-knuth", n, ("gt", "le"), bases,
-                jobs=args.jobs, detail=want_csv,
-                progress=(
-                    lambda content, verdicts: cache.record(
-                        content, {"verdicts": verdicts}
-                    )
-                ) if last else None,
-                cached={c: r["verdicts"] for c, r in cache.done.items()}
-                if last else {},
+            rep = cached_scan(
+                "exotic-knuth", n, ("gt", "le"), bases, args.jobs,
+                cache if n == args.max_len else ContentCache(None, {}),
+                detail=want_csv,
             )
             if want_csv:
                 for v in rep.pop("classes", []):

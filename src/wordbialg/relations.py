@@ -1,15 +1,22 @@
 """Word relations: presentations, bounded closures, and classifiers.
 
-A relation presentation names an equivalence on words, given by one of:
+A relation presentation names an equivalence on words, given by one of
+three kinds of generating data:
 
-- a built-in rewrite family (``commutation``, ``k-equivalence``,
-  ``k-commutation``, ``knuth``, ``k-knuth``, ``hecke``, ``exotic-knuth``),
 - a symmetric letter-pair order function (``coxeter``), which generates
   ``a ~ aa`` together with the alternating pair of each finite order,
 - an explicit list of generator pairs with equal letter sets, applied as
   substring rewrites in every context and closed under down-shifts (and,
   for uniform presentations, under order-preserving letter injections),
 - a union of presentations.
+
+A presentation may also swap the first two letters of a word
+(``initial_swap``, the weak variants).  The built-in relations
+(``commutation``, ``k-equivalence``, ``k-commutation``, ``knuth``,
+``k-knuth``, ``hecke``, ``exotic-knuth``) are named presentations of these
+kinds, kept in one table; there is no separate rewrite family for them.
+``compile_neighbors`` turns every generating pair into a window rewrite
+and applies all of them through one table lookup per window.
 
 ``close`` materializes the equivalence classes on the universe of words
 with letters in ``[alphabet]`` and length at most ``max_len + headroom``;
@@ -32,6 +39,7 @@ from .words import (
     check_word,
     flatten,
     is_packed,
+    parse_word,
     restrict,
     shift,
     word_max,
@@ -101,21 +109,9 @@ def universal_coxeter_m() -> CoxeterM:
     return CoxeterM(default=None)
 
 
-BUILTIN_NAMES = (
-    "commutation",
-    "k-equivalence",
-    "k-commutation",
-    "knuth",
-    "k-knuth",
-    "hecke",
-    "exotic-knuth",
-)
-
-
 @dataclass(frozen=True)
 class RelationPresentation:
     name: str
-    builtin: str | None = None
     generators: tuple[tuple[Word, Word], ...] = ()
     coxeter: CoxeterM | None = None
     union_of: tuple["RelationPresentation", ...] = ()
@@ -123,10 +119,10 @@ class RelationPresentation:
     # When False, explicit generators rewrite only entire words (no
     # surrounding context); used to construct non-congruence test relations.
     context_rewrites: bool = True
+    # Also swap the first two letters of a word (the weak variants).
+    initial_swap: bool = False
 
     def __post_init__(self):
-        if self.builtin is not None and self.builtin not in BUILTIN_NAMES:
-            raise ValueError(f"unknown builtin {self.builtin!r}")
         for v, w in self.generators:
             if set(v) != set(w):
                 raise ValueError(
@@ -136,28 +132,20 @@ class RelationPresentation:
     @property
     def homogeneous(self) -> bool:
         """Structurally length-preserving (sufficient, not bounded-observed)."""
-        if self.builtin in ("commutation", "knuth", "exotic-knuth"):
-            base = True
-        elif self.builtin is not None or self.coxeter is not None:
-            base = False
-        else:
-            base = all(len(v) == len(w) for v, w in self.generators)
-        return base and all(p.homogeneous for p in self.union_of)
+        return (
+            self.coxeter is None
+            and all(len(v) == len(w) for v, w in self.generators)
+            and all(p.homogeneous for p in self.union_of)
+        )
 
     @property
     def content_preserving(self) -> bool:
         """Every rewrite preserves the letter multiset."""
-        if self.builtin in ("commutation", "knuth", "exotic-knuth"):
-            base = True
-        elif self.builtin is not None or self.coxeter is not None:
-            base = False
-        else:
-            base = all(sorted(v) == sorted(w) for v, w in self.generators)
-        return base and all(p.content_preserving for p in self.union_of)
-
-
-def builtin_relation(name: str) -> RelationPresentation:
-    return RelationPresentation(name=name, builtin=name)
+        return (
+            self.coxeter is None
+            and all(sorted(v) == sorted(w) for v, w in self.generators)
+            and all(p.content_preserving for p in self.union_of)
+        )
 
 
 def coxeter_relation(m: CoxeterM, name: str = "coxeter") -> RelationPresentation:
@@ -181,43 +169,55 @@ def explicit_relation(
 
 def weak_variant(base: RelationPresentation) -> RelationPresentation:
     """The relation generated by ``base`` plus swapping the first two letters."""
-    return _WeakPresentation(base)
+    return RelationPresentation(
+        f"weak-{base.name}", union_of=(base,), initial_swap=True
+    )
 
 
-@dataclass(frozen=True)
-class _WeakPresentation(RelationPresentation):
-    """Internal: base relation extended by initial-letter swaps."""
-
-    base: RelationPresentation | None = None
-
-    def __init__(self, base: RelationPresentation):
-        object.__setattr__(self, "name", f"weak-{base.name}")
-        object.__setattr__(self, "builtin", None)
-        object.__setattr__(self, "generators", ())
-        object.__setattr__(self, "coxeter", None)
-        object.__setattr__(self, "union_of", (base,))
-        object.__setattr__(self, "uniform", False)
-        object.__setattr__(self, "context_rewrites", True)
-        object.__setattr__(self, "base", base)
-
-    @property
-    def homogeneous(self) -> bool:
-        return self.base.homogeneous
-
-    @property
-    def content_preserving(self) -> bool:
-        return self.base.content_preserving
+def _uniform(name: str, pairs: str) -> RelationPresentation:
+    """The uniform presentation of the pairs written ``"213~231 ..."``."""
+    return explicit_relation(
+        name, [map(parse_word, p.split("~")) for p in pairs.split()], uniform=True
+    )
 
 
-# --- one-step rewrite families -------------------------------------------
+_K_EQUIVALENCE = coxeter_relation(universal_coxeter_m(), "k-equivalence")
+
+_BUILTINS = {
+    p.name: p
+    for p in (
+        _uniform("commutation", "12~21"),
+        _K_EQUIVALENCE,
+        coxeter_relation(CoxeterM(default=2), "k-commutation"),
+        _uniform("knuth", "213~231 212~221 132~312 121~211"),
+        RelationPresentation(
+            "k-knuth",
+            union_of=(
+                _K_EQUIVALENCE,
+                _uniform("k-knuth-pairs", "213~231 132~312 121~212"),
+            ),
+        ),
+        coxeter_relation(gap_braid_m(1), "hecke"),  # the 0-Hecke monoid
+        _uniform(
+            "exotic-knuth",
+            "213~231 132~312 221~212 221~122 212~122 1232~2321 1121~1211",
+        ),
+    )
+}
+
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
-def _commutation_neighbors(w: Word, limit: int) -> list[Word]:
-    out = []
-    for i in range(len(w) - 1):
-        if w[i] != w[i + 1]:
-            out.append(w[:i] + (w[i + 1], w[i]) + w[i + 2 :])
-    return out
+def builtin_relation(name: str) -> RelationPresentation:
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown builtin {name!r}")
+    return _BUILTINS[name]
+
+
+# --- the rewrite engine ----------------------------------------------------
+
+# where a window may sit in the word it rewrites
+_ANYWHERE, _PREFIX, _WHOLE = range(3)
 
 
 def _repeat_neighbors(w: Word, limit: int) -> list[Word]:
@@ -232,100 +232,8 @@ def _repeat_neighbors(w: Word, limit: int) -> list[Word]:
     return out
 
 
-def _knuth_neighbors(w: Word, limit: int) -> list[Word]:
-    out = []
-    for i in range(len(w) - 2):
-        a, b, c = w[i], w[i + 1], w[i + 2]
-        if (b < a <= c) or (c < a <= b):
-            out.append(w[:i] + (a, c, b) + w[i + 3 :])
-        if (a <= c < b) or (b <= c < a):
-            out.append(w[:i] + (b, a, c) + w[i + 3 :])
-    return out
-
-
-def _kknuth_neighbors(w: Word, limit: int) -> list[Word]:
-    out = _repeat_neighbors(w, limit)
-    for i in range(len(w) - 2):
-        a, b, c = w[i], w[i + 1], w[i + 2]
-        if b != c and min(b, c) < a < max(b, c):
-            out.append(w[:i] + (a, c, b) + w[i + 3 :])
-        if a != b and min(a, b) < c < max(a, b):
-            out.append(w[:i] + (b, a, c) + w[i + 3 :])
-        if a == c and a != b:
-            out.append(w[:i] + (b, a, b) + w[i + 3 :])
-    return out
-
-
-def _hecke_neighbors(w: Word, limit: int) -> list[Word]:
-    out = _repeat_neighbors(w, limit)
-    for i in range(len(w) - 1):
-        if abs(w[i] - w[i + 1]) >= 2:
-            out.append(w[:i] + (w[i + 1], w[i]) + w[i + 2 :])
-    for i in range(len(w) - 2):
-        if w[i] == w[i + 2] != w[i + 1]:
-            out.append(w[:i] + (w[i + 1], w[i], w[i + 1]) + w[i + 3 :])
-    return out
-
-
-def _exotic_neighbors(w: Word, limit: int) -> list[Word]:
-    out = []
-    n = len(w)
-    for i in range(n - 2):
-        a, b, c = w[i], w[i + 1], w[i + 2]
-        if b != c and min(b, c) < a < max(b, c):
-            out.append(w[:i] + (a, c, b) + w[i + 3 :])
-        if a != b and min(a, b) < c < max(a, b):
-            out.append(w[:i] + (b, a, c) + w[i + 3 :])
-        # triples {x, y, y} with doubled larger letter: all arrangements agree
-        if a == b > c:
-            out.append(w[:i] + (a, c, a) + w[i + 3 :])
-            out.append(w[:i] + (c, a, a) + w[i + 3 :])
-        elif a == c > b:
-            out.append(w[:i] + (a, a, b) + w[i + 3 :])
-            out.append(w[:i] + (b, a, a) + w[i + 3 :])
-        elif b == c > a:
-            out.append(w[:i] + (b, b, a) + w[i + 3 :])
-            out.append(w[:i] + (b, a, b) + w[i + 3 :])
-    for i in range(n - 3):
-        a, b, c, d = w[i : i + 4]
-        if b == d and a <= b < c:
-            out.append(w[:i] + (b, c, b, a) + w[i + 4 :])
-        if a == c and a < b and d <= a:
-            out.append(w[:i] + (d, a, b, a) + w[i + 4 :])
-    return out
-
-
-def _kcommutation_neighbors(w: Word, limit: int) -> list[Word]:
-    return _commutation_neighbors(w, limit) + _repeat_neighbors(w, limit)
-
-
-_BUILTIN_NEIGHBORS = {
-    "commutation": _commutation_neighbors,
-    "k-equivalence": _repeat_neighbors,
-    "k-commutation": _kcommutation_neighbors,
-    "knuth": _knuth_neighbors,
-    "k-knuth": _kknuth_neighbors,
-    "hecke": _hecke_neighbors,
-    "exotic-knuth": _exotic_neighbors,
-}
-
-
 def _alternating(a: int, b: int, length: int) -> Word:
     return tuple(a if i % 2 == 0 else b for i in range(length))
-
-
-def _coxeter_rewrites(m: CoxeterM, alphabet: int) -> dict[Word, tuple[Word, ...]]:
-    table: dict[Word, list[Word]] = {}
-    for a in range(1, alphabet + 1):
-        for b in range(a + 1, alphabet + 1):
-            order = m.value(a, b)
-            if order is None:
-                continue
-            left = _alternating(a, b, order)
-            right = _alternating(b, a, order)
-            table.setdefault(left, []).append(right)
-            table.setdefault(right, []).append(left)
-    return {k: tuple(v) for k, v in table.items()}
 
 
 def _order_preserving_injections(domain: int, alphabet: int) -> list[dict[int, int]]:
@@ -335,9 +243,9 @@ def _order_preserving_injections(domain: int, alphabet: int) -> list[dict[int, i
     return out
 
 
-def _explicit_rewrites(
+def _explicit_pairs(
     pres: RelationPresentation, alphabet: int
-) -> dict[Word, tuple[Word, ...]]:
+) -> set[tuple[Word, Word]]:
     pairs: set[tuple[Word, Word]] = set()
     for v, w in pres.generators:
         if pres.uniform:
@@ -345,19 +253,39 @@ def _explicit_rewrites(
             for phi in _order_preserving_injections(top, alphabet):
                 pairs.add((tuple(phi[a] for a in v), tuple(phi[a] for a in w)))
         else:
-            if word_max(v) <= alphabet:
-                pairs.add((v, w))
+            pairs.add((v, w))
         # close under down-shifts: a(v|m)b ~ a(w|m)b for 0 <= m < min(v)
         lo = min(v) if v else 1
         for k in range(1, lo):
             pairs.add((shift(v, -k), shift(w, -k)))
-    table: dict[Word, list[Word]] = {}
-    for v, w in pairs:
-        if word_max(v) > alphabet:
-            continue
-        table.setdefault(v, []).append(w)
-        table.setdefault(w, []).append(v)
-    return {k: tuple(sorted(set(v))) for k, v in table.items()}
+    return {(v, w) for v, w in pairs if word_max(v) <= alphabet}
+
+
+def _window_pairs(
+    pres: RelationPresentation, alphabet: int
+) -> Iterator[tuple[int, Word, Word]]:
+    """``(where, v, w)`` for every generating pair ``v ~ w`` of the
+    presentation itself (not of its union members) on letters up to
+    ``alphabet``; the Coxeter kind's ``a ~ aa`` is not among them."""
+    letter_pairs = list(itertools.combinations(range(1, alphabet + 1), 2))
+    if pres.coxeter is not None:
+        for a, b in letter_pairs:
+            order = pres.coxeter.value(a, b)
+            if order is not None:
+                yield _ANYWHERE, _alternating(a, b, order), _alternating(b, a, order)
+    where = _ANYWHERE if pres.context_rewrites else _WHOLE
+    for v, w in _explicit_pairs(pres, alphabet):
+        yield where, v, w
+    if pres.initial_swap:
+        for a, b in letter_pairs:
+            yield _PREFIX, (a, b), (b, a)
+
+
+def _parts(pres: RelationPresentation) -> Iterator[RelationPresentation]:
+    """The presentation and, recursively, the members of its union."""
+    yield pres
+    for sub in pres.union_of:
+        yield from _parts(sub)
 
 
 def compile_neighbors(
@@ -365,66 +293,37 @@ def compile_neighbors(
 ) -> Callable[[Word], list[Word]]:
     """Compile a presentation into a one-step rewrite generator.
 
-    ``limit`` bounds the length of inflation rewrites (``a -> aa``)."""
-    parts: list[Callable[[Word], list[Word]]] = []
-    if pres.builtin is not None:
-        fn = _BUILTIN_NEIGHBORS[pres.builtin]
-        parts.append(lambda w, fn=fn: fn(w, limit))
-    if pres.coxeter is not None:
-        table = _coxeter_rewrites(pres.coxeter, alphabet)
-        lengths = sorted({len(k) for k in table})
+    Every generating pair of every part, read both ways, is a window
+    rewrite.  The rewrites go into one table per (where the window may sit,
+    window length, length change), and a table whose rewrites would make
+    the word longer than ``limit`` is skipped whole; ``a ~ aa`` comes from
+    ``_repeat_neighbors``.  No neighbour is longer than ``limit``."""
+    parts = list(_parts(pres))
+    groups: dict[tuple[int, int, int], dict[Word, set[Word]]] = {}
+    for part in parts:
+        for where, v, w in _window_pairs(part, alphabet):
+            for a, b in ((v, w), (w, v)):
+                table = groups.setdefault((where, len(a), len(b) - len(a)), {})
+                table.setdefault(a, set()).add(b)
+    lookups = [
+        (where, piece, grow, {a: tuple(sorted(bs)) for a, bs in table.items()}.get)
+        for (where, piece, grow), table in sorted(groups.items())
+    ]
+    repeat = any(part.coxeter is not None for part in parts)
 
-        def coxeter_part(w: Word) -> list[Word]:
-            out = _repeat_neighbors(w, limit)
-            for piece in lengths:
-                for i in range(len(w) - piece + 1):
-                    for rep in table.get(w[i : i + piece], ()):
-                        out.append(w[:i] + rep + w[i + piece :])
-            return out
-
-        parts.append(coxeter_part)
-    if pres.generators:
-        table = _explicit_rewrites(pres, alphabet)
-        lengths = sorted({len(k) for k in table})
-        if pres.context_rewrites:
-
-            def explicit_part(w: Word) -> list[Word]:
-                out = []
-                for piece in lengths:
-                    for i in range(len(w) - piece + 1):
-                        for rep in table.get(w[i : i + piece], ()):
-                            candidate = w[:i] + rep + w[i + piece :]
-                            if len(candidate) <= limit:
-                                out.append(candidate)
-                return out
-
-        else:
-
-            def explicit_part(w: Word) -> list[Word]:
-                return [rep for rep in table.get(w, ()) if len(rep) <= limit]
-
-        parts.append(explicit_part)
-    if isinstance(pres, _WeakPresentation):
-
-        def initial_swap(w: Word) -> list[Word]:
-            if len(w) >= 2 and w[0] != w[1]:
-                return [(w[1], w[0]) + w[2:]]
-            return []
-
-        parts.append(initial_swap)
-    for sub in pres.union_of:
-        parts.append(compile_neighbors(sub, alphabet, limit))
-
-    if len(parts) == 1:
-        return parts[0]
-
-    def combined(w: Word) -> list[Word]:
-        out: list[Word] = []
-        for p in parts:
-            out.extend(p(w))
+    def neighbors(w: Word) -> list[Word]:
+        n = len(w)
+        out = _repeat_neighbors(w, limit) if repeat else []
+        for where, piece, grow, lookup in lookups:
+            last = n - piece  # the last window start
+            if last < 0 or n + grow > limit or (where == _WHOLE and last):
+                continue
+            for i in range(last + 1 if where == _ANYWHERE else 1):
+                for rep in lookup(w[i : i + piece], ()):
+                    out.append(w[:i] + rep + w[i + piece :])
         return out
 
-    return combined
+    return neighbors
 
 
 # --- bounded closure -------------------------------------------------------
@@ -601,7 +500,7 @@ def bfs_class(
     while stack:
         w = stack.pop()
         for nb in neighbors(w):
-            if len(nb) <= max_len and nb not in seen:
+            if nb not in seen:
                 seen.add(nb)
                 stack.append(nb)
     return tuple(sorted(seen, key=lambda t: (len(t), t)))
@@ -633,7 +532,8 @@ def headroom_stability(inst: RelationInstance, cap: int = DEFAULT_CAP) -> dict:
     stable = inst.slice_partition() == _wider_facts(inst, cap)[0]
     straddling = [
         (v, w)
-        for v, w in _all_generator_pairs(inst.presentation)
+        for part in _parts(inst.presentation)
+        for v, w in part.generators
         if min(len(v), len(w)) <= inst.limit < max(len(v), len(w))
     ]
     return {
@@ -646,13 +546,6 @@ def headroom_stability(inst: RelationInstance, cap: int = DEFAULT_CAP) -> dict:
             "headroom": inst.headroom,
         },
     }
-
-
-def _all_generator_pairs(pres: RelationPresentation) -> list[tuple[Word, Word]]:
-    out = list(pres.generators)
-    for sub in pres.union_of:
-        out.extend(_all_generator_pairs(sub))
-    return out
 
 
 # --- classifiers -----------------------------------------------------------

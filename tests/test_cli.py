@@ -1,11 +1,14 @@
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from wordbialg import cli
 from wordbialg.cli import ContentCache, main, resolve_relation
+from wordbialg.scans import packed_contents
 
 
 def run_cli(*args):
@@ -255,3 +258,70 @@ def test_content_cache_ignores_stale_versions(tmp_path, monkeypatch):
     assert set(ContentCache(str(tmp_path), signature).done) == {(1,)}
     monkeypatch.setattr(cli, "CACHE_VERSION", cli.CACHE_VERSION + 1)
     assert ContentCache(str(tmp_path), signature).done == {}
+
+
+def _load_script(name):
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("stage", ["count_stage", "scan_stage"])
+def test_reproduce_extended_resumes_an_interrupted_stage(tmp_path, monkeypatch, stage):
+    run = getattr(_load_script("reproduce_extended"), stage)
+    fresh = run(6, 1, None)
+    record = ContentCache.record
+    recorded = []
+
+    def interrupted(self, content, payload):
+        if len(recorded) == 3:
+            raise KeyboardInterrupt
+        recorded.append(content)
+        record(self, content, payload)
+
+    monkeypatch.setattr(ContentCache, "record", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run(6, 1, str(tmp_path))
+
+    def counting(self, content, payload):
+        recorded.append(content)
+        record(self, content, payload)
+
+    # the resumed run computes only the contents the first one did not record
+    monkeypatch.setattr(ContentCache, "record", counting)
+    assert run(6, 1, str(tmp_path)) == fresh
+    assert sorted(recorded) == sorted(packed_contents(6))
+    recorded.clear()
+    assert run(6, 1, str(tmp_path)) == fresh
+    assert recorded == []
+
+
+def test_classes_splits_by_content_for_builtins_only(tmp_path, capsys):
+    # a built-in, named or as a {"builtin": ...} file, takes the content-sliced
+    # scan, whose bounds carry no headroom; the same pairs under another
+    # name close a universe
+    builtin = tmp_path / "builtin.json"
+    builtin.write_text(json.dumps({"builtin": "knuth"}))
+    pairs = [["213", "231"], ["212", "221"], ["132", "312"], ["121", "211"]]
+    explicit = tmp_path / "explicit.json"
+    explicit.write_text(
+        json.dumps({"name": "pairs", "uniform": True, "generators": pairs})
+    )
+    # and other pairs under a built-in's name are not that built-in
+    impostor = tmp_path / "impostor.json"
+    impostor.write_text(
+        json.dumps({"name": "knuth", "uniform": True, "generators": [["12", "21"]]})
+    )
+    payloads = []
+    for spec in ("knuth", str(builtin), str(explicit), str(impostor)):
+        args = ["classes", "--relation", spec, "--max-len", "4", "--format", "json"]
+        assert main(args) == 0
+        payloads.append(json.loads(capsys.readouterr().out))
+    named, from_file, closed, commutation = payloads
+    assert "headroom" not in named["bounds"] and named == from_file
+    assert closed["bounds"]["headroom"] == 0
+    assert closed["class_counts"] == named["class_counts"] == [1, 1, 3, 9, 33]
+    assert commutation["bounds"]["headroom"] == 0
+    assert commutation["class_counts"] == [1, 1, 2, 4, 8]

@@ -1,7 +1,10 @@
 from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wordbialg import relations
 from wordbialg.relations import (
     BUILTIN_NAMES,
     CoxeterM,
@@ -13,6 +16,7 @@ from wordbialg.relations import (
     check_p_algebraic,
     check_uniformly_algebraic,
     close,
+    compile_neighbors,
     count_destandardizations,
     coxeter_relation,
     destandardization_counts,
@@ -25,8 +29,16 @@ from wordbialg.relations import (
     universal_coxeter_m,
     universe_size,
     weak_variant,
+    _repeat_neighbors,
 )
-from wordbialg.words import all_words, eval_hecke_word, rsk_insert
+from wordbialg.scans import content_components
+from wordbialg.words import (
+    Word,
+    all_words,
+    compositions,
+    eval_hecke_word,
+    rsk_insert,
+)
 
 
 def test_universe_cap():
@@ -398,3 +410,198 @@ def test_weak_variant():
     inst = close(weak, 2, 3)
     assert inst.related((1, 2), (2, 1))
     assert weak.content_preserving is False
+
+
+# --- the window tables against the handwritten rewrite rules ---------------------
+#
+# The built-ins were once generated by one handwritten function each; those
+# rules are kept here verbatim as the reference for the presentation table.
+
+
+def _commutation_neighbors(w: Word, limit: int) -> list[Word]:
+    out = []
+    for i in range(len(w) - 1):
+        if w[i] != w[i + 1]:
+            out.append(w[:i] + (w[i + 1], w[i]) + w[i + 2 :])
+    return out
+
+
+def _knuth_neighbors(w: Word, limit: int) -> list[Word]:
+    out = []
+    for i in range(len(w) - 2):
+        a, b, c = w[i], w[i + 1], w[i + 2]
+        if (b < a <= c) or (c < a <= b):
+            out.append(w[:i] + (a, c, b) + w[i + 3 :])
+        if (a <= c < b) or (b <= c < a):
+            out.append(w[:i] + (b, a, c) + w[i + 3 :])
+    return out
+
+
+def _kknuth_neighbors(w: Word, limit: int) -> list[Word]:
+    out = _repeat_neighbors(w, limit)
+    for i in range(len(w) - 2):
+        a, b, c = w[i], w[i + 1], w[i + 2]
+        if b != c and min(b, c) < a < max(b, c):
+            out.append(w[:i] + (a, c, b) + w[i + 3 :])
+        if a != b and min(a, b) < c < max(a, b):
+            out.append(w[:i] + (b, a, c) + w[i + 3 :])
+        if a == c and a != b:
+            out.append(w[:i] + (b, a, b) + w[i + 3 :])
+    return out
+
+
+def _hecke_neighbors(w: Word, limit: int) -> list[Word]:
+    out = _repeat_neighbors(w, limit)
+    for i in range(len(w) - 1):
+        if abs(w[i] - w[i + 1]) >= 2:
+            out.append(w[:i] + (w[i + 1], w[i]) + w[i + 2 :])
+    for i in range(len(w) - 2):
+        if w[i] == w[i + 2] != w[i + 1]:
+            out.append(w[:i] + (w[i + 1], w[i], w[i + 1]) + w[i + 3 :])
+    return out
+
+
+def _exotic_neighbors(w: Word, limit: int) -> list[Word]:
+    out = []
+    n = len(w)
+    for i in range(n - 2):
+        a, b, c = w[i], w[i + 1], w[i + 2]
+        if b != c and min(b, c) < a < max(b, c):
+            out.append(w[:i] + (a, c, b) + w[i + 3 :])
+        if a != b and min(a, b) < c < max(a, b):
+            out.append(w[:i] + (b, a, c) + w[i + 3 :])
+        # triples {x, y, y} with doubled larger letter: all arrangements agree
+        if a == b > c:
+            out.append(w[:i] + (a, c, a) + w[i + 3 :])
+            out.append(w[:i] + (c, a, a) + w[i + 3 :])
+        elif a == c > b:
+            out.append(w[:i] + (a, a, b) + w[i + 3 :])
+            out.append(w[:i] + (b, a, a) + w[i + 3 :])
+        elif b == c > a:
+            out.append(w[:i] + (b, b, a) + w[i + 3 :])
+            out.append(w[:i] + (b, a, b) + w[i + 3 :])
+    for i in range(n - 3):
+        a, b, c, d = w[i : i + 4]
+        if b == d and a <= b < c:
+            out.append(w[:i] + (b, c, b, a) + w[i + 4 :])
+        if a == c and a < b and d <= a:
+            out.append(w[:i] + (d, a, b, a) + w[i + 4 :])
+    return out
+
+
+def _kcommutation_neighbors(w: Word, limit: int) -> list[Word]:
+    return _commutation_neighbors(w, limit) + _repeat_neighbors(w, limit)
+
+
+# the built-ins whose one-step neighbour sets the table reproduces exactly
+_EXACT_RULES = {
+    "commutation": _commutation_neighbors,
+    "k-equivalence": _repeat_neighbors,
+    "k-commutation": _kcommutation_neighbors,
+    "knuth": _knuth_neighbors,
+    "k-knuth": _kknuth_neighbors,
+    "exotic-knuth": _exotic_neighbors,
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(sorted(_EXACT_RULES)),
+    st.integers(1, 5).flatmap(
+        lambda a: st.tuples(st.just(a), st.lists(st.integers(1, a), max_size=7))
+    ),
+    st.integers(0, 2),
+)
+def test_table_neighbors_match_handwritten_rules(name, data, room):
+    alphabet, w = data
+    w = tuple(w)
+    limit = len(w) + room
+    neighbors = compile_neighbors(builtin_relation(name), alphabet, limit)
+    assert set(neighbors(w)) == set(_EXACT_RULES[name](w, limit))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 4))
+def test_hecke_table_closes_like_handwritten_rule(alphabet, max_len):
+    # the 0-Hecke presentation rewrites aba -> bab only for adjacent letters;
+    # the handwritten rule did so for every pair, which ab ~ ba derives
+    pres = builtin_relation("hecke")
+    table = close(pres, alphabet, max_len)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            relations,
+            "compile_neighbors",
+            lambda pres, alphabet, limit: lambda w: _hecke_neighbors(w, limit),
+        )
+        oracle = close(pres, alphabet, max_len)
+    assert table.slice_partition() == oracle.slice_partition()
+    assert table.slice_partition(table.limit) == oracle.slice_partition(oracle.limit)
+
+
+def test_builtins_are_presentation_data():
+    knuth = builtin_relation("knuth")
+    assert knuth.uniform and knuth.coxeter is None and len(knuth.generators) == 4
+    assert builtin_relation("hecke") == coxeter_relation(gap_braid_m(1), "hecke")
+    assert builtin_relation("k-knuth").union_of[0] == builtin_relation("k-equivalence")
+    assert [builtin_relation(n).homogeneous for n in BUILTIN_NAMES] == [
+        n in ("commutation", "knuth", "exotic-knuth") for n in BUILTIN_NAMES
+    ]
+    with pytest.raises(ValueError):
+        builtin_relation("plactic")
+
+
+def test_weak_variant_is_an_initial_swap():
+    base = builtin_relation("knuth")
+    weak = weak_variant(base)
+    assert weak.union_of == (base,) and weak.initial_swap
+    assert weak.homogeneous and weak.content_preserving
+    neighbors = compile_neighbors(weak, 3, 4)
+    base_neighbors = compile_neighbors(base, 3, 4)
+    for w in all_words(3, 4):
+        swap = {(w[1], w[0]) + w[2:]} if len(w) >= 2 and w[0] != w[1] else set()
+        assert set(neighbors(w)) == set(base_neighbors(w)) | swap
+
+
+def test_window_anchors_and_length_limit():
+    # a whole-word rewrite fires on the whole word only, an initial swap at
+    # the start only, and no rewrite makes a word longer than the limit
+    whole = explicit_relation("whole", [((1, 2, 3), (3, 2, 1))], context_rewrites=False)
+    neighbors = compile_neighbors(whole, 3, 4)
+    assert neighbors((1, 2, 3)) == [(3, 2, 1)]
+    assert neighbors((1, 2, 3, 1)) == neighbors((2, 1, 2, 3)) == []
+    swap = compile_neighbors(weak_variant(explicit_relation("equality", [])), 3, 4)
+    assert swap((2, 1, 3)) == [(1, 2, 3)] and swap((1, 1, 3, 2)) == []
+    inflate = explicit_relation("inflate", [((1,), (1, 1))])
+    assert compile_neighbors(inflate, 1, 2)((1, 1)) == [(1,)]
+    assert bfs_class(inflate, (1,), 3) == ((1,), (1, 1), (1, 1, 1))
+
+
+def _homogeneous_pairs(max_letter: int):
+    """A generator pair: a short word and a rearrangement of it."""
+    word = st.lists(st.integers(1, max_letter), min_size=2, max_size=3)
+    return word.flatmap(lambda v: st.tuples(st.just(v), st.permutations(v)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_homogeneous_pairs(3), min_size=1, max_size=3),
+    st.booleans(),
+    st.booleans(),
+)
+def test_bfs_close_and_content_components_agree(pairs, uniform, in_context):
+    # the three class finders share the rewrite engine but not the search
+    pres = explicit_relation("random", pairs, uniform, in_context)
+    assert pres.homogeneous and pres.content_preserving
+    max_len = 4
+    inst = close(pres, max_len, max_len)
+    assert inst.headroom == 0
+    for n in range(max_len + 1):
+        neighbors = compile_neighbors(pres, n, n)
+        components = [
+            tuple(sorted(component))
+            for content in compositions(n)
+            for component in content_components(content, neighbors)
+        ]
+        assert sorted(components) == sorted(inst.packed_classes(n))
+        for component in components:
+            assert bfs_class(pres, component[0], n) == component
