@@ -196,10 +196,14 @@ _PEAK_FORMS = {
 def _peak_mask(w: Word, char: tuple[str, str]) -> int:
     """Cut mask of the peak composition indexing the closed form."""
     kind, starts = _PEAK_FORMS[char]
-    v = _violation_mask(w, kind)
+    return _peak_of_violation(_violation_mask(w, kind), len(w), starts)
+
+
+def _peak_of_violation(v: int, n: int, starts: bool) -> int:
+    """The peak mask of a word of length ``n`` with violation mask ``v``."""
     if starts:
         return v & ~(v << 1) & ~1
-    return (v << 1) & ~v & ((1 << max(len(w) - 1, 0)) - 1)
+    return (v << 1) & ~v & ((1 << max(n - 1, 0)) - 1)
 
 
 def peak_image_closed_form(w: Word, char: tuple[str, str], degree: int | None = None) -> QSym:
@@ -252,19 +256,27 @@ def image_by_mask(
         stat = _violation_mask if isinstance(char, str) else _peak_mask
         for w, c in weighted:
             values[stat(w, char)] += c
-        _subset_sums(values)
-        if isinstance(char, str):
-            return values
-        full = len(values) - 1
-        return [
-            ((2 << s.bit_count()) if n else 1) * values[(s | s << 1) & full]
-            for s in range(len(values))
-        ]
+        return image_of_histogram(values, char, n)
     position = {alpha: m for m, alpha in enumerate(_compositions_of(n))}
     for w, c in weighted:
         for beta, x in word_image(w, char, n).terms.items():
             values[position[beta]] += c * x
     return values
+
+
+def image_of_histogram(values: list, char: Character, n: int) -> list:
+    """Monomial coefficients by cut mask of the image of words of length
+    ``n`` of a closed-form character, from ``values[m]``, the weight of the
+    words whose violation (basic kind) or peak mask is ``m``.  The list is
+    transformed in place."""
+    _subset_sums(values)
+    if isinstance(char, str):
+        return values
+    full = len(values) - 1
+    return [
+        ((2 << s.bit_count()) if n else 1) * values[(s | s << 1) & full]
+        for s in range(len(values))
+    ]
 
 
 def _image_terms(

@@ -4,7 +4,9 @@ images, bounded conjecture searches, and verification suites.
 Outputs are deterministic for a fixed invocation; JSON is emitted with
 sorted keys so repeated runs are byte-identical (wall-clock runtimes only
 appear in text output).  Exit codes: 0 success, 2 property failure with a
-witness, 3 resource cap exceeded.
+witness, 3 resource cap exceeded, 4 usage or input error (a bad option, an
+unparsable word or character, an unknown relation, a missing input); an
+input error prints one line to stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .words import (
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 2
 EXIT_RESOURCE_CAP = 3
+EXIT_USAGE = 4
 
 EXTENDED_CLASS_LIMIT = 7  # lengths above this require --extended
 
@@ -48,7 +51,7 @@ def resolve_relation(spec: str) -> relations.RelationPresentation:
     if os.path.exists(spec):
         with open(spec) as fh:
             return relation_from_json(json.load(fh))
-    raise SystemExit(f"unknown relation {spec!r} (not a builtin, shorthand, or file)")
+    raise ValueError(f"unknown relation {spec!r} (not a builtin, shorthand, or file)")
 
 
 def relation_from_json(data: dict) -> relations.RelationPresentation:
@@ -206,7 +209,7 @@ def cached_scan(
 
 
 def cmd_classes(args) -> int:
-    pres = resolve_relation(args.relation)
+    pres = args.relation
     lengths = list(range(args.max_len + 1))
     if args.max_len > EXTENDED_CLASS_LIMIT and not args.extended:
         print(
@@ -277,7 +280,7 @@ def cmd_classes(args) -> int:
 
 
 def cmd_check(args) -> int:
-    pres = resolve_relation(args.relation)
+    pres = args.relation
     t0 = time.time()
     try:
         inst = relations.close(
@@ -311,11 +314,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_psi(args) -> int:
-    char = characters.parse_character(args.character)
+    char = args.character
     t0 = time.time()
     if args.class_of:
-        seed = parse_word(args.class_of)
-        pres = resolve_relation(args.relation)
+        seed = args.class_of
+        pres = args.relation
         degree = args.degree or (len(seed) + 2)
         headroom = args.headroom if args.headroom is not None else (
             0 if pres.homogeneous else 2
@@ -333,7 +336,7 @@ def cmd_psi(args) -> int:
             "members_within_degree": sum(1 for w in members if len(w) <= degree),
         }
     else:
-        w = parse_word(args.word)
+        w = args.word
         degree = args.degree or len(w)
         image = characters.word_image(w, char, degree)
         source = {"word": format_word(w)}
@@ -490,8 +493,29 @@ def cmd_verify(args) -> int:
     return EXIT_PROPERTY_FAILURE if failures else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with ``EXIT_USAGE``, not argparse's 2, which here
+    means a property failure."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _input(parse):
+    """An argparse ``type`` that reports a parser's error as the option's
+    error message."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except (ValueError, TypeError, OSError) as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wordbialg",
         description="word bialgebras, word relations, and their "
         "quasi-symmetric images (exact arithmetic)",
@@ -499,7 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, relation_default=None):
-        p.add_argument("--relation", default=relation_default)
+        p.add_argument(
+            "--relation", type=_input(resolve_relation), default=relation_default
+        )
         p.add_argument("--alphabet", type=int, default=3)
         p.add_argument("--max-len", type=int, default=6)
         p.add_argument("--headroom", type=int, default=None)
@@ -523,9 +549,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("psi", help="morphism image of a word or class")
     common(p, relation_default="knuth")
-    p.add_argument("--word", default=None)
-    p.add_argument("--class-of", default=None)
-    p.add_argument("--character", default="le")
+    p.add_argument("--word", type=_input(parse_word), default=None)
+    p.add_argument("--class-of", type=_input(parse_word), default=None)
+    p.add_argument(
+        "--character", type=_input(characters.parse_character), default="le"
+    )
     p.set_defaults(func=cmd_psi)
 
     p = sub.add_parser("conjectures", help="bounded conjecture searches")
@@ -554,10 +582,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    missing = None
     if args.command == "psi" and not (args.word or args.class_of):
-        print("psi needs --word or --class-of", file=sys.stderr)
-        return EXIT_PROPERTY_FAILURE
+        missing = "psi needs --word or --class-of"
+    elif args.command == "check" and args.relation is None:
+        missing = "check needs --relation"
+    if missing:
+        print(f"{parser.prog}: error: {missing}", file=sys.stderr)
+        return EXIT_USAGE
     return args.func(args)
 
 

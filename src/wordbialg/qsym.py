@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .lincomb import format_scalar, parse_scalar
 from .words import (
@@ -399,10 +399,6 @@ def schur_positive(f: QSym) -> PositivityCertificate:
 # --- Schur Q-functions ---------------------------------------------------
 
 
-def _shifted_diagram(lam: Partition) -> tuple[tuple[int, int], ...]:
-    return tuple((i, i + j) for i, part in enumerate(lam) for j in range(part))
-
-
 @lru_cache(maxsize=None)
 def marked_shifted_count(lam: Partition, content: Composition) -> int:
     """Number of marked shifted tableaux of strict shape ``lam`` with the
@@ -410,47 +406,55 @@ def marked_shifted_count(lam: Partition, content: Composition) -> int:
 
     Entries come from the ordered alphabet 1' < 1 < 2' < 2 < ...; rows and
     columns weakly increase, no primed letter repeats in a row, no unprimed
-    letter repeats in a column.
+    letter repeats in a column.  The cells holding the largest letter form
+    a strip ``lam / mu``, and each connected piece of the strip can be
+    filled in exactly two ways (Macdonald, ch. III), so the count is the
+    sum over those ``mu`` of ``2^pieces`` times the count of ``mu`` with
+    the last letter removed.
     """
     if not is_strict_partition(lam):
         raise ValueError(f"{lam} is not strict")
     if sum(content) != sum(lam):
         return 0
-    cells = _shifted_diagram(lam)
-    remaining = list(content)
-    filling: dict[tuple[int, int], tuple[int, int]] = {}
-    count = 0
+    if not content:
+        return 1
+    total = 0
+    for mu, pieces in _strips(tuple(lam), content[-1]):
+        total += marked_shifted_count(mu, tuple(content[:-1])) << pieces
+    return total
 
-    def key(value: tuple[int, int]) -> int:
-        return 2 * value[0] - value[1]
 
-    def rec(idx: int) -> None:
-        nonlocal count
-        if idx == len(cells):
-            count += 1
-            return
-        r, c = cells[idx]
-        left = filling.get((r, c - 1))
-        up = filling.get((r - 1, c))
-        for k in range(1, len(remaining) + 1):
-            if not remaining[k - 1]:
-                continue
-            for primed in (1, 0):
-                value = (k, primed)
-                if left is not None:
-                    if key(value) < key(left) or (primed and left == value):
-                        continue
-                if up is not None:
-                    if key(value) < key(up) or (not primed and up == value):
-                        continue
-                remaining[k - 1] -= 1
-                filling[(r, c)] = value
-                rec(idx + 1)
-                del filling[(r, c)]
-                remaining[k - 1] += 1
-
-    rec(0)
-    return count
+def _strips(lam: Partition, size: int) -> Iterator[tuple[Partition, int]]:
+    """``(mu, pieces)`` for every strict ``mu`` inside ``lam`` such that the
+    shifted skew shape ``lam / mu`` has ``size`` cells, no 2x2 block and no
+    cell whose left and lower neighbours both lie in it; ``pieces`` counts
+    its connected components."""
+    for cut in itertools.product(*(range(part + 1) for part in lam)):
+        mu = tuple(part for part in cut if part)
+        if sum(lam) - sum(mu) != size or cut[: len(mu)] != mu:
+            continue
+        if not is_strict_partition(mu):
+            continue
+        cells = {
+            (i, j) for i, (a, b) in enumerate(zip(lam, cut)) for j in range(i + b, i + a)
+        }
+        if any(
+            (i + 1, j) in cells
+            and ((i, j - 1) in cells or {(i, j + 1), (i + 1, j + 1)} <= cells)
+            for i, j in cells
+        ):
+            continue
+        pieces = 0
+        while cells:
+            pieces += 1
+            stack = [cells.pop()]
+            while stack:
+                i, j = stack.pop()
+                for cell in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+                    if cell in cells:
+                        cells.remove(cell)
+                        stack.append(cell)
+        yield mu, pieces
 
 
 def q_function(n: int, degree: int | None = None) -> QSym:

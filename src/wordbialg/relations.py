@@ -18,6 +18,9 @@ kinds, kept in one table; there is no separate rewrite family for them.
 ``compile_neighbors`` turns every generating pair into a window rewrite
 and applies all of them through one table lookup per window.
 
+The same window tables, merged into one xor-delta lookup per window start,
+drive the content-sliced scans on integer-coded words (:mod:`coded`).
+
 ``close`` materializes the equivalence classes on the universe of words
 with letters in ``[alphabet]`` and length at most ``max_len + headroom``;
 the headroom zone exists because inhomogeneous rewrites may route two
@@ -221,13 +224,19 @@ _ANYWHERE, _PREFIX, _WHOLE = range(3)
 
 
 def _repeat_neighbors(w: Word, limit: int) -> list[Word]:
+    """``a ~ aa`` in one step: per run of equal letters, the word with the
+    run one letter shorter (if it has two letters or more) and one longer
+    (if that stays within ``limit``).  Any position of a run gives the same
+    word, so each run is rewritten once."""
     out = []
     n = len(w)
-    for i in range(n - 1):
-        if w[i] == w[i + 1]:
+    grow = n < limit
+    for i in range(n):
+        if i and w[i - 1] == w[i]:
+            continue  # not the first letter of its run
+        if i + 1 < n and w[i + 1] == w[i]:
             out.append(w[:i] + w[i + 1 :])
-    if n < limit:
-        for i in range(n):
+        if grow:
             out.append(w[: i + 1] + w[i:])
     return out
 
@@ -288,28 +297,36 @@ def _parts(pres: RelationPresentation) -> Iterator[RelationPresentation]:
         yield from _parts(sub)
 
 
+def _rewrite_tables(
+    pres: RelationPresentation, alphabet: int
+) -> dict[tuple[int, int, int], dict[Word, set[Word]]]:
+    """Every generating pair of every part, read both ways, as a window
+    rewrite ``a -> b``, in one table per (where the window may sit, window
+    length, length change)."""
+    groups: dict[tuple[int, int, int], dict[Word, set[Word]]] = {}
+    for part in _parts(pres):
+        for where, v, w in _window_pairs(part, alphabet):
+            for a, b in ((v, w), (w, v)):
+                table = groups.setdefault((where, len(a), len(b) - len(a)), {})
+                table.setdefault(a, set()).add(b)
+    return groups
+
+
 def compile_neighbors(
     pres: RelationPresentation, alphabet: int, limit: int
 ) -> Callable[[Word], list[Word]]:
     """Compile a presentation into a one-step rewrite generator.
 
-    Every generating pair of every part, read both ways, is a window
-    rewrite.  The rewrites go into one table per (where the window may sit,
-    window length, length change), and a table whose rewrites would make
-    the word longer than ``limit`` is skipped whole; ``a ~ aa`` comes from
-    ``_repeat_neighbors``.  No neighbour is longer than ``limit``."""
-    parts = list(_parts(pres))
-    groups: dict[tuple[int, int, int], dict[Word, set[Word]]] = {}
-    for part in parts:
-        for where, v, w in _window_pairs(part, alphabet):
-            for a, b in ((v, w), (w, v)):
-                table = groups.setdefault((where, len(a), len(b) - len(a)), {})
-                table.setdefault(a, set()).add(b)
+    The window rewrites of :func:`_rewrite_tables` are applied table by
+    table, and a table whose rewrites would make the word longer than
+    ``limit`` is skipped whole; ``a ~ aa`` comes from ``_repeat_neighbors``.
+    No neighbour is longer than ``limit``."""
+    tables = _rewrite_tables(pres, alphabet)
     lookups = [
         (where, piece, grow, {a: tuple(sorted(bs)) for a, bs in table.items()}.get)
-        for (where, piece, grow), table in sorted(groups.items())
+        for (where, piece, grow), table in sorted(tables.items())
     ]
-    repeat = any(part.coxeter is not None for part in parts)
+    repeat = any(part.coxeter is not None for part in _parts(pres))
 
     def neighbors(w: Word) -> list[Word]:
         n = len(w)

@@ -9,18 +9,31 @@ whole contents and the parent merges in sorted content order, so output
 is deterministic for any worker count.  A resumed run hands the scan the
 per-content results it cached, which are folded in with the fresh ones.
 
-Per class, the scan takes the image's monomial coefficients by cut mask
-from the characters kernel (:func:`characters.image_by_mask`), so every
-character the kernel knows scans, the four peak convolutions included.
-Symmetry is constancy on sorting fibers; Schur and Schur-Q positivity come
-from the exact triangular solve in :mod:`qsym`, fed the coefficient at one
-partition per fiber.
+The flood fill works on integer-coded words (:mod:`coded`: one 5-bit lane
+per letter, first letter most significant, so letters and lengths up to
+15).  A content's codes are generated in increasing order, half a word at
+a time, and never listed whole; the visited set holds codes, and a
+one-step rewrite is one lookup per window start in the merged window
+tables of :func:`coded.compile_coded_rewrites` followed by an xor.
+Integer order is word order, so each component's least code is its
+lexicographically least word, the representative.
+
+Per class, the scan reads the character's statistic mask straight off the
+codes (one guard-bit subtraction compares all adjacent letters at once),
+bins the class into a histogram of masks, and expands the histogram into
+monomial coefficients by cut mask with the characters kernel
+(:func:`characters.image_of_histogram`).  Symmetry is constancy on sorting
+fibers; Schur and Schur-Q positivity come from the exact triangular solve
+in :mod:`qsym`, fed the coefficient at one partition per fiber.  Classes
+share few histograms (152 among the 6,465 exotic classes of length 8), so
+the verdict is memoised on the sorted histogram.  Characters without a
+closed form decode the words and sum their images.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
+from collections import Counter
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -29,6 +42,7 @@ from .characters import (
     class_image,
     format_character,
     image_by_mask,
+    image_of_histogram,
 )
 from .qsym import (
     _triangular_solve,
@@ -36,24 +50,24 @@ from .qsym import (
     schur_positive,
     schur_q_positive,
 )
-from .relations import (
-    builtin_relation,
-    close,
-    compile_neighbors,
-    weak_variant,
+from .coded import (
+    CodedRewrites,
+    check_codable,
+    compile_coded_rewrites,
+    content_codes,
+    decode_word,
+    guard_compare,
 )
+from .relations import builtin_relation, close, weak_variant
 from .words import (
     Composition,
     Partition,
-    Word,
     all_words,
     comp_sort,
     compositions,
     format_word,
-    multiset_permutations,
+    multiset_permutations,  # noqa: F401  (wrapped by bench/tracing.py)
 )
-
-Members = list[Word]
 
 
 def packed_contents(length: int) -> list[Composition]:
@@ -75,29 +89,35 @@ def _multinomial(content: Composition) -> int:
 
 
 def content_components(
-    content: Composition, neighbors: Callable[[Word], list[Word]]
-) -> Iterator[Members]:
-    """Connected components of the rewrite graph on one content class."""
-    letters: list[int] = []
-    for a, c in enumerate(content, start=1):
-        letters.extend([a] * c)
-    words = list(multiset_permutations(letters))
-    index = {w: i for i, w in enumerate(words)}
-    visited = bytearray(len(words))
-    for start, w0 in enumerate(words):
-        if visited[start]:
+    content: Composition, rewrites: CodedRewrites
+) -> Iterator[list[int]]:
+    """Connected components of the rewrite graph on one content class, as
+    lists of word codes (:func:`coded.encode_word`), each headed by its
+    least code.
+
+    The codes are enumerated in increasing order, and a code the
+    enumeration has passed is dropped from the visited set: its component
+    is closed, so no later search can reach it."""
+    if sum(content) != rewrites.length:
+        raise ValueError(f"content {content} is not of length {rewrites.length}")
+    windows = rewrites.windows
+    seen: set[int] = set()
+    for start in content_codes(content):
+        if start in seen:
+            seen.remove(start)
             continue
-        visited[start] = 1
-        component = [w0]
-        stack = [w0]
-        while stack:
-            w = stack.pop()
-            for nb in neighbors(w):
-                j = index.get(nb)
-                if j is not None and not visited[j]:
-                    visited[j] = 1
-                    component.append(nb)
-                    stack.append(nb)
+        component = [start]
+        seen.add(start)
+        for x in component:
+            for shift, mask, deltas in windows:
+                moves = deltas(x >> shift & mask)
+                if moves:
+                    for d in moves:
+                        y = x ^ d
+                        if y not in seen:
+                            seen.add(y)
+                            component.append(y)
+        seen.remove(start)
         yield component
 
 
@@ -106,7 +126,15 @@ def content_components(
 
 class ScanTables:
     """The sorting fibers of one length, for deciding symmetry and
-    positivity of class images in one basis or several."""
+    positivity of class images in one basis or several.
+
+    Classes come as word codes.  For a closed-form character the verdict
+    depends only on the class's histogram of statistic masks, which is read
+    off the codes: one guard-bit subtraction compares every pair of
+    adjacent lanes at once, and each distinct guard pattern is turned into
+    a violation or peak mask once.  Verdicts are memoised on the sorted
+    histogram, so the zeta transform and the solve run once per distinct
+    histogram, not once per class."""
 
     def __init__(self, length: int, character, basis: str | tuple[str, ...]):
         self.bases = (basis,) if isinstance(basis, str) else tuple(basis)
@@ -125,13 +153,46 @@ class ScanTables:
             lam: next(m for m in masks if comps[m] == lam)
             for lam, masks in self.fibers.items()
         }
+        self._guards, self._mask_of = guard_compare(length, character)
+        self._masks: dict[int, int] = {}  # guard pattern -> statistic mask
+        self._memo: dict[tuple, tuple[bool, dict]] = {}  # histogram -> verdict
 
-    def class_verdict(self, members: Sequence[Word]) -> dict:
-        """Aggregate one class once and decide symmetry plus positivity in
-        each basis; an image outside a basis span is not positive there.
-        ``positive`` maps basis to verdict when the tables were built for
-        a tuple of bases, and is the one verdict for a single basis."""
-        coeffs = image_by_mask(zip(members, repeat(1)), self.character, self.length)
+    def class_verdict(self, members: Sequence[int]) -> dict:
+        """Aggregate one class, given as word codes, and decide symmetry
+        plus positivity in each basis; an image outside a basis span is not
+        positive there.  ``positive`` maps basis to verdict when the tables
+        were built for a tuple of bases, and is the one verdict for a
+        single basis."""
+        if self._guards is None:  # no closed form: sum the member images
+            words = (decode_word(x, self.length) for x in members)
+            coeffs = image_by_mask(zip(words, repeat(1)), self.character, self.length)
+            symmetric, positive = self._decide(coeffs)
+        else:
+            masks = self._masks
+            hist: dict[int, int] = {}
+            for raw, c in Counter(map(self._guards, members)).items():
+                m = masks.get(raw)
+                if m is None:
+                    m = masks[raw] = self._mask_of(raw)
+                hist[m] = hist.get(m, 0) + c
+            key = tuple(sorted(hist.items()))
+            decided = self._memo.get(key)
+            if decided is None:
+                values = [0] * (1 << max(self.length - 1, 0))
+                for m, c in key:
+                    values[m] = c
+                coeffs = image_of_histogram(values, self.character, self.length)
+                decided = self._memo[key] = self._decide(coeffs)
+            symmetric, positive = decided
+        if isinstance(self.basis, str):
+            positive = positive[self.basis]
+        else:
+            positive = dict(positive)
+        return {"size": len(members), "symmetric": symmetric, "positive": positive}
+
+    def _decide(self, coeffs: list) -> tuple[bool, dict[str, bool | None]]:
+        """Symmetry, and positivity per basis, of the monomial coefficients
+        of one image by cut mask."""
         symmetric = all(
             len({coeffs[m] for m in masks}) == 1 for masks in self.fibers.values()
         )
@@ -145,9 +206,7 @@ class ScanTables:
                     positive[b] = False
                 else:
                     positive[b] = all(c >= 0 for c in expansion.values())
-        if isinstance(self.basis, str):
-            positive = positive[self.basis]
-        return {"size": len(members), "symmetric": symmetric, "positive": positive}
+        return symmetric, positive
 
 
 # --- multiprocessing workers ------------------------------------------------
@@ -156,9 +215,7 @@ _WORKER: dict = {}
 
 
 def _init_worker(builtin_name: str, length: int, scan_args) -> None:
-    _WORKER["neighbors"] = compile_neighbors(
-        builtin_relation(builtin_name), length, length
-    )
+    _WORKER["rewrites"] = compile_coded_rewrites(builtin_relation(builtin_name), length)
     if scan_args:
         character, bases, detail = scan_args
         _WORKER["tables"] = ScanTables(length, character, bases)
@@ -169,27 +226,29 @@ def _init_worker(builtin_name: str, length: int, scan_args) -> None:
 
 
 def _count_content(content: Composition) -> tuple[Composition, int, int]:
-    neighbors = _WORKER["neighbors"]
+    rewrites = _WORKER["rewrites"]
     classes = 0
     words = 0
-    for component in content_components(content, neighbors):
+    for component in content_components(content, rewrites):
         classes += 1
         words += len(component)
     return content, classes, words
 
 
 def _scan_content(content: Composition) -> tuple[Composition, list[dict]]:
-    neighbors = _WORKER["neighbors"]
+    rewrites = _WORKER["rewrites"]
     tables: ScanTables = _WORKER["tables"]
     detail: bool = _WORKER["detail"]
     out = []
-    for component in content_components(content, neighbors):
+    for component in content_components(content, rewrites):
         verdict = tables.class_verdict(component)
         failing = not verdict["symmetric"] or not all(
             verdict["positive"].values()
         )
         if failing or detail:
-            verdict["representative"] = format_word(min(component))
+            verdict["representative"] = format_word(
+                decode_word(component[0], rewrites.length)
+            )
         out.append(verdict)
     return content, out
 
@@ -208,6 +267,8 @@ def _worker_count(jobs: int, tasks: int) -> int:
 
 
 def _pool(builtin_name: str, length: int, scan_args, jobs: int):
+    import multiprocessing  # only pooled scans pay for importing it
+
     return multiprocessing.get_context("fork").Pool(
         jobs, initializer=_init_worker, initargs=(builtin_name, length, scan_args)
     )
@@ -218,9 +279,7 @@ def _fresh_results(
 ) -> Iterator[tuple]:
     """``task(content)`` for every packed content of the length that is not
     in ``cached``, in one process or on a clamped fork pool."""
-    pres = builtin_relation(builtin_name)
-    if not (pres.homogeneous and pres.content_preserving):
-        raise ValueError(f"{builtin_name} does not split by content")
+    check_codable(builtin_relation(builtin_name), length)
     contents = [c for c in packed_contents(length) if c not in cached]
     jobs = _worker_count(jobs, len(contents))
     if jobs == 1:

@@ -44,13 +44,13 @@ from wordbialg.relations import (
     check_p_algebraic,
     check_uniformly_algebraic,
     close,
-    compile_neighbors,
     coxeter_relation,
     gap_braid_m,
     headroom_stability,
     is_finite_type_bounded,
     is_homogeneous_observed,
 )
+from wordbialg.coded import compile_coded_rewrites, decode_word
 from wordbialg.scans import (
     content_components,
     doubling_check,
@@ -172,9 +172,10 @@ def test_criterion_5_oracle_equivalences():
     # insertion fibers on every symmetric group through S_6
     knuth = builtin_relation("knuth")
     for n in range(1, 7):
-        neighbors = compile_neighbors(knuth, n, n)
+        rewrites = compile_coded_rewrites(knuth, n)
         components = {
-            frozenset(c) for c in content_components((1,) * n, neighbors)
+            frozenset(decode_word(x, n) for x in c)
+            for c in content_components((1,) * n, rewrites)
         }
         fibers = defaultdict(set)
         for p in itertools.permutations(range(1, n + 1)):
@@ -246,8 +247,9 @@ def test_criterion_8_knuth_classes():
     ok = True
     for n in range(7):
         for content in packed_contents(n):
-            neighbors = compile_neighbors(builtin_relation("knuth"), n, n)
-            for members in content_components(content, neighbors):
+            rewrites = compile_coded_rewrites(builtin_relation("knuth"), n)
+            for component in content_components(content, rewrites):
+                members = [decode_word(x, n) for x in component]
                 image = class_image(members, "le", n)
                 ok &= is_symmetric(image)
                 tableaux = [w for w in members if tableau_shape(w) is not None]

@@ -143,7 +143,31 @@ def test_psi_class():
 
 
 def test_psi_requires_input():
-    assert main(["psi", "--character", "le"]) == 2
+    assert main(["psi", "--character", "le"]) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["psi", "--word", "0"],
+        ["psi", "--word", "abc"],
+        ["psi", "--character", "xx"],
+        ["psi", "--word", "12", "--character", "xx"],
+        ["psi", "--class-of", "1a"],
+        ["psi"],
+        ["classes", "--relation", "no-such-relation"],
+        ["check"],
+        ["classes", "--max-len", "x"],
+        ["conjectures", "--which", "nothing"],
+        ["no-such-command"],
+        [],
+    ],
+)
+def test_input_errors_exit_with_the_usage_code(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == cli.EXIT_USAGE == 4
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1 and not proc.stdout
 
 
 def test_conjectures_weak_hecke():

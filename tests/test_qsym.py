@@ -220,6 +220,60 @@ def test_marked_shifted_frozen_values():
         schur_q((2, 2))
 
 
+def _brute_marked_shifted_count(lam, content):
+    """Marked shifted tableaux of shape ``lam`` and the given content, by
+    filling the shifted diagram cell by cell (the test oracle)."""
+    if sum(content) != sum(lam):
+        return 0
+    cells = [(i, i + j) for i, part in enumerate(lam) for j in range(part)]
+    remaining = list(content)
+    filling = {}
+    count = 0
+
+    def key(value):
+        return 2 * value[0] - value[1]
+
+    def rec(idx):
+        nonlocal count
+        if idx == len(cells):
+            count += 1
+            return
+        r, c = cells[idx]
+        left = filling.get((r, c - 1))
+        up = filling.get((r - 1, c))
+        for k in range(1, len(remaining) + 1):
+            if not remaining[k - 1]:
+                continue
+            for primed in (1, 0):
+                value = (k, primed)
+                if left is not None:
+                    if key(value) < key(left) or (primed and left == value):
+                        continue
+                if up is not None:
+                    if key(value) < key(up) or (not primed and up == value):
+                        continue
+                remaining[k - 1] -= 1
+                filling[(r, c)] = value
+                rec(idx + 1)
+                del filling[(r, c)]
+                remaining[k - 1] += 1
+
+    rec(0)
+    return count
+
+
+def test_marked_shifted_strip_recursion_matches_enumeration():
+    from wordbialg.words import strict_partitions
+
+    for n in range(9):
+        for lam in strict_partitions(n):
+            for mu in partitions(n):
+                for content in (mu, mu[::-1]):
+                    assert marked_shifted_count(lam, content) == (
+                        _brute_marked_shifted_count(lam, content)
+                    ), (lam, content)
+
+
 def test_q_functions():
     for n in range(1, 7):
         qn = q_function(n)

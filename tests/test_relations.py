@@ -31,6 +31,7 @@ from wordbialg.relations import (
     weak_variant,
     _repeat_neighbors,
 )
+from wordbialg.coded import compile_coded_rewrites, decode_word
 from wordbialg.scans import content_components
 from wordbialg.words import (
     Word,
@@ -587,20 +588,24 @@ def _homogeneous_pairs(max_letter: int):
     st.lists(_homogeneous_pairs(3), min_size=1, max_size=3),
     st.booleans(),
     st.booleans(),
+    st.booleans(),
 )
-def test_bfs_close_and_content_components_agree(pairs, uniform, in_context):
-    # the three class finders share the rewrite engine but not the search
+def test_bfs_close_and_content_components_agree(pairs, uniform, in_context, weak):
+    # the three class finders share the rewrite tables but not the search;
+    # whole-word rewrites and the initial swap exercise the anchored windows
     pres = explicit_relation("random", pairs, uniform, in_context)
+    if weak:
+        pres = weak_variant(pres)
     assert pres.homogeneous and pres.content_preserving
-    max_len = 4
+    max_len = 5
     inst = close(pres, max_len, max_len)
     assert inst.headroom == 0
     for n in range(max_len + 1):
-        neighbors = compile_neighbors(pres, n, n)
+        rewrites = compile_coded_rewrites(pres, n)
         components = [
-            tuple(sorted(component))
+            tuple(sorted(decode_word(x, n) for x in component))
             for content in compositions(n)
-            for component in content_components(content, neighbors)
+            for component in content_components(content, rewrites)
         ]
         assert sorted(components) == sorted(inst.packed_classes(n))
         for component in components:

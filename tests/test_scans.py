@@ -1,9 +1,17 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordbialg import scans
-from wordbialg.characters import BASIC_KINDS, class_image
+from wordbialg.characters import BASIC_KINDS, _peak_mask, class_image
+from wordbialg.coded import (
+    compile_coded_rewrites,
+    content_codes,
+    decode_word,
+    encode_word,
+)
 from wordbialg.qsym import is_symmetric, schur_positive, schur_q_positive
 from wordbialg.relations import bfs_class, builtin_relation, close
 from wordbialg.scans import (
@@ -14,8 +22,7 @@ from wordbialg.scans import (
     packed_contents,
     positivity_scan_homogeneous,
 )
-from wordbialg.relations import compile_neighbors
-from wordbialg.words import multiset_permutations
+from wordbialg.words import all_words, multiset_permutations
 
 
 def test_packed_contents_cover_ordered_bell():
@@ -33,8 +40,11 @@ def test_packed_contents_cover_ordered_bell():
 
 
 def test_content_components_match_closure():
-    neighbors = compile_neighbors(builtin_relation("knuth"), 4, 4)
-    components = list(content_components((1, 1, 1, 1), neighbors))
+    rewrites = compile_coded_rewrites(builtin_relation("knuth"), 4)
+    components = [
+        [decode_word(x, 4) for x in c]
+        for c in content_components((1, 1, 1, 1), rewrites)
+    ]
     inst = close(builtin_relation("knuth"), 4, 4, headroom=0)
     import itertools
 
@@ -165,7 +175,9 @@ def test_class_verdict_matches_generic_path(data, relation):
     members = sorted(set(members) | {tuple(w) for w in extra})
     for char in CLOSED_FORMS:
         for basis in ("s", "Q"):
-            verdict = scans.ScanTables(n, char, basis).class_verdict(members)
+            verdict = scans.ScanTables(n, char, basis).class_verdict(
+                [encode_word(w) for w in members]
+            )
             assert verdict == _generic_verdict(members, char, basis, n), (char, basis)
 
 
@@ -234,27 +246,114 @@ def test_scans_fork_the_clamped_pool(monkeypatch):
 
 
 def test_scan_over_two_bases_bins_each_class_once(monkeypatch):
-    binned = 0
-    image_by_mask = scans.image_by_mask
+    expanded = 0
+    image_of_histogram = scans.image_of_histogram
 
     def counting(*args):
-        nonlocal binned
-        binned += 1
-        return image_by_mask(*args)
+        nonlocal expanded
+        expanded += 1
+        return image_of_histogram(*args)
 
-    monkeypatch.setattr(scans, "image_by_mask", counting)
+    monkeypatch.setattr(scans, "image_of_histogram", counting)
+    peak = ("gt", "le")
     report = positivity_scan_homogeneous(
-        "exotic-knuth", 5, ("gt", "le"), ("s", "Q"), detail=True
+        "exotic-knuth", 5, peak, ("s", "Q"), detail=True
     )
-    assert binned == report["total_classes"] == 110
+    scan_expansions = expanded
+    assert report["total_classes"] == 110
     # one tables object for both bases gives each single-basis verdict
+    histograms = set()
     for row in report["classes"]:
         members = bfs_class(
             builtin_relation("exotic-knuth"),
             tuple(int(a) for a in row["representative"]),
             5,
         )
+        histograms.add(
+            tuple(sorted(Counter(_peak_mask(w, peak) for w in members).items()))
+        )
         for basis in ("s", "Q"):
-            single = scans.ScanTables(5, ("gt", "le"), basis).class_verdict(members)
+            single = scans.ScanTables(5, peak, basis).class_verdict(
+                [encode_word(w) for w in members]
+            )
             assert single["positive"] == row["positive"][basis]
             assert single["symmetric"] == row["symmetric"]
+    # one expansion per distinct peak-mask histogram, for both bases at once
+    assert scan_expansions == len(histograms) < report["total_classes"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 5).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.lists(st.integers(1, 4), min_size=n, max_size=n),
+                min_size=1, max_size=5,
+            ),
+        )
+    ),
+    st.sampled_from(["knuth", "exotic-knuth", "commutation"]),
+    st.randoms(use_true_random=False),
+)
+def test_shared_tables_memo_matches_generic_path(data, relation, rng):
+    # one tables object sees every class twice, in random order, so the
+    # histogram memo is hit; each verdict must still be the generic one
+    n, seeds = data
+    pres = builtin_relation(relation)
+    classes = list({bfs_class(pres, tuple(seed), n) for seed in seeds})
+    feed = classes * 2
+    rng.shuffle(feed)
+    for char in CLOSED_FORMS + [("le", "le")]:
+        generic = {
+            (members, b): _generic_verdict(members, char, b, n)
+            for members in classes
+            for b in ("s", "Q")
+        }
+        for basis in ("s", "Q", ("s", "Q")):
+            tables = scans.ScanTables(n, char, basis)
+            for members in feed:
+                verdict = tables.class_verdict([encode_word(w) for w in members])
+                if isinstance(basis, str):
+                    assert verdict == generic[members, basis], (char, basis, members)
+                    continue
+                assert verdict == {
+                    **generic[members, "s"],
+                    "positive": {b: generic[members, b]["positive"] for b in basis},
+                }, (char, basis, members)
+            assert len(tables._memo) <= len(classes)
+
+
+@given(st.lists(st.integers(0, 15), max_size=9))
+def test_word_codes_round_trip(w):
+    assert decode_word(encode_word(w), len(w)) == tuple(w)
+
+
+def test_codes_order_words_and_head_their_components():
+    words = [w for w in all_words(3, 4) if len(w) == 4]
+    assert sorted(words, key=encode_word) == sorted(words)
+    for content in packed_contents(6):
+        letters = [a for a, c in enumerate(content, 1) for _ in range(c)]
+        assert list(content_codes(content)) == [
+            encode_word(w) for w in multiset_permutations(letters)
+        ]
+    rewrites = compile_coded_rewrites(builtin_relation("exotic-knuth"), 5)
+    for content in packed_contents(5):
+        for component in content_components(content, rewrites):
+            assert component[0] == min(component)
+            assert decode_word(component[0], 5) == min(
+                decode_word(x, 5) for x in component
+            )
+
+
+def test_coded_lengths_past_the_lanes_are_refused():
+    exotic = builtin_relation("exotic-knuth")
+    assert compile_coded_rewrites(builtin_relation("knuth"), 15).length == 15
+    with pytest.raises(ValueError):
+        compile_coded_rewrites(exotic, 16)
+    with pytest.raises(ValueError):
+        packed_class_count("exotic-knuth", 16)
+    with pytest.raises(ValueError):
+        compile_coded_rewrites(builtin_relation("hecke"), 4)
+    with pytest.raises(ValueError):
+        list(content_components((1, 2), compile_coded_rewrites(exotic, 4)))
