@@ -2,18 +2,20 @@
 """Record one point of the performance trajectory: every benchmark workload,
 timed and traced, in one JSON file.
 
-    python3 scripts/record_bench.py --out BENCH_<n>.json [--seed N] \\
-        [--seconds S] [--size full|tiny]
+    python3 scripts/record_bench.py --out BENCH_<n>.json [--seconds S] \\
+        [--size full|tiny]
 
 For each workload that ``BENCHMARK.json`` declares it runs the timed benchmark
 (``--trace 0``) and the traced one (``--trace 1``) on the checkout this
-script lives in, and writes:
+script lives in, always on seed ``SEED``, and writes:
 
 - ``machine``: the host facts the benchmark recorded (CPUs, Python);
 - per workload, ``correct``, the end-to-end metrics as medians over the
   timed repetitions, with every repetition's value, the per-layer metrics
   of the traced run, and its per-span table (calls, self and inclusive
-  seconds) with the exact work counts.
+  seconds) with the exact work counts.  A per-layer metric of a layer that
+  no span of the traced run entered is ``null``: that layer was not
+  reached, which a 0 would not say.
 
 Exits nonzero, writing nothing, if a benchmark run fails or answers wrong.
 """
@@ -30,13 +32,15 @@ ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 END_TO_END = [m["name"] for m in SPEC["end_to_end"]]
+SEED = 1  # every trajectory point runs the same inputs in the same order
+UNLAYERED = ("trace", "unattributed")  # per-layer metrics of the whole run
 
 
 def run_bench(workload: str, trace: int, args) -> tuple[dict, dict]:
     """The result line and the full results record of one benchmark run."""
     cmd = [
         sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
-        "--seed", str(args.seed), "--seconds", str(args.seconds),
+        "--seed", str(SEED), "--seconds", str(args.seconds),
         "--trace", str(trace), "--size", args.size,
     ]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
@@ -45,9 +49,16 @@ def run_bench(workload: str, trace: int, args) -> tuple[dict, dict]:
             f"{workload} trace={trace} exited {proc.returncode}:\n{proc.stderr}"
         )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    name = f"{workload}-{args.size}-seed{args.seed}-trace{trace}.json"
+    name = f"{workload}-{args.size}-seed{SEED}-trace{trace}.json"
     record = json.loads((ROOT / ".bench_results" / name).read_text())
     return result, record
+
+
+def reached(metric: str, spans: dict) -> bool:
+    """Whether the traced run entered the layer a per-layer metric is of:
+    ``words_s`` and ``words.enumerated`` are of ``words``."""
+    layer = metric.split(".")[0].removesuffix("_s")
+    return layer in UNLAYERED or any(s.startswith(layer + ".") for s in spans)
 
 
 def workload_entry(workload: str, args) -> tuple[dict, dict]:
@@ -72,7 +83,10 @@ def workload_entry(workload: str, args) -> tuple[dict, dict]:
     entry = {
         "correct": timed["correct"] and traced["correct"],
         "end_to_end": end_to_end,
-        "per_layer": {name: m["value"] for name, m in traced["metrics"].items()},
+        "per_layer": {
+            name: m["value"] if reached(name, trace["spans"]) else None
+            for name, m in traced["metrics"].items()
+        },
         "trace": {
             "wall_s": trace["wall_s"],
             "spans": {
@@ -88,7 +102,6 @@ def workload_entry(workload: str, args) -> tuple[dict, dict]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--size", choices=("full", "tiny"), default="full")
     args = parser.parse_args(argv)
@@ -105,7 +118,7 @@ def main(argv=None) -> int:
             return 1
     payload = {
         "machine": machine,
-        "seed": args.seed,
+        "seed": SEED,
         "seconds": args.seconds,
         "size": args.size,
         "workloads": workloads,

@@ -54,33 +54,58 @@ def resolve_relation(spec: str) -> relations.RelationPresentation:
     raise ValueError(f"unknown relation {spec!r} (not a builtin, shorthand, or file)")
 
 
-def relation_from_json(data: dict) -> relations.RelationPresentation:
+def relation_from_json(data) -> relations.RelationPresentation:
+    """A presentation from its JSON form: a relation name, or an object with
+    ``builtin``, ``coxeter_m`` or ``generators`` and ``union_of``.  Any
+    other shape raises ``ValueError``."""
     if isinstance(data, str):
         return resolve_relation(data)
+    _expect(isinstance(data, dict), "a relation is a name or an object", data)
     name = data.get("name", "custom")
     if data.get("builtin"):
+        _expect(isinstance(data["builtin"], str), "builtin is a name", data)
         return relations.builtin_relation(data["builtin"])
     if data.get("coxeter_m") is not None:
         spec = data["coxeter_m"]
+        _expect(isinstance(spec, dict), "coxeter_m is an object", spec)
         default = spec.get("default", 2)
         default = None if default == "inf" else default
+        overrides = spec.get("overrides", ())
+        _expect(
+            isinstance(overrides, list)
+            and all(isinstance(o, list) and len(o) == 3 for o in overrides),
+            "coxeter_m overrides are [i, j, m] triples",
+            overrides,
+        )
         overrides = tuple(
-            (i, j, (None if m == "inf" else m))
-            for i, j, m in spec.get("overrides", ())
+            (i, j, (None if m == "inf" else m)) for i, j, m in overrides
         )
         return relations.coxeter_relation(
             relations.CoxeterM(default=default, overrides=overrides), name=name
         )
-    union = tuple(relation_from_json(sub) for sub in data.get("union_of", ()))
-    gens = tuple(
-        (parse_word(v), parse_word(w)) for v, w in data.get("generators", ())
+    union_of = data.get("union_of", [])
+    _expect(isinstance(union_of, list), "union_of is a list", union_of)
+    generators = data.get("generators", [])
+    _expect(
+        isinstance(generators, list)
+        and all(
+            isinstance(g, list) and len(g) == 2 and all(isinstance(w, str) for w in g)
+            for g in generators
+        ),
+        "generators are pairs of words",
+        generators,
     )
     return relations.RelationPresentation(
         name=name,
-        generators=gens,
-        union_of=union,
+        generators=tuple((parse_word(v), parse_word(w)) for v, w in generators),
+        union_of=tuple(relation_from_json(sub) for sub in union_of),
         uniform=bool(data.get("uniform", False)),
     )
+
+
+def _expect(ok: bool, what: str, got) -> None:
+    if not ok:
+        raise ValueError(f"{what}, not {json.dumps(got)}")
 
 
 def emit(payload: dict, fmt: str, runtime: float | None = None) -> None:

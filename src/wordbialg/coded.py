@@ -7,9 +7,6 @@ words, go up to length 15; longer lengths raise ``ValueError``
 (:func:`check_codable`).  On words of one length integer order is
 lexicographic order, so the least code of a class is its least word.
 
-- :func:`content_codes` lists the codes of one content in increasing order,
-  joining each first half to the arrangements of the letters it leaves;
-  no list of the whole content is made.
 - :func:`compile_coded_rewrites` reads the window tables that
   :func:`relations.compile_neighbors` also reads and merges every window
   length into one lookup per window start.  A rewrite of a homogeneous
@@ -22,11 +19,11 @@ lexicographic order, so the least code of a class is its least word.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .characters import _PEAK_FORMS, _peak_of_violation
 from .relations import _ANYWHERE, _WHOLE, RelationPresentation, _rewrite_tables
-from .words import Composition, Word
+from .words import Word
 
 LANE = 5  # bits per letter: four value bits under one guard bit
 MAX_CODED_LETTER = (1 << (LANE - 1)) - 1  # 15
@@ -45,33 +42,6 @@ def encode_word(w: Iterable[int]) -> int:
 def decode_word(code: int, length: int) -> Word:
     """Inverse of :func:`encode_word` on words of the given length."""
     return tuple(code >> (LANE * k) & _LETTER for k in range(length - 1, -1, -1))
-
-
-def _prefixes(counts: tuple[int, ...], head: int) -> list[tuple[int, tuple]]:
-    """``(code, counts left)`` for every word of ``head`` letters drawn from
-    ``counts`` (``counts[a - 1]`` letters ``a``), increasing."""
-    if head == 0:
-        return [(0, counts)]
-    out = []
-    for i, c in enumerate(counts):
-        if c:
-            high = (i + 1) << LANE * (head - 1)
-            rest = counts[:i] + (c - 1,) + counts[i + 1 :]
-            out += [(high | code, left) for code, left in _prefixes(rest, head - 1)]
-    return out
-
-
-def content_codes(content: Composition) -> Iterator[int]:
-    """Codes of the words of one content, increasing.  Each first half is
-    joined to the arrangements of the letters it leaves, which are listed
-    once per distinct leftover."""
-    n = sum(content)
-    tail = n - n // 2
-    tails: dict[tuple, list[int]] = {}
-    for head, left in _prefixes(tuple(content), n // 2):
-        if left not in tails:
-            tails[left] = [code for code, _ in _prefixes(left, tail)]
-        yield from map((head << LANE * tail).__or__, tails[left])
 
 
 class CodedRewrites(NamedTuple):

@@ -11,8 +11,9 @@ per-content results it cached, which are folded in with the fresh ones.
 
 The flood fill works on integer-coded words (:mod:`coded`: one 5-bit lane
 per letter, first letter most significant, so letters and lengths up to
-15).  A content's codes are generated in increasing order, half a word at
-a time, and never listed whole; the visited set holds codes, and a
+15).  A content's words are enumerated lazily in lexicographic order and
+coded one by one, so its codes come in increasing order and are never
+listed whole; the visited set holds codes, and a
 one-step rewrite is one lookup per window start in the merged window
 tables of :func:`coded.compile_coded_rewrites` followed by an xor.
 Integer order is word order, so each component's least code is its
@@ -54,8 +55,8 @@ from .coded import (
     CodedRewrites,
     check_codable,
     compile_coded_rewrites,
-    content_codes,
     decode_word,
+    encode_word,
     guard_compare,
 )
 from .relations import builtin_relation, close, weak_variant
@@ -66,7 +67,7 @@ from .words import (
     comp_sort,
     compositions,
     format_word,
-    multiset_permutations,  # noqa: F401  (wrapped by bench/tracing.py)
+    multiset_permutations,
 )
 
 
@@ -101,8 +102,9 @@ def content_components(
     if sum(content) != rewrites.length:
         raise ValueError(f"content {content} is not of length {rewrites.length}")
     windows = rewrites.windows
+    letters = [a for a, c in enumerate(content, 1) for _ in range(c)]
     seen: set[int] = set()
-    for start in content_codes(content):
+    for start in map(encode_word, multiset_permutations(letters)):
         if start in seen:
             seen.remove(start)
             continue

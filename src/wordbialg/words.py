@@ -121,24 +121,37 @@ def all_words(alphabet: int, max_len: int) -> Iterator[Word]:
 
 
 def multiset_permutations(items: Iterable[int]) -> Iterator[tuple[int, ...]]:
-    """Distinct permutations of a multiset, in lexicographic order."""
+    """Distinct permutations of a multiset, in lexicographic order.
+
+    Each arrangement of the first half is joined to the arrangements of the
+    letters it leaves, which are listed once per distinct leftover; so the
+    lists held are about the square root of the output, not the output."""
     w = sorted(items)
-    n = len(w)
-    if n == 0:
-        yield ()
-        return
-    while True:
-        yield tuple(w)
-        i = n - 2
-        while i >= 0 and w[i] >= w[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = n - 1
-        while w[j] <= w[i]:
-            j -= 1
-        w[i], w[j] = w[j], w[i]
-        w[i + 1 :] = reversed(w[i + 1 :])
+    letters = sorted(set(w))
+    counts = tuple(w.count(a) for a in letters)
+    head = len(w) // 2
+    tails: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for h, left in _arrangements(letters, counts, head):
+        if left not in tails:
+            tails[left] = [t for t, _ in _arrangements(letters, left, len(w) - head)]
+        for t in tails[left]:
+            yield h + t
+
+
+def _arrangements(
+    letters: list[int], counts: tuple[int, ...], k: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """``(word, counts left)`` for every word of ``k`` letters drawn from
+    ``counts`` (``counts[i]`` copies of ``letters[i]``), lexicographic."""
+    out = [((), counts)]
+    for _ in range(k):
+        out = [
+            (word + (a,), left[:i] + (left[i] - 1,) + left[i + 1 :])
+            for word, left in out
+            for i, a in enumerate(letters)
+            if left[i]
+        ]
+    return out
 
 
 def packed_words(length: int) -> Iterator[Word]:

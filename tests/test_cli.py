@@ -170,6 +170,29 @@ def test_input_errors_exit_with_the_usage_code(argv):
     assert len(proc.stderr.strip().splitlines()) == 1 and not proc.stdout
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ["knuth"],
+        {"coxeter_m": 3},
+        {"coxeter_m": {"overrides": [[1, 2]]}},
+        {"union_of": [5]},
+        {"union_of": "knuth"},
+        {"builtin": ["knuth"]},
+        {"generators": [[1, 2]]},
+        {"generators": [["12"]]},
+        "no-such-relation",
+    ],
+)
+def test_malformed_relation_files_exit_with_the_usage_code(tmp_path, spec):
+    path = tmp_path / "rel.json"
+    path.write_text(json.dumps(spec))
+    proc = run_cli("classes", "--relation", str(path), "--max-len", "3")
+    assert proc.returncode == cli.EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1 and not proc.stdout
+
+
 def test_conjectures_weak_hecke():
     proc = run_cli(
         "conjectures", "--which", "weak-hecke", "--alphabet", "3",

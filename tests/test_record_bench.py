@@ -32,3 +32,11 @@ def test_record_bench_writes_the_trajectory_schema(tmp_path):
         assert abs(self_sum - trace["wall_s"]) <= 1e-9 * max(trace["wall_s"], 1.0)
         for span in trace["spans"].values():
             assert set(span) == {"calls", "self_s", "total_s"}
+        # null marks a layer the traced run never entered, and only that
+        for metric, value in entry["per_layer"].items():
+            layer = metric.split(".")[0].removesuffix("_s")
+            entered = any(s.startswith(layer + ".") for s in trace["spans"])
+            whole_run = layer in ("trace", "unattributed")
+            assert (value is None) == (not whole_run and not entered), metric
+    # the content scan enumerates its words through the traced words layer
+    assert data["workloads"]["exotic-scan"]["per_layer"]["words.enumerated"] > 0

@@ -176,12 +176,11 @@ def test_partitions():
     assert comp_sort((1, 3, 2)) == (3, 2, 1)
 
 
-def test_multiset_permutations():
-    assert sorted(multiset_permutations((1, 1, 2))) == [
-        (1, 1, 2),
-        (1, 2, 1),
-        (2, 1, 1),
-    ]
+@given(st.lists(st.integers(1, 4), max_size=7))
+def test_multiset_permutations(items):
+    assert list(multiset_permutations(items)) == sorted(
+        set(itertools.permutations(items))
+    )
     assert list(multiset_permutations(())) == [()]
 
 
