@@ -13,8 +13,6 @@ from .bialgebra import (
     verify_bialgebra_axioms,
 )
 from .characters import (
-    character_coefficient,
-    character_poly,
     class_image,
     grassmannian_stable_family,
     grothendieck_family,

@@ -7,22 +7,28 @@ comparison and to zero otherwise, or a convolution pair such as
 
 The induced morphism sends a word to the sum over compositions of its
 length of the character's block coefficients times monomial functions.
-For the four basic kinds this collapses to a single fundamental function
-indexed by the violation set; for the four peak-style convolutions it
-collapses to a peak function indexed by the peak or valley set.
+Every block coefficient is read off violation masks (bit ``i - 1`` set
+when letters ``i`` and ``i + 1`` break a kind's comparison):
 
-Images of classes and linear combinations therefore depend on one bit
-mask per word: the violation mask for a basic kind, the peak mask (read
-off a violation mask) for a peak convolution.  Words are binned by length
-and mask, and each length's histogram is expanded into monomial
-coefficients indexed by cut mask with one subset-sum (zeta) transform:
-the transform itself for a fundamental, the transform read at the
-thickened cut set and scaled by ``2^l`` for a peak function.  The scans
-read symmetry and positivity off the same per-length coefficient lists
-(:func:`image_by_mask`).  Convolution pairs without a closed form fall
-back to the generic per-word image.  Class images are truncated by
-degree; their correctness rests on the relation engine's headroom
-stability certificate.
+- a basic kind gives a single fundamental function indexed by its
+  violation set;
+- the four peak-style convolutions give a single peak function indexed
+  by the peak or valley set, read off one violation mask;
+- any other pair ``(a, b)`` allows ``max(0, f - l + 1)`` cuts in a block
+  of length ``m``, where ``f`` is the block's first ``a``-violation (``m``
+  if none) and ``l`` its last ``b``-violation (0 if none); a monomial
+  coefficient is the product over the blocks.
+
+So the image of a word depends on one statistic: the violation mask, the
+peak mask, or the pair of violation masks.  Words are binned by length
+and statistic, and each length's histogram is expanded into monomial
+coefficients indexed by cut mask (:func:`image_of_histogram`): one
+subset-sum (zeta) transform for a fundamental, the transform read at the
+thickened cut set and scaled by ``2^l`` for a peak function, the block
+product for a pair of masks.  Words, classes, linear combinations and the
+scans all go through that kernel.  Class images are truncated by degree;
+their correctness rests on the relation engine's headroom stability
+certificate.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from itertools import repeat
 from typing import Iterable
 
 from .lincomb import LinComb
-from .qsym import QSym, fundamental_L, omega_L, peak_K, qs_zero
+from .qsym import QSym, omega_L
 from .words import (
     Anchored,
     Composition,
@@ -42,7 +48,6 @@ from .words import (
     Word,
     all_reduced_words,
     ascents,
-    comp_from_set,
     descent_letters,
     descents,
     grassmannian_permutation,
@@ -54,13 +59,6 @@ from .words import (
 )
 
 BASIC_KINDS = ("le", "ge", "lt", "gt")
-
-_COMPARE = {
-    "le": lambda a, b: a <= b,
-    "ge": lambda a, b: a >= b,
-    "lt": lambda a, b: a < b,
-    "gt": lambda a, b: a > b,
-}
 
 # positions where a block may NOT be cut-free, per kind
 _VIOLATIONS = {
@@ -94,81 +92,12 @@ def _as_word(x) -> Word:
     return tuple(x)
 
 
-def is_monotone(w: Word, kind: str) -> bool:
-    cmp = _COMPARE[kind]
-    return all(cmp(w[i], w[i + 1]) for i in range(len(w) - 1))
-
-
-def character_poly(char: Character, x) -> dict[int, Fraction]:
-    """The image of a word under the character, as ``{degree: coeff}``.
-
-    Convolutions are evaluated through the cut coproduct: the sum over
-    two-block cuts of the product of the factors' values."""
-    w = _as_word(x)
-    if isinstance(char, str):
-        return {len(w): Fraction(1)} if is_monotone(w, char) else {}
-    first, second = char
-    count = sum(
-        1
-        for i in range(len(w) + 1)
-        if is_monotone(w[:i], first) and is_monotone(w[i:], second)
-    )
-    return {len(w): Fraction(count)} if count else {}
-
-
-def character_on_lincomb(char: Character, x: LinComb) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
-    for key, coeff in x.items():
-        for d, c in character_poly(char, key).items():
-            out[d] = out.get(d, Fraction(0)) + coeff * c
-    return {d: c for d, c in out.items() if c}
-
-
-def character_coefficient(char: Character, x, alpha: Composition) -> Fraction:
-    """Coefficient of ``t^{a_1} (x) ... (x) t^{a_l}`` after iterating the cut
-    coproduct and applying the character in every slot.
-
-    Since each block contributes only in its own length, only the cut of
-    the word into consecutive blocks of lengths ``alpha`` survives."""
-    alpha = tuple(alpha)
-    if isinstance(x, LinComb):
-        return sum(
-            (c * character_coefficient(char, k, alpha) for k, c in x.items()),
-            Fraction(0),
-        )
-    w = _as_word(x)
-    if sum(alpha) != len(w):
-        return Fraction(0)
-    out = Fraction(1)
-    pos = 0
-    for part in alpha:
-        block = w[pos : pos + part]
-        pos += part
-        value = character_poly(char, block).get(part, Fraction(0))
-        if not value:
-            return Fraction(0)
-        out *= value
-    return out
-
-
 def word_image(w: Word, char: Character, degree: int | None = None) -> QSym:
     """The morphism image of a single (packed or anchored) word."""
     w = _as_word(w)
-    n = len(w)
     if degree is None:
-        degree = n
-    if n > degree:
-        return qs_zero(degree)
-    if isinstance(char, str):
-        return fundamental_L(
-            comp_from_set(n, _VIOLATIONS[char](w)), degree
-        )
-    terms = {}
-    for alpha in _compositions_of(n):
-        c = character_coefficient(char, w, alpha)
-        if c:
-            terms[alpha] = c
-    return QSym(degree, terms)
+        degree = len(w)
+    return QSym(degree, _image_terms([(w, 1)], char, degree))
 
 
 @lru_cache(maxsize=None)
@@ -206,17 +135,6 @@ def _peak_of_violation(v: int, n: int, starts: bool) -> int:
     return (v << 1) & ~v & ((1 << max(n - 1, 0)) - 1)
 
 
-def peak_image_closed_form(w: Word, char: tuple[str, str], degree: int | None = None) -> QSym:
-    """Closed form for the four peak-style convolutions: a single peak
-    function whose index is read off the peak or valley set of the word
-    (of its reversal for the two reversed kinds)."""
-    if char not in _PEAK_FORMS:
-        raise ValueError(f"no closed form for {char}")
-    w = _as_word(w)
-    n = len(w)
-    return peak_K(_compositions_of(n)[_peak_mask(w, char)], n if degree is None else degree)
-
-
 def _violation_mask(w: Word, kind: str) -> int:
     """The violation set of a basic kind as a bit mask: position ``i`` is
     bit ``i - 1``, the bit order of :func:`_compositions_of`."""
@@ -224,6 +142,17 @@ def _violation_mask(w: Word, kind: str) -> int:
     for i in _VIOLATIONS[kind](w):
         mask |= 1 << (i - 1)
     return mask
+
+
+def _statistic(w: Word, char: Character):
+    """What the image of a word depends on: its violation mask for a basic
+    kind, its peak mask for a peak convolution, and the pair of its
+    factors' violation masks for any other convolution."""
+    if isinstance(char, str):
+        return _violation_mask(w, char)
+    if char in _PEAK_FORMS:
+        return _peak_mask(w, char)
+    return (_violation_mask(w, char[0]), _violation_mask(w, char[1]))
 
 
 def _subset_sums(values: list) -> None:
@@ -237,45 +166,77 @@ def _subset_sums(values: list) -> None:
                 values[mask] += values[mask ^ step]
 
 
+def _block_products(v1: int, v2: int, n: int) -> list[int]:
+    """Monomial coefficients by cut mask of the image of one word of length
+    ``n`` under a convolution pair whose factors have violation masks
+    ``v1`` and ``v2`` on it.
+
+    The block of positions ``a + 1 .. b`` admits the cuts that leave no
+    ``v1`` position before them and no ``v2`` position after them.  A mask
+    whose highest cut is ``a`` continues a mask of ``[a - 1]``, so the
+    products for the prefixes of length ``b`` are built from the shorter
+    ones, each list in cut-mask order."""
+
+    def cuts(a: int, b: int) -> int:
+        inner = ((1 << (b - a - 1)) - 1) << a  # positions a + 1 .. b - 1
+        first, last = v1 & inner, v2 & inner
+        f = (first & -first).bit_length() - a if first else b - a
+        l = last.bit_length() - a if last else 0
+        return max(0, f - l + 1)
+
+    prefixes = [[1]]
+    for b in range(1, n + 1):
+        row = [cuts(0, b)]
+        for a in range(1, b):
+            x = cuts(a, b)
+            row += [p * x for p in prefixes[a]]
+        prefixes.append(row)
+    return prefixes[n]
+
+
 def image_by_mask(
     weighted: Iterable[tuple[Word, object]], char: Character, n: int
 ) -> list:
     """Monomial coefficients of ``sum c * image(w)`` over ``(w, c)`` pairs
     of words of length ``n``, as a list indexed by cut mask (the order of
-    :func:`_compositions_of`).
-
-    A closed form bins the words by violation or peak mask and expands the
-    histogram with one zeta transform ``z``.  A fundamental ``L_V`` is the
-    sum of ``M_S`` over ``S`` containing ``V``, so ``z`` is the answer; a
-    peak function ``K_P`` is ``2^l(S)`` times the sum of ``M_S`` over ``S``
-    whose cut set, thickened by one, contains ``P``, so the coefficient at
-    ``S`` is ``2^l(S) * z[(S | S << 1) & full]``.  A pair without a closed
-    form sums its members' generic images."""
-    values = [0] * (1 << max(n - 1, 0))
-    if isinstance(char, str) or char in _PEAK_FORMS:
-        stat = _violation_mask if isinstance(char, str) else _peak_mask
-        for w, c in weighted:
-            values[stat(w, char)] += c
-        return image_of_histogram(values, char, n)
-    position = {alpha: m for m, alpha in enumerate(_compositions_of(n))}
+    :func:`_compositions_of`): the words are binned by statistic and the
+    histogram is expanded once."""
+    hist: dict = {}
     for w, c in weighted:
-        for beta, x in word_image(w, char, n).terms.items():
-            values[position[beta]] += c * x
-    return values
+        s = _statistic(w, char)
+        hist[s] = hist.get(s, 0) + c
+    return image_of_histogram(hist.items(), char, n)
 
 
-def image_of_histogram(values: list, char: Character, n: int) -> list:
+def image_of_histogram(
+    hist: Iterable[tuple[object, object]], char: Character, n: int
+) -> list:
     """Monomial coefficients by cut mask of the image of words of length
-    ``n`` of a closed-form character, from ``values[m]``, the weight of the
-    words whose violation (basic kind) or peak mask is ``m``.  The list is
-    transformed in place."""
+    ``n``, from ``(statistic, weight)`` pairs, the weight of the words with
+    that :func:`_statistic`.
+
+    A closed form expands the histogram with one zeta transform ``z``.  A
+    fundamental ``L_V`` is the sum of ``M_S`` over ``S`` containing ``V``,
+    so ``z`` is the answer; a peak function ``K_P`` is ``2^l(S)`` times the
+    sum of ``M_S`` over ``S`` whose cut set, thickened by one, contains
+    ``P``, so the coefficient at ``S`` is ``2^l(S) * z[(S | S << 1) & full]``.
+    Any other pair adds up the block products of its pairs of masks."""
+    size = 1 << max(n - 1, 0)
+    values = [0] * size
+    if not (isinstance(char, str) or char in _PEAK_FORMS):
+        for (v1, v2), c in hist:
+            for s, x in enumerate(_block_products(v1, v2, n)):
+                values[s] += c * x
+        return values
+    for m, c in hist:
+        values[m] += c
     _subset_sums(values)
     if isinstance(char, str):
         return values
-    full = len(values) - 1
+    full = size - 1
     return [
         ((2 << s.bit_count()) if n else 1) * values[(s | s << 1) & full]
-        for s in range(len(values))
+        for s in range(size)
     ]
 
 

@@ -4,9 +4,10 @@ images, bounded conjecture searches, and verification suites.
 Outputs are deterministic for a fixed invocation; JSON is emitted with
 sorted keys so repeated runs are byte-identical (wall-clock runtimes only
 appear in text output).  Exit codes: 0 success, 2 property failure with a
-witness, 3 resource cap exceeded, 4 usage or input error (a bad option, an
-unparsable word or character, an unknown relation, a missing input); an
-input error prints one line to stderr and no traceback.
+witness, 3 resource cap exceeded, 4 usage or input error (a bad option, a
+bound out of range, an unparsable word or character, an unknown relation,
+a missing input); a cap or input error prints one line to stderr and no
+traceback.
 """
 
 from __future__ import annotations
@@ -348,8 +349,13 @@ def cmd_psi(args) -> int:
         headroom = args.headroom if args.headroom is not None else (
             0 if pres.homogeneous else 2
         )
-        members = relations.bfs_class(pres, seed, degree + headroom)
-        stable = relations.bfs_class(pres, seed, degree + headroom + 1)
+        try:
+            limit = degree + headroom
+            members = relations.bfs_class(pres, seed, limit, cap=args.cap)
+            stable = relations.bfs_class(pres, seed, limit + 1, cap=args.cap)
+        except relations.ResourceCapError as err:
+            print(str(err), file=sys.stderr)
+            return EXIT_RESOURCE_CAP
         sliced = [w for w in stable if len(w) <= degree]
         if sliced != [w for w in members if len(w) <= degree]:
             print("unstable truncation: raise --headroom", file=sys.stderr)
@@ -398,7 +404,13 @@ def cmd_conjectures(args) -> int:
     t0 = time.time()
     if args.which in ("weak-hecke", "buch-samuel"):
         base = "hecke" if args.which == "weak-hecke" else "k-knuth"
-        report = scans.doubling_check(base, args.alphabet, args.max_len)
+        try:
+            report = scans.doubling_check(
+                base, args.alphabet, args.max_len, cap=args.cap
+            )
+        except relations.ResourceCapError as err:
+            print(str(err), file=sys.stderr)
+            return EXIT_RESOURCE_CAP
         report["which"] = args.which
         emit(report, args.format, time.time() - t0)
         if report["mismatches"]:
@@ -539,6 +551,21 @@ def _input(parse):
     return convert
 
 
+def _at_least(low: int):
+    """An argparse ``type`` for an integer bound of at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise ValueError(f"{value} is below {low}")
+        return value
+
+    return _input(parse)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="wordbialg",
@@ -551,12 +578,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--relation", type=_input(resolve_relation), default=relation_default
         )
-        p.add_argument("--alphabet", type=int, default=3)
-        p.add_argument("--max-len", type=int, default=6)
-        p.add_argument("--headroom", type=int, default=None)
-        p.add_argument("--cap", type=int, default=relations.DEFAULT_CAP)
-        p.add_argument("--degree", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--alphabet", type=_at_least(1), default=3)
+        p.add_argument("--max-len", type=_at_least(0), default=6)
+        p.add_argument("--headroom", type=_at_least(0), default=None)
+        p.add_argument("--cap", type=_at_least(1), default=relations.DEFAULT_CAP)
+        p.add_argument("--degree", type=_at_least(0), default=None)
+        p.add_argument("--jobs", type=_at_least(1), default=1)
         p.add_argument("--cache-dir", default=None)
         p.add_argument("--extended", action="store_true")
         p.add_argument(
@@ -569,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="classify a relation at bounded scale")
     common(p)
-    p.add_argument("--prime", type=int, default=None)
+    p.add_argument("--prime", type=_at_least(2), default=None)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("psi", help="morphism image of a word or class")

@@ -11,9 +11,9 @@ lexicographic order, so the least code of a class is its least word.
   :func:`relations.compile_neighbors` also reads and merges every window
   length into one lookup per window start.  A rewrite of a homogeneous
   presentation changes a word only inside its window, so it is an xor.
-- :func:`guard_compare` reads a character's violation or peak mask off a
-  code: one subtraction with the guard bits set compares every pair of
-  adjacent letters at once.
+- :func:`guard_compare` reads a character's statistic (its violation mask,
+  peak mask or pair of violation masks) off a code: one subtraction with
+  the guard bits set compares every pair of adjacent letters at once.
 """
 
 from __future__ import annotations
@@ -105,47 +105,62 @@ def compile_coded_rewrites(pres: RelationPresentation, length: int) -> CodedRewr
     return CodedRewrites(length, tuple(windows))
 
 
-def guard_compare(
-    length: int, character
-) -> tuple[Callable | None, Callable | None]:
-    """For a closed-form character, ``(guards, mask)``: ``guards(code)``
-    compares every adjacent pair of lanes at once and leaves one guard bit
-    per pair, and ``mask(guards(code))`` is the word's violation or peak
-    mask in the bit order of :func:`characters._compositions_of`; for
-    any other character, ``(None, None)``.
+def guard_compare(length: int, character) -> tuple[Callable, Callable]:
+    """``(guards, statistic)`` for a character: ``guards(code)`` compares
+    every adjacent pair of lanes at once and leaves one guard bit per pair
+    and comparison, and ``statistic(guards(code))`` is the word's
+    :func:`characters._statistic`, its masks in the bit order of
+    :func:`characters._compositions_of`.
 
     Lane ``k`` of a code holds letter ``length - 1 - k``.  With the guard
     bit set in every lane, ``(x >> LANE | G) - (x & low)`` subtracts each
     letter from the one before it without borrowing across lanes, and a
     lane keeps its guard bit exactly when the earlier letter is at least the
-    later one; the operands swapped test at most."""
+    later one; the operands swapped test at most.  A pair whose factors
+    need both tests keeps the at-least test's guard bits one place lower."""
     if isinstance(character, str):
-        kind, starts = character, None
+        kinds = (character,)
     elif character in _PEAK_FORMS:
-        kind, starts = _PEAK_FORMS[character]
+        kinds = (_PEAK_FORMS[character][0],)
     else:
-        return None, None
+        kinds = character
     pairs = max(length - 1, 0)
     top = LANE - 1
     guard = sum(1 << (LANE * k + top) for k in range(pairs))
     low = (1 << LANE * pairs) - 1
-    flip = (1 << pairs) - 1 if kind in ("le", "ge") else 0
-    if kind in ("le", "gt"):  # guard bit where the earlier letter is at most
 
-        def guards(x: int) -> int:
-            return ((x & low | guard) - (x >> LANE)) & guard
+    def at_most(x: int) -> int:  # guard bit where the earlier letter is at most
+        return ((x & low | guard) - (x >> LANE)) & guard
 
-    else:  # guard bit where the earlier letter is at least
+    def at_least(x: int) -> int:  # guard bit where the earlier letter is at least
+        return ((x >> LANE | guard) - (x & low)) & guard
 
-        def guards(x: int) -> int:
-            return ((x >> LANE | guard) - (x & low)) & guard
+    split = len({kind in ("le", "gt") for kind in kinds}) == 2
 
-    def mask(raw: int) -> int:
+    def both(x: int) -> int:
+        return at_most(x) | at_least(x) >> 1
+
+    if split:
+        guards = both
+    else:
+        guards = at_most if kinds[0] in ("le", "gt") else at_least
+
+    def violations(raw: int, kind: str) -> int:
+        bit = top - 1 if split and kind in ("ge", "lt") else top
         v = 0
         for k in range(pairs):
-            if raw >> (LANE * k + top) & 1:
+            if raw >> (LANE * k + bit) & 1:
                 v |= 1 << (pairs - 1 - k)
-        v ^= flip  # descents and ascents: the complements of the tests
-        return v if starts is None else _peak_of_violation(v, length, starts)
+        if kind in ("le", "ge"):  # descents and ascents: the tests' complements
+            v ^= (1 << pairs) - 1
+        return v
 
-    return guards, mask
+    if isinstance(character, str):
+        return guards, lambda raw: violations(raw, character)
+    if character in _PEAK_FORMS:
+        kind, starts = _PEAK_FORMS[character]
+        return guards, lambda raw: _peak_of_violation(
+            violations(raw, kind), length, starts
+        )
+    first, second = character
+    return guards, lambda raw: (violations(raw, first), violations(raw, second))

@@ -595,66 +595,6 @@ def canonical_character(f: QSym) -> dict[int, Fraction]:
     return {d: c for d, c in out.items() if c}
 
 
-# --- peak-basis solve -----------------------------------------------------
-
-
-def peak_compositions(n: int) -> list[Composition]:
-    return [alpha for alpha in compositions(n) if is_peak_composition(alpha)]
-
-
-def peak_expand(f: QSym) -> dict[Composition, Fraction]:
-    """Expand in the peak basis by exact Gaussian elimination, degree-wise."""
-    out: dict[Composition, Fraction] = {}
-    by_degree: dict[int, dict[Composition, Fraction]] = {}
-    for alpha, c in f.terms.items():
-        by_degree.setdefault(sum(alpha), {})[alpha] = c
-    for d, component in sorted(by_degree.items()):
-        basis = peak_compositions(d)
-        columns = [dict(_peak_terms(alpha)) for alpha in basis]
-        targets = sorted(compositions(d))
-        rows = [
-            [Fraction(col.get(beta, 0)) for col in columns]
-            + [component.get(beta, Fraction(0))]
-            for beta in targets
-        ]
-        solution = _solve_exact(rows, len(basis))
-        if solution is None:
-            raise ValueError(f"degree-{d} component is not in the peak span")
-        for alpha, c in zip(basis, solution):
-            if c:
-                out[alpha] = c
-    return out
-
-
-def _solve_exact(rows: list[list[Fraction]], ncols: int) -> list[Fraction] | None:
-    """Solve an overdetermined exact linear system; None when inconsistent."""
-    rows = [list(r) for r in rows]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[row], rows[pivot] = rows[pivot], rows[row]
-        pv = rows[row][col]
-        rows[row] = [x / pv for x in rows[row]]
-        for r in range(len(rows)):
-            if r != row and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[row])]
-        pivots.append((row, col))
-        row += 1
-    solution = [Fraction(0)] * ncols
-    for r, c in pivots:
-        solution[c] = rows[r][-1]
-    for r in range(len(rows)):
-        if any(rows[r][:ncols]):
-            continue
-        if rows[r][-1]:
-            return None
-    return solution
-
-
 # --- serialization --------------------------------------------------------
 
 

@@ -503,11 +503,13 @@ def bfs_class(
     seed: Word,
     max_len: int,
     alphabet: int | None = None,
+    cap: int = DEFAULT_CAP,
 ) -> tuple[Word, ...]:
     """The connected component of ``seed`` among words of length <= max_len.
 
     Letters never leave the seed's letter set (word relations preserve
-    letter sets), so no alphabet bound beyond the seed's own is needed."""
+    letter sets), so no alphabet bound beyond the seed's own is needed.
+    Raises ``ResourceCapError`` once more than ``cap`` words are visited."""
     seed = tuple(seed)
     if alphabet is None:
         alphabet = word_max(seed)
@@ -519,6 +521,11 @@ def bfs_class(
         for nb in neighbors(w):
             if nb not in seen:
                 seen.add(nb)
+                if len(seen) > cap:
+                    raise ResourceCapError(
+                        f"class exceeds cap {cap} words within length {max_len}; "
+                        "raise --cap or shrink bounds"
+                    )
                 stack.append(nb)
     return tuple(sorted(seen, key=lambda t: (len(t), t)))
 
@@ -742,23 +749,6 @@ def destandardization_counts(
     return counts
 
 
-def count_destandardizations(members: Sequence[Word], u: Word, v: Word) -> int:
-    """Members expressible as a concatenation with flattened blocks (u, v).
-
-    The cut position is forced by the block lengths, so counting words is
-    the same as counting cuts, i.e. the coefficient of the pair in the cut
-    coproduct of the class sum."""
-    u, v = tuple(u), tuple(v)
-    cut = len(u)
-    return sum(
-        1
-        for w in members
-        if len(w) == cut + len(v)
-        and flatten(w[:cut]) == u
-        and flatten(w[cut:]) == v
-    )
-
-
 def check_p_algebraic(inst: RelationInstance, prime: int | None = None) -> dict:
     """Bounded check of the packed-word coalgebra condition: within every
     class, cut counts by flattened block pair must be constant when the
@@ -850,21 +840,3 @@ def is_finite_type_bounded(inst: RelationInstance, cap: int = DEFAULT_CAP) -> di
         "count_next": n1,
         "bounds": {"alphabet": inst.alphabet, "max_len": inst.max_len},
     }
-
-
-def reduced_members(members: Sequence[Word]) -> tuple[Word, ...]:
-    """Members of minimal length."""
-    if not members:
-        return ()
-    shortest = min(len(w) for w in members)
-    return tuple(w for w in members if len(w) == shortest)
-
-
-def braid_lemma_check(a: int, b: int, length: int, m: CoxeterM) -> bool:
-    """Whether the two alternating words of the given length are equivalent,
-    decided inside a bounded closure of the pair-order relation."""
-    alphabet = max(a, b)
-    v = _alternating(a, b, length)
-    w = _alternating(b, a, length)
-    inst = close(coxeter_relation(m), alphabet, length, headroom=2)
-    return inst.related(v, w)

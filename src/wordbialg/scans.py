@@ -19,30 +19,29 @@ tables of :func:`coded.compile_coded_rewrites` followed by an xor.
 Integer order is word order, so each component's least code is its
 lexicographically least word, the representative.
 
-Per class, the scan reads the character's statistic mask straight off the
-codes (one guard-bit subtraction compares all adjacent letters at once),
-bins the class into a histogram of masks, and expands the histogram into
-monomial coefficients by cut mask with the characters kernel
-(:func:`characters.image_of_histogram`).  Symmetry is constancy on sorting
-fibers; Schur and Schur-Q positivity come from the exact triangular solve
-in :mod:`qsym`, fed the coefficient at one partition per fiber.  Classes
-share few histograms (152 among the 6,465 exotic classes of length 8), so
-the verdict is memoised on the sorted histogram.  Characters without a
-closed form decode the words and sum their images.
+Per class, the scan reads the character's statistic (violation mask, peak
+mask, or pair of violation masks) straight off the codes (one guard-bit
+subtraction compares all adjacent letters at once), bins the class into a
+histogram of statistics, and expands the histogram into monomial
+coefficients by cut mask with the characters kernel
+(:func:`characters.image_of_histogram`), for every one of the sixteen
+characters.  Symmetry is constancy on sorting fibers; Schur and Schur-Q
+positivity come from the exact triangular solve in :mod:`qsym`, fed the
+coefficient at one partition per fiber.  Classes share few histograms
+(152 among the 6,465 exotic classes of length 8), so the verdict is
+memoised on the sorted histogram.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter
-from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .characters import (
     _compositions_of,
     class_image,
     format_character,
-    image_by_mask,
     image_of_histogram,
 )
 from .qsym import (
@@ -59,7 +58,7 @@ from .coded import (
     encode_word,
     guard_compare,
 )
-from .relations import builtin_relation, close, weak_variant
+from .relations import DEFAULT_CAP, builtin_relation, close, weak_variant
 from .words import (
     Composition,
     Partition,
@@ -130,12 +129,12 @@ class ScanTables:
     """The sorting fibers of one length, for deciding symmetry and
     positivity of class images in one basis or several.
 
-    Classes come as word codes.  For a closed-form character the verdict
-    depends only on the class's histogram of statistic masks, which is read
-    off the codes: one guard-bit subtraction compares every pair of
-    adjacent lanes at once, and each distinct guard pattern is turned into
-    a violation or peak mask once.  Verdicts are memoised on the sorted
-    histogram, so the zeta transform and the solve run once per distinct
+    Classes come as word codes.  The verdict depends only on the class's
+    histogram of character statistics, which is read off the codes: one
+    guard-bit subtraction compares every pair of adjacent lanes at once,
+    and each distinct guard pattern is turned into a violation mask, peak
+    mask or pair of violation masks once.  Verdicts are memoised on the
+    sorted histogram, so the expansion and the solve run once per distinct
     histogram, not once per class."""
 
     def __init__(self, length: int, character, basis: str | tuple[str, ...]):
@@ -155,8 +154,8 @@ class ScanTables:
             lam: next(m for m in masks if comps[m] == lam)
             for lam, masks in self.fibers.items()
         }
-        self._guards, self._mask_of = guard_compare(length, character)
-        self._masks: dict[int, int] = {}  # guard pattern -> statistic mask
+        self._guards, self._statistic = guard_compare(length, character)
+        self._stats: dict = {}  # guard pattern -> statistic
         self._memo: dict[tuple, tuple[bool, dict]] = {}  # histogram -> verdict
 
     def class_verdict(self, members: Sequence[int]) -> dict:
@@ -165,27 +164,19 @@ class ScanTables:
         positive there.  ``positive`` maps basis to verdict when the tables
         were built for a tuple of bases, and is the one verdict for a
         single basis."""
-        if self._guards is None:  # no closed form: sum the member images
-            words = (decode_word(x, self.length) for x in members)
-            coeffs = image_by_mask(zip(words, repeat(1)), self.character, self.length)
-            symmetric, positive = self._decide(coeffs)
-        else:
-            masks = self._masks
-            hist: dict[int, int] = {}
-            for raw, c in Counter(map(self._guards, members)).items():
-                m = masks.get(raw)
-                if m is None:
-                    m = masks[raw] = self._mask_of(raw)
-                hist[m] = hist.get(m, 0) + c
-            key = tuple(sorted(hist.items()))
-            decided = self._memo.get(key)
-            if decided is None:
-                values = [0] * (1 << max(self.length - 1, 0))
-                for m, c in key:
-                    values[m] = c
-                coeffs = image_of_histogram(values, self.character, self.length)
-                decided = self._memo[key] = self._decide(coeffs)
-            symmetric, positive = decided
+        stats = self._stats
+        hist: dict = {}
+        for raw, c in Counter(map(self._guards, members)).items():
+            m = stats.get(raw)
+            if m is None:
+                m = stats[raw] = self._statistic(raw)
+            hist[m] = hist.get(m, 0) + c
+        key = tuple(sorted(hist.items()))
+        decided = self._memo.get(key)
+        if decided is None:
+            coeffs = image_of_histogram(key, self.character, self.length)
+            decided = self._memo[key] = self._decide(coeffs)
+        symmetric, positive = decided
         if isinstance(self.basis, str):
             positive = positive[self.basis]
         else:
@@ -448,16 +439,22 @@ def instance_scan(
 
 
 def doubling_check(
-    base_name: str, alphabet: int, max_len: int, headroom: int = 2
+    base_name: str,
+    alphabet: int,
+    max_len: int,
+    headroom: int = 2,
+    cap: int = DEFAULT_CAP,
 ) -> dict:
     """Compare the weak variant of a relation with equivalence of reversed
     doublings: ``v ~weak w`` against ``v^r v ~ w^r w``.
 
     Returns the list of disagreeing pairs (empty means the bounded search
-    found no counterexample)."""
+    found no counterexample).  Raises ``ResourceCapError`` when a closure's
+    universe exceeds ``cap``."""
     base = builtin_relation(base_name)
-    weak_inst = close(weak_variant(base), alphabet, max_len, headroom)
-    doubled_inst = close(base, alphabet, 2 * max_len, headroom)
+    # the larger universe first, so an oversized request fails before any work
+    doubled_inst = close(base, alphabet, 2 * max_len, headroom, cap)
+    weak_inst = close(weak_variant(base), alphabet, max_len, headroom, cap)
     words = [w for w in all_words(alphabet, max_len)]
     mismatches = []
     checked = 0

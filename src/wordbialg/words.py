@@ -267,13 +267,6 @@ def comp_transpose(alpha: Composition) -> Composition:
     return comp_complement(comp_reverse(alpha))
 
 
-def comp_peak_envelope(alpha: Composition) -> Composition:
-    """The peak composition with cut set ``{i >= 2 : i in I, i-1 not in I}``."""
-    n = sum(alpha)
-    cuts = comp_to_set(alpha)
-    return comp_from_set(n, {i for i in cuts if i >= 2 and i - 1 not in cuts})
-
-
 def is_peak_composition(alpha: Composition) -> bool:
     return all(a >= 2 for a in alpha[:-1])
 
@@ -293,20 +286,6 @@ def comp_flat(alpha: Composition) -> Composition:
 def comp_sort(alpha: Composition) -> Partition:
     """The partition rearranging ``alpha`` (zero parts dropped)."""
     return tuple(sorted((a for a in alpha if a > 0), reverse=True))
-
-
-def composition_maps(alpha: Composition) -> dict[str, object]:
-    """All standard composition companions in one lookup."""
-    out: dict[str, object] = {
-        "reverse": comp_reverse(alpha),
-        "complement": comp_complement(alpha),
-        "transpose": comp_transpose(alpha),
-        "peak_envelope": comp_peak_envelope(alpha),
-        "cut_set": comp_to_set(alpha),
-    }
-    if is_peak_composition(alpha):
-        out["flat"] = comp_flat(alpha)
-    return out
 
 
 def descent_composition(w: Word) -> Composition:
@@ -429,15 +408,6 @@ def _bisect_gt(row: list[int], a: int) -> int:
     return lo
 
 
-def rsk_tableau_word(w: Word) -> Word:
-    """Reading word (rows bottom-to-top) of the insertion tableau of ``w``."""
-    rows = rsk_insert(w)
-    out: list[int] = []
-    for row in reversed(rows):
-        out.extend(row)
-    return tuple(out)
-
-
 # --- permutations -------------------------------------------------------
 
 
@@ -478,30 +448,6 @@ def bounded_multiply(pi: Permutation, a: int) -> Permutation:
     return pi
 
 
-def reduced_word(pi: Permutation) -> Word:
-    """One reduced word for ``pi``; its letters act first-to-last."""
-    word: list[int] = []
-    cur = pi
-    while True:
-        ds = descent_letters(cur)
-        if not ds:
-            break
-        a = ds[0]
-        word.append(a)
-        cur = swap_values(cur, a)
-    return tuple(reversed(word))
-
-
-def demazure_product(u: Permutation, v: Permutation) -> Permutation:
-    """The associative product with ``s o s = s``, on equal ambient sizes."""
-    if len(u) != len(v):
-        raise ValueError("demazure_product requires equal ambient sizes")
-    out = u
-    for a in reduced_word(v):
-        out = bounded_multiply(out, a)
-    return out
-
-
 def eval_hecke_word(w: Word, n: int) -> Permutation:
     """Compose the letters of ``w`` as bounded transpositions in S_{n+1};
     the first letter acts first."""
@@ -511,22 +457,6 @@ def eval_hecke_word(w: Word, n: int) -> Permutation:
     for a in w:
         pi = bounded_multiply(pi, a)
     return pi
-
-
-def position_descents(pi: Permutation) -> list[int]:
-    """Positions ``i`` with ``pi_i > pi_{i+1}`` in one-line notation."""
-    return [i for i in range(1, len(pi)) if pi[i - 1] > pi[i]]
-
-
-def grassmannian_shape(pi: Permutation) -> Partition | None:
-    """Partition of a one-descent permutation, None when there are >= 2 descents."""
-    ds = position_descents(pi)
-    if len(ds) > 1:
-        return None
-    if not ds:
-        return ()
-    p = ds[0]
-    return comp_sort(tuple(pi[i] - (i + 1) for i in range(p)))
 
 
 def grassmannian_permutation(lam: Partition) -> Permutation:

@@ -1,0 +1,122 @@
+"""Brute-force oracle for character images.
+
+The character is evaluated on each block of each composition through the
+cut coproduct itself (every cut of the block, every adjacent pair of
+letters compared), in exact rationals and one word at a time.  Nothing
+here reads a violation mask, so the library's mask kernel
+(``wordbialg.characters``) is checked against an independent path.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+
+from wordbialg.lincomb import LinComb
+from wordbialg.qsym import QSym
+from wordbialg.words import Anchored, compositions
+
+KINDS = ("le", "ge", "lt", "gt")
+ALL_CHARACTERS = list(KINDS) + [(a, b) for a in KINDS for b in KINDS]
+
+_COMPARE = {
+    "le": lambda a, b: a <= b,
+    "ge": lambda a, b: a >= b,
+    "lt": lambda a, b: a < b,
+    "gt": lambda a, b: a > b,
+}
+
+
+def _as_word(x):
+    return x.word if isinstance(x, Anchored) else tuple(x)
+
+
+def is_monotone(w, kind) -> bool:
+    cmp = _COMPARE[kind]
+    return all(cmp(w[i], w[i + 1]) for i in range(len(w) - 1))
+
+
+@lru_cache(maxsize=None)
+def _value(char, w) -> int:
+    """The character's coefficient of ``t^len(w)`` on the word ``w``."""
+    if isinstance(char, str):
+        return int(is_monotone(w, char))
+    first, second = char
+    return sum(
+        1
+        for i in range(len(w) + 1)
+        if is_monotone(w[:i], first) and is_monotone(w[i:], second)
+    )
+
+
+def _blocks(char, w, alpha) -> int:
+    """The product of the character's values on the blocks of ``w`` of
+    lengths ``alpha``."""
+    out, pos = 1, 0
+    for part in alpha:
+        out *= _value(char, w[pos : pos + part])
+        pos += part
+    return out
+
+
+def character_poly(char, x) -> dict[int, Fraction]:
+    """The image of a word under the character, as ``{degree: coeff}``.
+
+    Convolutions are evaluated through the cut coproduct: the sum over
+    two-block cuts of the product of the factors' values."""
+    w = _as_word(x)
+    value = _value(char, w)
+    return {len(w): Fraction(value)} if value else {}
+
+
+def character_on_lincomb(char, x: LinComb) -> dict[int, Fraction]:
+    out: dict[int, Fraction] = {}
+    for key, coeff in x.items():
+        for d, c in character_poly(char, key).items():
+            out[d] = out.get(d, Fraction(0)) + coeff * c
+    return {d: c for d, c in out.items() if c}
+
+
+def character_coefficient(char, x, alpha) -> Fraction:
+    """Coefficient of ``t^{a_1} (x) ... (x) t^{a_l}`` after iterating the cut
+    coproduct and applying the character in every slot.
+
+    Since each block contributes only in its own length, only the cut of
+    the word into consecutive blocks of lengths ``alpha`` survives."""
+    alpha = tuple(alpha)
+    if isinstance(x, LinComb):
+        return sum(
+            (c * character_coefficient(char, k, alpha) for k, c in x.items()),
+            Fraction(0),
+        )
+    w = _as_word(x)
+    if sum(alpha) != len(w):
+        return Fraction(0)
+    return Fraction(_blocks(char, w, alpha))
+
+
+@lru_cache(maxsize=None)
+def _word_terms(char, w) -> dict:
+    """The monomial coefficients of the image of ``w``; not to be mutated."""
+    terms = {}
+    for alpha in compositions(len(w)):
+        c = _blocks(char, w, alpha)
+        if c:
+            terms[alpha] = c
+    return terms
+
+
+def oracle_image(x, char, degree=None) -> QSym:
+    """The image of one word: its coefficient at every composition of its
+    length, zero when the word is longer than ``degree``."""
+    return oracle_sum([(x, 1)], char, len(_as_word(x)) if degree is None else degree)
+
+
+def oracle_sum(weighted, char, degree) -> QSym:
+    """``sum c * image(w)`` over ``(w, c)`` pairs, words longer than
+    ``degree`` contributing nothing."""
+    terms: dict = {}
+    for x, c in weighted:
+        w = _as_word(x)
+        if len(w) <= degree:
+            for alpha, value in _word_terms(char, w).items():
+                terms[alpha] = terms.get(alpha, 0) + c * value
+    return QSym(degree, terms)

@@ -13,11 +13,16 @@ from wordbialg.bialgebra import (
     packed_product,
     shifted_shuffle,
 )
-from wordbialg.characters import (
-    BASIC_KINDS,
+from character_oracle import (
+    ALL_CHARACTERS,
     character_coefficient,
     character_on_lincomb,
     character_poly,
+    oracle_image,
+    oracle_sum,
+)
+from wordbialg.characters import (
+    BASIC_KINDS,
     class_image,
     format_character,
     grassmannian_stable_family,
@@ -27,7 +32,6 @@ from wordbialg.characters import (
     multi_fundamental,
     nsym_generator_image,
     parse_character,
-    peak_image_closed_form,
     stanley_symmetric_bottom,
     word_image,
 )
@@ -40,9 +44,8 @@ from wordbialg.qsym import (
     homogeneous_h,
     is_symmetric,
     omega_L,
-    peak_expand,
+    peak_K,
     q_function,
-    qs_zero,
     schur,
     substitute_geometric,
 )
@@ -55,6 +58,21 @@ from wordbialg.words import (
     eval_hecke_word,
     permutation_length,
 )
+
+# The peak or valley set indexing each peak convolution's image: the
+# positions i whose letters w_{i-1}, w_i, w_{i+1} compare this way.
+PEAK_INDEX = {
+    ("gt", "le"): lambda a, b, c: a <= b > c,
+    ("lt", "ge"): lambda a, b, c: a >= b < c,
+    ("ge", "lt"): lambda a, b, c: a < b >= c,
+    ("le", "gt"): lambda a, b, c: a > b <= c,
+}
+
+
+def peak_index(w, char):
+    test = PEAK_INDEX[char]
+    n = len(w)
+    return comp_from_set(n, {i for i in range(2, n) if test(*w[i - 2 : i + 1])})
 
 
 def test_character_values():
@@ -123,22 +141,30 @@ def test_word_image_closed_forms():
             )
 
 
-def test_peak_images_match_generic_convolution():
+@pytest.mark.parametrize("char", ALL_CHARACTERS, ids=format_character)
+def test_kernel_images_match_the_oracle(char):
+    # every word over 3 letters up to length 6, alone, as whole lengths, as
+    # random classes and in random integer combinations
+    rng = random.Random(format_character(char))
+    words = [w for n in range(7) for w in itertools.product((1, 2, 3), repeat=n)]
+    for w in words:
+        image = oracle_image(w, char)
+        assert word_image(w, char) == image, w
+        if char in PEAK_INDEX:
+            assert image == peak_K(peak_index(w, char), len(w)), w
     for n in range(7):
-        for w in itertools.product((1, 2, 3), repeat=n):
-            for char in [("gt", "le"), ("lt", "ge"), ("ge", "lt"), ("le", "gt")]:
-                assert word_image(w, char) == peak_image_closed_form(w, char)
-
-
-def test_peak_images_lie_in_peak_span():
-    for n in range(6):
-        for w in itertools.product((1, 2, 3, 4), repeat=n):
-            peak_expand(word_image(w, ("gt", "le")))  # raises when outside
-    rng = random.Random(7)
-    for _ in range(200):
-        n = rng.randint(6, 7)
-        w = tuple(rng.randint(1, 4) for _ in range(n))
-        peak_expand(word_image(w, ("gt", "le")))
+        length_n = [w for w in words if len(w) == n]
+        assert class_image(length_n, char, n) == oracle_sum(
+            [(w, 1) for w in length_n], char, n
+        )
+    for _ in range(20):
+        members = rng.sample(words, rng.randint(0, 40))
+        degree = rng.randint(0, 6)
+        assert class_image(members, char, degree) == oracle_sum(
+            [(w, 1) for w in members], char, degree
+        )
+        x = LinComb({w: rng.randint(-3, 3) for w in rng.sample(words, 40)})
+        assert lincomb_image(x, char, degree) == oracle_sum(x.items(), char, degree)
 
 
 def test_image_is_coalgebra_morphism():
@@ -188,34 +214,28 @@ def test_nsym_generator_images():
         assert nsym_generator_image(n, ("gt", "le")) == q_function(n)
 
 
-# --- the histogram kernel against per-member sums --------------------------------
+# --- the mask kernel against the oracle on random words -------------------------
 
-PEAK_CONVOLUTIONS = [("gt", "le"), ("lt", "ge"), ("ge", "lt"), ("le", "gt")]
-KERNEL_CHARACTERS = list(BASIC_KINDS) + PEAK_CONVOLUTIONS
 short_words = st.lists(st.integers(1, 4), max_size=7).map(tuple)
-
-
-def member_sum(weighted, char, degree):
-    """Oracle: add up the image of every member, one QSym at a time (peak
-    characters go through the generic convolution)."""
-    out = qs_zero(degree)
-    for w, c in weighted:
-        out = out + word_image(w, char, degree).scale(c)
-    return out
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     members=st.lists(short_words, max_size=12),
-    char=st.sampled_from(KERNEL_CHARACTERS),
-    degree=st.integers(0, 6),
+    char=st.sampled_from(ALL_CHARACTERS),
+    degree=st.integers(0, 7),
 )
 @example(members=[(), (2, 1, 1), (1, 3, 2, 4, 1, 2, 3)], char=("le", "gt"), degree=3)
 @example(members=[(), (), (3, 1, 2)], char="ge", degree=0)
+@example(members=[(4, 1, 1, 3, 2, 2, 4)], char=("lt", "le"), degree=7)
 def test_class_image_is_member_sum(members, char, degree):
     image = class_image(members, char, degree)
     assert image.degree == degree
-    assert image == member_sum([(w, 1) for w in members], char, degree)
+    assert image == oracle_sum([(w, 1) for w in members], char, degree)
+    for w in members:
+        assert word_image(w, char) == oracle_image(w, char)
+        if char in PEAK_INDEX:
+            assert word_image(w, char) == peak_K(peak_index(w, char), len(w))
 
 
 @settings(max_examples=150, deadline=None)
@@ -224,12 +244,12 @@ def test_class_image_is_member_sum(members, char, degree):
         st.tuples(short_words, st.fractions(min_value=-3, max_value=3, max_denominator=4)),
         max_size=10,
     ),
-    char=st.sampled_from(KERNEL_CHARACTERS),
-    degree=st.integers(0, 6),
+    char=st.sampled_from(ALL_CHARACTERS),
+    degree=st.integers(0, 7),
 )
 def test_lincomb_image_is_member_sum(terms, char, degree):
     x = LinComb(terms)
-    assert lincomb_image(x, char, degree) == member_sum(x.items(), char, degree)
+    assert lincomb_image(x, char, degree) == oracle_sum(x.items(), char, degree)
 
 
 def test_character_parsing():

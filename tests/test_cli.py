@@ -158,6 +158,13 @@ def test_psi_requires_input():
         ["classes", "--relation", "no-such-relation"],
         ["check"],
         ["classes", "--max-len", "x"],
+        ["classes", "--max-len", "-1"],
+        ["check", "--relation", "knuth", "--alphabet", "0"],
+        ["psi", "--word", "312", "--degree", "-3"],
+        ["psi", "--word", "312", "--headroom", "-1"],
+        ["classes", "--cap", "0"],
+        ["classes", "--jobs", "0"],
+        ["check", "--relation", "knuth", "--prime", "0"],
         ["conjectures", "--which", "nothing"],
         ["no-such-command"],
         [],
@@ -190,6 +197,23 @@ def test_malformed_relation_files_exit_with_the_usage_code(tmp_path, spec):
     proc = run_cli("classes", "--relation", str(path), "--max-len", "3")
     assert proc.returncode == cli.EXIT_USAGE
     assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1 and not proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the Hecke class of 1213 grows without bound in the length
+        ["psi", "--class-of", "1213", "--relation", "hecke", "--degree", "40",
+         "--cap", "5000"],
+        # the doubled words of length 18 need 5,230,176,601 universe words
+        ["conjectures", "--which", "weak-hecke", "--alphabet", "3", "--max-len", "9"],
+    ],
+)
+def test_capped_requests_exit_3(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == cli.EXIT_RESOURCE_CAP
+    assert "exceeds cap" in proc.stderr and "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1 and not proc.stdout
 
 

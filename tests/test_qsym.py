@@ -20,8 +20,6 @@ from wordbialg.qsym import (
     monomial_sym,
     omega_L,
     peak_K,
-    peak_compositions,
-    peak_expand,
     q_function,
     qs_one,
     qsym_from_json,
@@ -413,16 +411,7 @@ def test_substitute_geometric_truncates():
     assert max(sum(a) for a in substitute_geometric(f).terms) == 3
 
 
-# --- peak span and coproduct ------------------------------------------------------
-
-
-def test_peak_expand():
-    for n in range(0, 7):
-        for alpha in peak_compositions(n):
-            coeffs = peak_expand(peak_K(alpha))
-            assert coeffs == {alpha: Fraction(1)}
-    with pytest.raises(ValueError):
-        peak_expand(monomial((1, 1)))
+# --- coproduct ------------------------------------------------------------------
 
 
 def test_coproduct_terms():

@@ -10,14 +10,12 @@ from wordbialg.relations import (
     CoxeterM,
     ResourceCapError,
     bfs_class,
-    braid_lemma_check,
     builtin_relation,
     check_algebraic,
     check_p_algebraic,
     check_uniformly_algebraic,
     close,
     compile_neighbors,
-    count_destandardizations,
     coxeter_relation,
     destandardization_counts,
     explicit_relation,
@@ -25,7 +23,6 @@ from wordbialg.relations import (
     headroom_stability,
     is_finite_type_bounded,
     is_homogeneous_observed,
-    reduced_members,
     universal_coxeter_m,
     universe_size,
     weak_variant,
@@ -38,6 +35,7 @@ from wordbialg.words import (
     all_words,
     compositions,
     eval_hecke_word,
+    flatten,
     rsk_insert,
 )
 
@@ -46,6 +44,12 @@ def test_universe_cap():
     assert universe_size(3, 2) == 13
     with pytest.raises(ResourceCapError):
         close(builtin_relation("knuth"), 4, 10, headroom=0, cap=1000)
+    # a BFS class counts the words it visits against its cap
+    pres = builtin_relation("k-knuth")
+    members = bfs_class(pres, (1, 2, 1), 7)
+    assert bfs_class(pres, (1, 2, 1), 7, cap=len(members)) == members
+    with pytest.raises(ResourceCapError):
+        bfs_class(pres, (1, 2, 1), 7, cap=len(members) - 1)
 
 
 def test_certificates_obey_the_cap_on_the_wider_universe():
@@ -152,6 +156,14 @@ def test_headroom_stability():
 def test_homogeneity_observed():
     assert is_homogeneous_observed(close(builtin_relation("knuth"), 3, 5))
     assert not is_homogeneous_observed(close(builtin_relation("k-knuth"), 3, 5))
+
+
+def reduced_members(members):
+    """Members of minimal length."""
+    if not members:
+        return ()
+    shortest = min(len(w) for w in members)
+    return tuple(w for w in members if len(w) == shortest)
 
 
 def test_reduced_members():
@@ -324,6 +336,22 @@ def test_interval_restriction_consequence_for_uniform_builtins():
 # --- destandardizations -------------------------------------------------------
 
 
+def count_destandardizations(members, u, v):
+    """Members expressible as a concatenation with flattened blocks (u, v).
+
+    The cut position is forced by the block lengths, so counting words is
+    the same as counting cuts, i.e. the coefficient of the pair in the cut
+    coproduct of the class sum."""
+    cut = len(u)
+    return sum(
+        1
+        for w in members
+        if len(w) == cut + len(v)
+        and flatten(w[:cut]) == tuple(u)
+        and flatten(w[cut:]) == tuple(v)
+    )
+
+
 def test_count_destandardizations():
     members = [(1, 2, 3, 4), (1, 3, 2, 4), (1, 4, 2, 3)]
     for w in members:
@@ -345,6 +373,15 @@ def test_gap_braid_two_letter_class_counts():
 
 
 # --- braid lemma ----------------------------------------------------------------
+
+
+def braid_lemma_check(a, b, length, m):
+    """Whether the two alternating words of the given length are equivalent,
+    decided inside a bounded closure of the pair-order relation."""
+    v = tuple((a, b)[i % 2] for i in range(length))
+    w = tuple((b, a)[i % 2] for i in range(length))
+    inst = close(coxeter_relation(m), max(a, b), length, headroom=2)
+    return inst.related(v, w)
 
 
 def test_braid_lemma():

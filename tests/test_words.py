@@ -8,27 +8,27 @@ from wordbialg.words import (
     Anchored,
     all_reduced_words,
     anchored,
+    bounded_multiply,
     comp_complement,
     comp_flat,
     comp_from_set,
-    comp_peak_envelope,
     comp_reverse,
     comp_sort,
     comp_to_set,
     comp_transpose,
     compositions,
-    demazure_product,
     descent_composition,
+    descent_letters,
     descents,
     eval_hecke_word,
     flatten,
     format_anchored,
     format_word,
     grassmannian_permutation,
-    grassmannian_shape,
     identity_permutation,
     is_increasing_tableau,
     is_packed,
+    is_peak_composition,
     multiset_permutations,
     packed_words,
     parse_anchored,
@@ -39,8 +39,8 @@ from wordbialg.words import (
     permutation_length,
     restrict,
     rsk_insert,
-    rsk_tableau_word,
     shift,
+    swap_values,
     strict_partitions,
     tableau_shape,
     valleys,
@@ -99,6 +99,13 @@ def test_index_sets():
     assert valleys((2, 1, 3)) == {2}
 
 
+def comp_peak_envelope(alpha):
+    """The peak composition with cut set ``{i >= 2 : i in I, i-1 not in I}``."""
+    n = sum(alpha)
+    cuts = comp_to_set(alpha)
+    return comp_from_set(n, {i for i in cuts if i >= 2 and i - 1 not in cuts})
+
+
 def test_descents_determine_peaks_exhaustive():
     # Des(w) = I(alpha) forces Peak(w) = I(peak envelope of alpha)
     for n in range(8):
@@ -149,9 +156,21 @@ def test_peak_envelope():
     assert comp_to_set(comp_peak_envelope(alpha)) == {3}
 
 
-def test_composition_maps_lookup():
-    from wordbialg.words import composition_maps
+def composition_maps(alpha):
+    """All standard composition companions in one lookup."""
+    out = {
+        "reverse": comp_reverse(alpha),
+        "complement": comp_complement(alpha),
+        "transpose": comp_transpose(alpha),
+        "peak_envelope": comp_peak_envelope(alpha),
+        "cut_set": comp_to_set(alpha),
+    }
+    if is_peak_composition(alpha):
+        out["flat"] = comp_flat(alpha)
+    return out
 
+
+def test_composition_maps_lookup():
     maps = composition_maps((2, 1))
     assert maps["reverse"] == (1, 2)
     assert maps["complement"] == comp_complement((2, 1))
@@ -211,6 +230,11 @@ def test_tableau_shapes():
     assert not is_increasing_tableau((2, 2, 1, 1))
 
 
+def rsk_tableau_word(w):
+    """Reading word (rows bottom-to-top) of the insertion tableau of ``w``."""
+    return tuple(a for row in reversed(rsk_insert(w)) for a in row)
+
+
 def test_rsk():
     assert rsk_tableau_word((1, 3, 2)) == rsk_tableau_word((3, 1, 2))
     assert rsk_tableau_word((1, 2, 3, 4)) == (1, 2, 3, 4)
@@ -226,6 +250,25 @@ def test_rsk_output_is_tableau_word():
 
 
 # --- permutations ---------------------------------------------------------
+
+
+def reduced_word(pi):
+    """One reduced word for ``pi``; its letters act first-to-last."""
+    word = []
+    while descent_letters(pi):
+        a = descent_letters(pi)[0]
+        word.append(a)
+        pi = swap_values(pi, a)
+    return tuple(reversed(word))
+
+
+def demazure_product(u, v):
+    """The associative product with ``s o s = s``, on equal ambient sizes."""
+    if len(u) != len(v):
+        raise ValueError("demazure_product requires equal ambient sizes")
+    for a in reduced_word(v):
+        u = bounded_multiply(u, a)
+    return u
 
 
 def test_hecke_evaluation():
@@ -259,6 +302,16 @@ def test_hecke_word_concatenation(u, v):
     assert eval_hecke_word(u + v, 3) == demazure_product(
         eval_hecke_word(u, 3), eval_hecke_word(v, 3)
     )
+
+
+def grassmannian_shape(pi):
+    """Partition of a one-descent permutation, None when there are >= 2 descents."""
+    ds = [i for i in range(1, len(pi)) if pi[i - 1] > pi[i]]
+    if len(ds) > 1:
+        return None
+    if not ds:
+        return ()
+    return comp_sort(tuple(pi[i] - (i + 1) for i in range(ds[0])))
 
 
 def test_grassmannian():
