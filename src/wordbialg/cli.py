@@ -6,7 +6,9 @@ sorted keys so repeated runs are byte-identical (wall-clock runtimes only
 appear in text output).  Exit codes: 0 success, 2 property failure with a
 witness, 3 resource cap exceeded, 4 usage or input error (a bad option, a
 bound out of range, an unparsable word or character, an unknown relation,
-a missing input); a cap or input error prints one line to stderr and no
+a missing input), 141 standard output closed before all of it was written
+(as ``| head`` does; 128 plus SIGPIPE, what a shell reports for a process
+that signal ends); a cap or input error prints one line to stderr and no
 traceback.
 """
 
@@ -35,6 +37,7 @@ EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 2
 EXIT_RESOURCE_CAP = 3
 EXIT_USAGE = 4
+EXIT_BROKEN_PIPE = 141
 
 EXTENDED_CLASS_LIMIT = 7  # lengths above this require --extended
 
@@ -644,7 +647,15 @@ def main(argv=None) -> int:
     if missing:
         print(f"{parser.prog}: error: {missing}", file=sys.stderr)
         return EXIT_USAGE
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; send what is still buffered to devnull, so
+        # the interpreter's last flush raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -24,9 +24,11 @@ drive the content-sliced scans on integer-coded words (:mod:`coded`).
 ``close`` materializes the equivalence classes on the universe of words
 with letters in ``[alphabet]`` and length at most ``max_len + headroom``;
 the headroom zone exists because inhomogeneous rewrites may route two
-short words through longer ones.  ``headroom_stability`` recomputes with
-one more unit of headroom and certifies that the reported slice did not
-change.  All classifier verdicts are relative to the stated bounds.
+short words through longer ones; it generates each rewrite edge once, from
+its longer or larger end.  ``headroom_stability`` and
+``is_finite_type_bounded`` extend its union-find by the words one letter
+longer and compare class counts.  All classifier verdicts are relative to
+the stated bounds.
 """
 
 from __future__ import annotations
@@ -313,31 +315,45 @@ def _rewrite_tables(
 
 
 def compile_neighbors(
-    pres: RelationPresentation, alphabet: int, limit: int
+    pres: RelationPresentation, alphabet: int, limit: int, one_way: bool = False
 ) -> Callable[[Word], list[Word]]:
     """Compile a presentation into a one-step rewrite generator.
 
     The window rewrites of :func:`_rewrite_tables` are applied table by
     table, and a table whose rewrites would make the word longer than
     ``limit`` is skipped whole; ``a ~ aa`` comes from ``_repeat_neighbors``.
-    No neighbour is longer than ``limit``."""
+    No neighbour is longer than ``limit``.
+
+    ``one_way`` keeps only the rewrites toward the shortlex-smaller word:
+    shrinking ones (``a ~ aa`` deletes a letter of a doubled pair) and
+    same-length ones toward the lexicographically smaller window.  Each
+    edge of the rewrite graph is then generated from one end only, its
+    longer or larger one, and no neighbour is longer than the word."""
     tables = _rewrite_tables(pres, alphabet)
-    lookups = [
-        (where, piece, grow, {a: tuple(sorted(bs)) for a, bs in table.items()}.get)
-        for (where, piece, grow), table in sorted(tables.items())
-    ]
+    lookups = []
+    for (where, piece, grow), table in sorted(tables.items()):
+        rewrites = {}
+        for a, bs in table.items():
+            kept = sorted(b for b in bs if not one_way or (len(b), b) < (len(a), a))
+            if kept:
+                rewrites[a] = tuple(kept)
+        if rewrites:
+            lookups.append((where, piece, grow, rewrites.get))
     repeat = any(part.coxeter is not None for part in _parts(pres))
+    repeat_limit = 0 if one_way else limit  # at limit 0 a run only shrinks
 
     def neighbors(w: Word) -> list[Word]:
         n = len(w)
-        out = _repeat_neighbors(w, limit) if repeat else []
+        out = _repeat_neighbors(w, repeat_limit) if repeat else []
         for where, piece, grow, lookup in lookups:
             last = n - piece  # the last window start
             if last < 0 or n + grow > limit or (where == _WHOLE and last):
                 continue
             for i in range(last + 1 if where == _ANYWHERE else 1):
-                for rep in lookup(w[i : i + piece], ()):
-                    out.append(w[:i] + rep + w[i + piece :])
+                reps = lookup(w[i : i + piece])
+                if reps:  # most windows start no rewrite
+                    for rep in reps:
+                        out.append(w[:i] + rep + w[i + piece :])
         return out
 
     return neighbors
@@ -378,8 +394,8 @@ class RelationInstance:
         # condition (b): the uniform and P-algebraic checks repeat them
         self._congruence: dict[tuple[int, int], dict] = {}
         self._interval: dict | None = None
-        # what the certificates read off the closure one length wider
-        self._wider: tuple[frozenset, int] | None = None
+        # the certificates' class counts one length wider (_wider_facts)
+        self._wider: tuple[int, int] | None = None
 
     @property
     def limit(self) -> int:
@@ -434,18 +450,6 @@ class RelationInstance:
         """Number of classes meeting the length <= max_len slice."""
         return sum(1 for _ in self.iter_classes())
 
-    def slice_partition(
-        self, max_len: int | None = None
-    ) -> frozenset[frozenset[Word]]:
-        """The classes cut down to length <= ``max_len`` (default: the
-        reported slice), empty cuts left out."""
-        bound = self.max_len if max_len is None else max_len
-        cuts = (
-            frozenset(x for x in members if len(x) <= bound)
-            for members in self._members.values()
-        )
-        return frozenset(cut for cut in cuts if cut)
-
 
 def close(
     pres: RelationPresentation,
@@ -460,25 +464,10 @@ def close(
     limit = max_len + headroom
     _check_cap(alphabet, limit, cap)
     words = tuple(all_words(alphabet, limit))
-    index = {w: i for i, w in enumerate(words)}
-    parent = list(range(len(words)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    neighbors = compile_neighbors(pres, alphabet, limit)
-    for i, w in enumerate(words):
-        for nb in neighbors(w):
-            j = index.get(nb)
-            if j is None:
-                continue
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[rj] = ri
-    class_ids = tuple(find(i) for i in range(len(words)))
+    parent: list[int] = []
+    index: dict[Word, int] = {}
+    _extend(parent, index, words, compile_neighbors(pres, alphabet, limit, True))
+    class_ids = tuple(_find(parent, i) for i in range(len(words)))
     return RelationInstance(
         presentation=pres,
         alphabet=alphabet,
@@ -488,6 +477,36 @@ def close(
         class_ids=class_ids,
         index=index,
     )
+
+
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _extend(
+    parent: list[int],
+    index: dict[Word, int],
+    words: Sequence[Word],
+    neighbors: Callable[[Word], list[Word]],
+) -> None:
+    """Number ``words`` on from the union-find ``parent`` and its ``index``
+    and unite each with its one-way neighbours, which are among them or
+    numbered already."""
+    first = len(parent)
+    parent.extend(range(first, first + len(words)))
+    index.update(zip(words, itertools.count(first)))
+    for i, w in enumerate(words, first):
+        ri = _find(parent, i)
+        for nb in neighbors(w):
+            rj = index[nb]
+            while parent[rj] != rj:  # _find, inlined in the hot loop
+                parent[rj] = parent[parent[rj]]
+                rj = parent[rj]
+            if ri != rj:
+                parent[rj] = ri
 
 
 def _check_cap(alphabet: int, limit: int, cap: int) -> None:
@@ -530,30 +549,39 @@ def bfs_class(
     return tuple(sorted(seen, key=lambda t: (len(t), t)))
 
 
-def _wider_facts(inst: RelationInstance, cap: int) -> tuple[frozenset, int]:
-    """Close the universe one length past the instance's and return its
-    partition of the reported slice and its class count at ``max_len + 1``.
-
-    One more unit of headroom and one more unit of ``max_len`` give the
-    same universe with the same class ids, so the headroom and finite-type
-    certificates share this closure; it runs once per instance and only
-    the two facts are kept.  The cap is checked on every call."""
+def _wider_facts(inst: RelationInstance, cap: int) -> tuple[int, int]:
+    """The class counts of the universe one length past the instance's, on
+    the reported slice and at ``max_len + 1``, which the headroom and
+    finite-type certificates share; computed once per instance, with the
+    cap checked on every call.  The universe is length-major, so the
+    instance's class ids seed the wider union-find, and only the words one
+    letter longer are added and united with their one-way neighbours."""
     _check_cap(inst.alphabet, inst.limit + 1, cap)
     if inst._wider is None:
-        wider = close(
-            inst.presentation, inst.alphabet, inst.max_len + 1, inst.headroom, cap
+        parent, index = list(inst.class_ids), dict(inst.index)
+        longer = list(
+            itertools.product(range(1, inst.alphabet + 1), repeat=inst.limit + 1)
         )
-        inst._wider = (wider.slice_partition(inst.max_len), wider.class_count())
+        neighbors = compile_neighbors(
+            inst.presentation, inst.alphabet, inst.limit + 1, True
+        )
+        _extend(parent, index, longer, neighbors)
+        inst._wider = tuple(
+            len({_find(parent, k) for k in range(universe_size(inst.alphabet, n))})
+            for n in (inst.max_len, inst.max_len + 1)
+        )
     return inst._wider
 
 
 def headroom_stability(inst: RelationInstance, cap: int = DEFAULT_CAP) -> dict:
-    """Recompute with one more unit of headroom; certify the reported slice.
+    """Certify that one more unit of headroom leaves the reported slice's
+    partition unchanged: the wider closure can only merge the instance's
+    classes, so the partitions agree when the class counts on the slice do.
 
     Also flags explicit generator pairs that straddle the universe boundary,
     since such pairs can never fire inside the closed universe.  Raises
     ``ResourceCapError`` when the wider universe exceeds ``cap``."""
-    stable = inst.slice_partition() == _wider_facts(inst, cap)[0]
+    stable = inst.class_count() == _wider_facts(inst, cap)[0]
     straddling = [
         (v, w)
         for part in _parts(inst.presentation)

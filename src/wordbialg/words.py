@@ -271,18 +271,6 @@ def is_peak_composition(alpha: Composition) -> bool:
     return all(a >= 2 for a in alpha[:-1])
 
 
-def comp_flat(alpha: Composition) -> Composition:
-    """Reverse ``alpha``, adding 1 to the new first part, subtracting 1 from the last."""
-    if not is_peak_composition(alpha):
-        raise ValueError(f"{alpha} is not a peak composition")
-    if len(alpha) <= 1:
-        return alpha
-    rev = list(alpha[::-1])
-    rev[0] += 1
-    rev[-1] -= 1
-    return tuple(p for p in rev if p > 0)
-
-
 def comp_sort(alpha: Composition) -> Partition:
     """The partition rearranging ``alpha`` (zero parts dropped)."""
     return tuple(sorted((a for a in alpha if a > 0), reverse=True))

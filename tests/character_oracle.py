@@ -5,6 +5,8 @@ cut coproduct itself (every cut of the block, every adjacent pair of
 letters compared), in exact rationals and one word at a time.  Nothing
 here reads a violation mask, so the library's mask kernel
 (``wordbialg.characters``) is checked against an independent path.
+``comp_flat`` is the composition map that relates the peak characters of
+a word to those of its reverse.
 """
 
 from fractions import Fraction
@@ -12,7 +14,7 @@ from functools import lru_cache
 
 from wordbialg.lincomb import LinComb
 from wordbialg.qsym import QSym
-from wordbialg.words import Anchored, compositions
+from wordbialg.words import Anchored, compositions, is_peak_composition
 
 KINDS = ("le", "ge", "lt", "gt")
 ALL_CHARACTERS = list(KINDS) + [(a, b) for a in KINDS for b in KINDS]
@@ -120,3 +122,15 @@ def oracle_sum(weighted, char, degree) -> QSym:
             for alpha, value in _word_terms(char, w).items():
                 terms[alpha] = terms.get(alpha, 0) + c * value
     return QSym(degree, terms)
+
+
+def comp_flat(alpha):
+    """Reverse ``alpha``, adding 1 to the new first part, subtracting 1 from the last."""
+    if not is_peak_composition(alpha):
+        raise ValueError(f"{alpha} is not a peak composition")
+    if len(alpha) <= 1:
+        return alpha
+    rev = list(alpha[::-1])
+    rev[0] += 1
+    rev[-1] -= 1
+    return tuple(p for p in rev if p > 0)

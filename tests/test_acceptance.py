@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from character_oracle import comp_flat
 from wordbialg.bialgebra import (
     duality_pairing_check,
     shuffle,
@@ -61,7 +62,6 @@ from wordbialg.scans import (
 )
 from wordbialg.words import (
     all_words,
-    comp_flat,
     comp_from_set,
     comp_reverse,
     comp_transpose,

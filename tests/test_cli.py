@@ -217,6 +217,22 @@ def test_capped_requests_exit_3(argv):
     assert len(proc.stderr.strip().splitlines()) == 1 and not proc.stdout
 
 
+def test_closed_stdout_exits_with_the_broken_pipe_code():
+    # the reader closes the pipe before the answer is written, as ``| head``
+    # does once it has its lines
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wordbialg.cli", "check", "--relation", "hecke",
+         "--alphabet", "3", "--max-len", "5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait() == cli.EXIT_BROKEN_PIPE
+    assert stderr == ""
+
+
 def test_conjectures_weak_hecke():
     proc = run_cli(
         "conjectures", "--which", "weak-hecke", "--alphabet", "3",

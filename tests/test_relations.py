@@ -40,6 +40,17 @@ from wordbialg.words import (
 )
 
 
+def slice_partition(inst, bound=None):
+    """The classes of ``inst`` cut down to length <= ``bound`` (default: the
+    reported slice), empty cuts left out."""
+    bound = inst.max_len if bound is None else bound
+    cuts = (
+        frozenset(x for x in members if len(x) <= bound)
+        for members in inst.iter_classes(full=True)
+    )
+    return frozenset(cut for cut in cuts if cut)
+
+
 def test_universe_cap():
     assert universe_size(3, 2) == 13
     with pytest.raises(ResourceCapError):
@@ -67,19 +78,94 @@ def test_certificates_obey_the_cap_on_the_wider_universe():
         is_finite_type_bounded(inst, cap=3279)
 
 
+# the criterion-9 table: the built-ins and the gap-2 pair-order relation
+_TABLE = [builtin_relation(name) for name in BUILTIN_NAMES] + [
+    coxeter_relation(gap_braid_m(2), "coxeter-gap2")
+]
+
+
 def test_certificates_share_one_wider_closure():
     # one more unit of headroom and one more unit of max_len close the
     # same universe; the certificates agree with both separate closures
-    for name in ("hecke", "knuth", "k-knuth"):
-        pres = builtin_relation(name)
+    for pres in _TABLE:
         inst = close(pres, 3, 4)
         more_headroom = close(pres, 3, 4, inst.headroom + 1)
         longer = close(pres, 3, 5, inst.headroom)
         assert more_headroom.words == longer.words
         assert more_headroom.class_ids == longer.class_ids
-        stable = inst.slice_partition() == more_headroom.slice_partition()
+        stable = slice_partition(inst) == slice_partition(more_headroom)
         assert headroom_stability(inst)["partition_stable"] == stable
         assert is_finite_type_bounded(inst)["count_next"] == longer.class_count()
+
+
+def _two_way_partition(pres, alphabet, limit, bound):
+    """Reference closure: a plain union-find over every word of length at
+    most ``limit``, uniting each with all of its two-way neighbours; the
+    classes are returned cut down to length ``bound``."""
+    words = list(all_words(alphabet, limit))
+    index = {w: i for i, w in enumerate(words)}
+    parent = list(range(len(words)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    neighbors = compile_neighbors(pres, alphabet, limit)
+    for i, w in enumerate(words):
+        for nb in neighbors(w):
+            parent[find(index[nb])] = find(i)
+    classes = defaultdict(set)
+    for i, w in enumerate(words):
+        if len(w) <= bound:
+            classes[find(i)].add(w)
+    return frozenset(frozenset(c) for c in classes.values())
+
+
+def _letter_set_pairs(max_letter: int):
+    """A generator pair: two words of one to three letters on one letter set,
+    of equal or unequal lengths."""
+    word = st.lists(st.integers(1, max_letter), min_size=1, max_size=3)
+
+    def partner(v):
+        letters = sorted(set(v))
+        extra = st.lists(st.sampled_from(letters), max_size=3 - len(letters))
+        return extra.flatmap(lambda e: st.permutations(letters + e)).map(
+            lambda w: (v, w)
+        )
+
+    return word.flatmap(partner)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_letter_set_pairs(3), min_size=1, max_size=3),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.integers(2, 3),
+    st.integers(1, 3),
+)
+def test_one_way_closure_and_certificates_match_two_way_reference(
+    pairs, uniform, in_context, weak, alphabet, max_len
+):
+    pres = explicit_relation("random", pairs, uniform, in_context)
+    if weak:
+        pres = weak_variant(pres)
+    inst = close(pres, alphabet, max_len)
+    wider = close(pres, alphabet, max_len + 1, inst.headroom)
+    assert slice_partition(inst, inst.limit) == _two_way_partition(
+        pres, alphabet, inst.limit, inst.limit
+    )
+    reference = _two_way_partition(pres, alphabet, inst.limit + 1, max_len)
+    assert slice_partition(wider, max_len) == reference
+    stability = headroom_stability(inst)
+    assert stability["partition_stable"] == (slice_partition(inst) == reference)
+    finite = is_finite_type_bounded(inst)
+    assert finite["count"] == len(slice_partition(inst))
+    assert finite["count_next"] == wider.class_count() == len(
+        _two_way_partition(pres, alphabet, inst.limit + 1, max_len + 1)
+    )
 
 
 def test_knuth_generator_instance():
@@ -110,7 +196,7 @@ def test_kknuth_class_of_12_two_routes():
     explicit = close(
         explicit_relation("k-knuth-pairs", pairs, uniform=True), 2, 4
     )
-    assert builtin.slice_partition() == explicit.slice_partition()
+    assert slice_partition(builtin) == slice_partition(explicit)
     members = set(builtin.class_of((1, 2)))
     for w in [(1, 2), (1, 1, 2), (1, 2, 2), (1, 1, 2, 2), (1, 1, 1, 2)]:
         assert w in members
@@ -317,7 +403,7 @@ def test_single_swap_pair_is_algebraic_but_not_uniform():
 def test_uniform_closure_of_swap_pair_is_commutation():
     uniform = close(explicit_relation("swap", [((1, 2), (2, 1))], uniform=True), 3, 4)
     commutation = close(builtin_relation("commutation"), 3, 4)
-    assert uniform.slice_partition() == commutation.slice_partition()
+    assert slice_partition(uniform) == slice_partition(commutation)
 
 
 def test_interval_restriction_consequence_for_uniform_builtins():
@@ -396,13 +482,13 @@ def test_braid_lemma():
 def test_coxeter_gap_one_is_hecke():
     a = close(builtin_relation("hecke"), 3, 5)
     b = close(coxeter_relation(gap_braid_m(1)), 3, 5)
-    assert a.slice_partition() == b.slice_partition()
+    assert slice_partition(a) == slice_partition(b)
 
 
 def test_universal_coxeter_is_repeat_collapse():
     a = close(builtin_relation("k-equivalence"), 3, 4)
     b = close(coxeter_relation(universal_coxeter_m()), 3, 4)
-    assert a.slice_partition() == b.slice_partition()
+    assert slice_partition(a) == slice_partition(b)
 
 
 # --- oracle fibers ----------------------------------------------------------------
@@ -563,17 +649,25 @@ def test_table_neighbors_match_handwritten_rules(name, data, room):
 def test_hecke_table_closes_like_handwritten_rule(alphabet, max_len):
     # the 0-Hecke presentation rewrites aba -> bab only for adjacent letters;
     # the handwritten rule did so for every pair, which ab ~ ba derives
+    # close compiles one-way rewrites; the shim ignores that and hands it
+    # the two-way handwritten rule, which gives every edge from both ends
     pres = builtin_relation("hecke")
     table = close(pres, alphabet, max_len)
+    visited = []
+
+    def handwritten(pres, alphabet, limit, *one_way):
+        def neighbors(w):
+            visited.append(w)
+            return _hecke_neighbors(w, limit)
+
+        return neighbors
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(
-            relations,
-            "compile_neighbors",
-            lambda pres, alphabet, limit: lambda w: _hecke_neighbors(w, limit),
-        )
+        mp.setattr(relations, "compile_neighbors", handwritten)
         oracle = close(pres, alphabet, max_len)
-    assert table.slice_partition() == oracle.slice_partition()
-    assert table.slice_partition(table.limit) == oracle.slice_partition(oracle.limit)
+    assert visited == list(oracle.words)  # the oracle closed through the shim
+    assert slice_partition(table) == slice_partition(oracle)
+    assert slice_partition(table, table.limit) == slice_partition(oracle, oracle.limit)
 
 
 def test_builtins_are_presentation_data():

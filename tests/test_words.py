@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from character_oracle import comp_flat
 from wordbialg.words import (
     Anchored,
     all_reduced_words,
     anchored,
     bounded_multiply,
     comp_complement,
-    comp_flat,
     comp_from_set,
     comp_reverse,
     comp_sort,
