@@ -29,11 +29,26 @@ its longer or larger end.  ``headroom_stability`` and
 ``is_finite_type_bounded`` extend its union-find by the words one letter
 longer and compare class counts.  All classifier verdicts are relative to
 the stated bounds.
+
+Every presentation with a Coxeter part contains ``a ~ aa``, and there the
+search runs on the quotient by it.  A word is related to its run
+reduction (each run of equal letters collapsed to one letter), and the
+run fiber of a reduced word ``r`` at bound ``L`` (every word of length
+``<= L`` reducing to ``r``) is connected inside the bound and holds
+``C(L, len(r))`` words.  So a class is a union of fibers, and the
+components are found among reduced words, with one rewrite step compiled
+from the same window tables (:func:`_compile_run_steps`).  ``bfs_class``
+searches reduced words, weighs the class by its fiber sizes against its
+cap and only then lists the fibers; ``close`` runs its union-find over the
+reduced words, each universe word taking its reduction's class; and the
+certificates count components of the reduced words one length wider.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
@@ -225,24 +240,6 @@ def builtin_relation(name: str) -> RelationPresentation:
 _ANYWHERE, _PREFIX, _WHOLE = range(3)
 
 
-def _repeat_neighbors(w: Word, limit: int) -> list[Word]:
-    """``a ~ aa`` in one step: per run of equal letters, the word with the
-    run one letter shorter (if it has two letters or more) and one longer
-    (if that stays within ``limit``).  Any position of a run gives the same
-    word, so each run is rewritten once."""
-    out = []
-    n = len(w)
-    grow = n < limit
-    for i in range(n):
-        if i and w[i - 1] == w[i]:
-            continue  # not the first letter of its run
-        if i + 1 < n and w[i + 1] == w[i]:
-            out.append(w[:i] + w[i + 1 :])
-        if grow:
-            out.append(w[: i + 1] + w[i:])
-    return out
-
-
 def _alternating(a: int, b: int, length: int) -> Word:
     return tuple(a if i % 2 == 0 else b for i in range(length))
 
@@ -321,14 +318,15 @@ def compile_neighbors(
 
     The window rewrites of :func:`_rewrite_tables` are applied table by
     table, and a table whose rewrites would make the word longer than
-    ``limit`` is skipped whole; ``a ~ aa`` comes from ``_repeat_neighbors``.
-    No neighbour is longer than ``limit``.
+    ``limit`` is skipped whole.  No neighbour is longer than ``limit``.
+    ``a ~ aa`` is not among the rewrites: presentations with a Coxeter part
+    are searched on the run quotient (:func:`_compile_run_steps`).
 
     ``one_way`` keeps only the rewrites toward the shortlex-smaller word:
-    shrinking ones (``a ~ aa`` deletes a letter of a doubled pair) and
-    same-length ones toward the lexicographically smaller window.  Each
-    edge of the rewrite graph is then generated from one end only, its
-    longer or larger one, and no neighbour is longer than the word."""
+    shrinking ones and same-length ones toward the lexicographically
+    smaller window.  Each edge of the rewrite graph is then generated from
+    one end only, its longer or larger one, and no neighbour is longer
+    than the word."""
     tables = _rewrite_tables(pres, alphabet)
     lookups = []
     for (where, piece, grow), table in sorted(tables.items()):
@@ -339,12 +337,10 @@ def compile_neighbors(
                 rewrites[a] = tuple(kept)
         if rewrites:
             lookups.append((where, piece, grow, rewrites.get))
-    repeat = any(part.coxeter is not None for part in _parts(pres))
-    repeat_limit = 0 if one_way else limit  # at limit 0 a run only shrinks
 
     def neighbors(w: Word) -> list[Word]:
         n = len(w)
-        out = _repeat_neighbors(w, repeat_limit) if repeat else []
+        out = []
         for where, piece, grow, lookup in lookups:
             last = n - piece  # the last window start
             if last < 0 or n + grow > limit or (where == _WHOLE and last):
@@ -357,6 +353,132 @@ def compile_neighbors(
         return out
 
     return neighbors
+
+
+# --- the a ~ aa quotient ---------------------------------------------------
+
+
+def _has_runs(pres: RelationPresentation) -> bool:
+    """Whether ``a ~ aa`` is a relation of ``pres``: some part is of the
+    Coxeter kind."""
+    return any(part.coxeter is not None for part in _parts(pres))
+
+
+def _reduce(w: Word) -> Word:
+    """The run reduction of ``w``: each run of equal letters as one letter."""
+    return tuple(a for a, _ in itertools.groupby(w))
+
+
+def _join(u: Word, v: Word) -> Word:
+    """The run reduction of ``u + v`` for run-reduced ``u`` and ``v``."""
+    return u + v[1:] if u and v and u[-1] == v[0] else u + v
+
+
+def _reduced_words(alphabet: int, limit: int) -> list[Word]:
+    """The run-reduced words of length at most ``limit``, length-major."""
+    layer: list[Word] = [()]
+    out = list(layer)
+    for _ in range(limit):
+        layer = [
+            w + (a,)
+            for w in layer
+            for a in range(1, alphabet + 1)
+            if not w or w[-1] != a
+        ]
+        out += layer
+    return out
+
+
+def _fibers(reduced: Iterable[Word], bound: int) -> list[Word]:
+    """The union of the run fibers of the run-reduced words ``reduced`` at
+    ``bound``, in shortlex order.  The fiber of ``r`` is every word of
+    length at most ``bound`` that reduces to ``r``, ``C(bound, len(r))``
+    words; it is built one run at a time."""
+    out: list[Word] = []
+    for r in reduced:
+        words: list[Word] = [()]
+        for i, a in enumerate(r):
+            room = bound - len(r) + i + 1  # leaves one letter per later run
+            longer = []
+            for w in words:
+                w += (a,)
+                while len(w) <= room:
+                    longer.append(w)
+                    w += (a,)
+            words = longer
+        out += words
+    out.sort()
+    out.sort(key=len)
+    return out
+
+
+def _compile_run_steps(
+    pres: RelationPresentation, alphabet: int, limit: int
+) -> Callable[[Word], list[Word]]:
+    """One rewrite step of the ``a ~ aa`` quotient, on run-reduced words.
+
+    A word is related to its run reduction, and the run fiber of a reduced
+    word is connected within any bound it fits, so the classes of words of
+    length <= ``limit`` are unions of the fibers of one component of this
+    step's graph on reduced words.  Each window rewrite ``a -> b`` fires at
+    every occurrence of ``red(a)`` in ``r``, say ``r[j..j']``; in a word of
+    the fiber, the first and the last run of the window may extend past it
+    (by α, β in {0, 1} letters), and the step goes to ``red(r[:j] + r[j]·α
+    + b + r[j']·β + r[j'+1:])``.  It is kept when its shortest witness fits:
+    ``len(r) - len(red(a)) + len(a) + α + β`` letters, plus ``len(b) -
+    len(a)`` if that is positive.  Prefix rules take ``j = 0`` and ``α =
+    0``, whole-word rules ``r == red(a)`` and ``α = β = 0``.  An extension
+    that ``b`` continues with the same letter gives the step without it,
+    so it is skipped.  The steps are symmetric, like the rewrites."""
+    by_length: dict[int, dict[Word, list]] = {}
+    for (where, piece, grow), table in _rewrite_tables(pres, alphabet).items():
+        for a, bs in table.items():
+            ra = _reduce(a)
+            if not ra:
+                continue  # the empty pair rewrites nothing
+            for b in map(_reduce, bs):
+                alphas = (0, 1) if where == _ANYWHERE and b[0] != ra[0] else (0,)
+                betas = (0, 1) if where != _WHOLE and b[-1] != ra[-1] else (0,)
+                need = piece - len(ra) + max(grow, 0)
+                by_length.setdefault(len(ra), {}).setdefault(ra, []).append(
+                    (where, need, b, alphas, betas)
+                )
+    lookups = [(k, table.get) for k, table in sorted(by_length.items())]
+
+    def steps(r: Word) -> list[Word]:
+        n = len(r)
+        out = []
+        for k, lookup in lookups:
+            last = n - k  # the last window start
+            for j in range(last + 1):
+                rules = lookup(r[j : j + k])
+                if not rules:
+                    continue
+                for where, need, b, alphas, betas in rules:
+                    room = limit - n - need  # letters left for α + β
+                    anchored = where != _ANYWHERE and (j or where == _WHOLE and last)
+                    if room < 0 or anchored:
+                        continue
+                    for alpha in alphas:
+                        head = _join(r[: j + alpha], b)
+                        for beta in betas:
+                            if alpha + beta <= room:
+                                out.append(_join(head, r[j + k - beta :]))
+        return out
+
+    return steps
+
+
+def _reduced_components(
+    pres: RelationPresentation, alphabet: int, limit: int
+) -> dict[Word, Word]:
+    """Each run-reduced word of length at most ``limit`` mapped to the root
+    of its component under the quotient's steps at bound ``limit``."""
+    reduced = _reduced_words(alphabet, limit)
+    parent: list[int] = []
+    index: dict[Word, int] = {}
+    _extend(parent, index, reduced, _compile_run_steps(pres, alphabet, limit))
+    return {r: reduced[_find(parent, i)] for i, r in enumerate(reduced)}
 
 
 # --- bounded closure -------------------------------------------------------
@@ -458,16 +580,23 @@ def close(
     headroom: int | None = None,
     cap: int = DEFAULT_CAP,
 ) -> RelationInstance:
-    """Union-find closure of the presentation on a bounded universe."""
+    """Union-find closure of the presentation on a bounded universe; with
+    ``a ~ aa``, over the run-reduced words, each word taking the class of
+    its run reduction."""
     if headroom is None:
         headroom = 0 if pres.homogeneous else 2
     limit = max_len + headroom
     _check_cap(alphabet, limit, cap)
     words = tuple(all_words(alphabet, limit))
-    parent: list[int] = []
     index: dict[Word, int] = {}
-    _extend(parent, index, words, compile_neighbors(pres, alphabet, limit, True))
-    class_ids = tuple(_find(parent, i) for i in range(len(words)))
+    if _has_runs(pres):
+        root = _reduced_components(pres, alphabet, limit)
+        index.update(zip(words, itertools.count()))
+        class_ids = tuple(index[root[_reduce(w)]] for w in words)
+    else:
+        parent: list[int] = []
+        _extend(parent, index, words, compile_neighbors(pres, alphabet, limit, True))
+        class_ids = tuple(_find(parent, i) for i in range(len(words)))
     return RelationInstance(
         presentation=pres,
         alphabet=alphabet,
@@ -524,28 +653,46 @@ def bfs_class(
     alphabet: int | None = None,
     cap: int = DEFAULT_CAP,
 ) -> tuple[Word, ...]:
-    """The connected component of ``seed`` among words of length <= max_len.
+    """The connected component of ``seed`` among words of length <= max_len,
+    in shortlex order.
 
     Letters never leave the seed's letter set (word relations preserve
     letter sets), so no alphabet bound beyond the seed's own is needed.
-    Raises ``ResourceCapError`` once more than ``cap`` words are visited."""
+    With ``a ~ aa`` the search runs over run-reduced words from the seed's
+    reduction and the class is the union of their run fibers, so a seed
+    longer than ``max_len`` is not listed.  Raises ``ResourceCapError`` as
+    soon as the class is known to hold more than ``cap`` words, before any
+    fiber is listed."""
     seed = tuple(seed)
     if alphabet is None:
         alphabet = word_max(seed)
-    neighbors = compile_neighbors(pres, alphabet, max_len)
-    seen = {seed}
-    stack = [seed]
-    while stack:
-        w = stack.pop()
-        for nb in neighbors(w):
+    runs = _has_runs(pres)
+    if runs:
+        start = _reduce(seed)
+        neighbors = _compile_run_steps(pres, alphabet, max_len)
+    else:
+        start = seed
+        neighbors = compile_neighbors(pres, alphabet, max_len)
+
+    def size(w: Word) -> int:  # the words ``w`` stands for
+        return math.comb(max_len, len(w)) if runs else 1
+
+    seen = {start}
+    total = size(start)
+    stack = [start]
+    while stack and total <= cap:
+        for nb in neighbors(stack.pop()):
             if nb not in seen:
                 seen.add(nb)
-                if len(seen) > cap:
-                    raise ResourceCapError(
-                        f"class exceeds cap {cap} words within length {max_len}; "
-                        "raise --cap or shrink bounds"
-                    )
+                total += size(nb)
                 stack.append(nb)
+    if total > cap:
+        raise ResourceCapError(
+            f"class exceeds cap {cap} words within length {max_len}; "
+            "raise --cap or shrink bounds"
+        )
+    if runs:
+        return tuple(_fibers(seen, max_len))
     return tuple(sorted(seen, key=lambda t: (len(t), t)))
 
 
@@ -553,23 +700,34 @@ def _wider_facts(inst: RelationInstance, cap: int) -> tuple[int, int]:
     """The class counts of the universe one length past the instance's, on
     the reported slice and at ``max_len + 1``, which the headroom and
     finite-type certificates share; computed once per instance, with the
-    cap checked on every call.  The universe is length-major, so the
-    instance's class ids seed the wider union-find, and only the words one
-    letter longer are added and united with their one-way neighbours."""
+    cap checked on every call.  With ``a ~ aa`` they are component counts
+    of the run-reduced words one length wider, and no longer word is
+    listed.  Otherwise the universe is length-major, so the instance's
+    class ids seed the wider union-find, and only the words one letter
+    longer are added and united with their one-way neighbours."""
     _check_cap(inst.alphabet, inst.limit + 1, cap)
     if inst._wider is None:
-        parent, index = list(inst.class_ids), dict(inst.index)
-        longer = list(
-            itertools.product(range(1, inst.alphabet + 1), repeat=inst.limit + 1)
-        )
-        neighbors = compile_neighbors(
-            inst.presentation, inst.alphabet, inst.limit + 1, True
-        )
-        _extend(parent, index, longer, neighbors)
-        inst._wider = tuple(
-            len({_find(parent, k) for k in range(universe_size(inst.alphabet, n))})
-            for n in (inst.max_len, inst.max_len + 1)
-        )
+        bounds = (inst.max_len, inst.max_len + 1)
+        if _has_runs(inst.presentation):
+            root = _reduced_components(
+                inst.presentation, inst.alphabet, inst.limit + 1
+            )
+            inst._wider = tuple(
+                len({c for r, c in root.items() if len(r) <= n}) for n in bounds
+            )
+        else:
+            parent, index = list(inst.class_ids), dict(inst.index)
+            longer = list(
+                itertools.product(range(1, inst.alphabet + 1), repeat=inst.limit + 1)
+            )
+            neighbors = compile_neighbors(
+                inst.presentation, inst.alphabet, inst.limit + 1, True
+            )
+            _extend(parent, index, longer, neighbors)
+            inst._wider = tuple(
+                len({_find(parent, k) for k in range(universe_size(inst.alphabet, n))})
+                for n in bounds
+            )
     return inst._wider
 
 
@@ -766,13 +924,14 @@ def check_uniformly_algebraic(inst: RelationInstance, **kwargs) -> dict:
 
 
 def destandardization_counts(
-    members: Sequence[Word],
+    members: Sequence[Word], flat: Callable[[Word], Word] = flatten
 ) -> dict[tuple[Word, Word], int]:
-    """For every cut of every member, count cuts by flattened block pair."""
+    """For every cut of every member, count cuts by flattened block pair;
+    ``flat`` flattens a block (a memo of :func:`flatten` may stand in)."""
     counts: dict[tuple[Word, Word], int] = {}
     for w in members:
         for i in range(len(w) + 1):
-            key = (flatten(w[:i]), flatten(w[i:]))
+            key = (flat(w[:i]), flat(w[i:]))
             counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -794,9 +953,10 @@ def check_p_algebraic(inst: RelationInstance, prime: int | None = None) -> dict:
 
     witness = None
     checked = 0
+    flat = functools.cache(flatten)  # each distinct block flattened once
     for members in inst.iter_classes():
         counts = destandardization_counts(
-            [w for w in members if len(w) <= inst.max_len]
+            [w for w in members if len(w) <= inst.max_len], flat
         )
         blocks: dict[tuple[int, int, int], dict[tuple[Word, Word], int]] = {}
         for (u, v), c in counts.items():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from wordbialg import cli
+from wordbialg import cli, relations
 from wordbialg.cli import ContentCache, main, resolve_relation
 from wordbialg.scans import packed_contents
 
@@ -217,6 +217,29 @@ def test_capped_requests_exit_3(argv):
     assert len(proc.stderr.strip().splitlines()) == 1 and not proc.stdout
 
 
+def test_capped_class_exits_before_listing_it():
+    # at the default cap the Hecke class of 1213 within length 42 is weighed
+    # by its run fibers and refused before any fiber is listed; a wrapper
+    # interpreter reads the peak RSS of its only child, the CLI
+    probe = (
+        "import resource, subprocess, sys\n"
+        "proc = subprocess.run([sys.executable, '-m', 'wordbialg.cli', 'psi',"
+        " '--class-of', '1213', '--relation', 'hecke', '--degree', '40'],"
+        " capture_output=True, text=True)\n"
+        "sys.stdout.write(proc.stderr)\n"
+        "print(proc.returncode, proc.stdout == '',"
+        " resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    *stderr, last = out
+    code, quiet, peak_kb = last.split()
+    assert int(code) == cli.EXIT_RESOURCE_CAP and quiet == "True"
+    assert len(stderr) == 1 and "exceeds cap 2000000" in stderr[0]
+    assert int(peak_kb) < 150 * 1024
+
+
 def test_closed_stdout_exits_with_the_broken_pipe_code():
     # the reader closes the pipe before the answer is written, as ``| head``
     # does once it has its lines
@@ -412,3 +435,32 @@ def test_classes_splits_by_content_for_builtins_only(tmp_path, capsys):
     assert closed["class_counts"] == named["class_counts"] == [1, 1, 3, 9, 33]
     assert commutation["bounds"]["headroom"] == 0
     assert commutation["class_counts"] == [1, 1, 2, 4, 8]
+
+
+def test_classify_builtins_script_matches_the_library():
+    # the script's table, row by row, against the library's own checks
+    script = Path(__file__).resolve().parent.parent / "scripts" / "classify_builtins.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--alphabet", "3", "--max-len", "4"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    rows = {
+        cells[0]: [cell == "yes" for cell in cells[1:6]]
+        for cells in map(str.split, proc.stdout.splitlines()[2:])
+    }
+    presentations = [relations.builtin_relation(n) for n in relations.BUILTIN_NAMES]
+    presentations.append(
+        relations.coxeter_relation(relations.gap_braid_m(2), "coxeter-gap2")
+    )
+    assert list(rows) == [pres.name for pres in presentations]
+    for pres in presentations:
+        inst = relations.close(pres, 3, 4)
+        assert rows[pres.name] == [
+            relations.is_homogeneous_observed(inst),
+            relations.check_algebraic(inst)["status"] == "pass",
+            relations.check_uniformly_algebraic(inst)["status"] == "pass",
+            relations.check_p_algebraic(inst)["status"] == "pass",
+            relations.is_finite_type_bounded(inst)["stable"],
+        ], pres.name

@@ -1,7 +1,9 @@
+import itertools
+import math
 from collections import defaultdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wordbialg import relations
@@ -26,7 +28,9 @@ from wordbialg.relations import (
     universal_coxeter_m,
     universe_size,
     weak_variant,
-    _repeat_neighbors,
+    _fibers,
+    _has_runs,
+    _reduce,
 )
 from wordbialg.coded import compile_coded_rewrites, decode_word
 from wordbialg.scans import content_components
@@ -40,15 +44,16 @@ from wordbialg.words import (
 )
 
 
+def _cut(classes, bound):
+    """The classes cut down to length <= ``bound``, empty cuts left out."""
+    cuts = (frozenset(x for x in members if len(x) <= bound) for members in classes)
+    return frozenset(cut for cut in cuts if cut)
+
+
 def slice_partition(inst, bound=None):
     """The classes of ``inst`` cut down to length <= ``bound`` (default: the
     reported slice), empty cuts left out."""
-    bound = inst.max_len if bound is None else bound
-    cuts = (
-        frozenset(x for x in members if len(x) <= bound)
-        for members in inst.iter_classes(full=True)
-    )
-    return frozenset(cut for cut in cuts if cut)
+    return _cut(inst.iter_classes(full=True), inst.max_len if bound is None else bound)
 
 
 def test_universe_cap():
@@ -98,10 +103,38 @@ def test_certificates_share_one_wider_closure():
         assert is_finite_type_bounded(inst)["count_next"] == longer.class_count()
 
 
-def _two_way_partition(pres, alphabet, limit, bound):
+def _repeat_neighbors(w: Word, limit: int) -> list[Word]:
+    """``a ~ aa`` in one step: per run of equal letters, the word with the
+    run one letter shorter (if it has two letters or more) and one longer
+    (if that stays within ``limit``).  Any position of a run gives the same
+    word, so each run is rewritten once."""
+    out = []
+    n = len(w)
+    grow = n < limit
+    for i in range(n):
+        if i and w[i - 1] == w[i]:
+            continue  # not the first letter of its run
+        if i + 1 < n and w[i + 1] == w[i]:
+            out.append(w[:i] + w[i + 1 :])
+        if grow:
+            out.append(w[: i + 1] + w[i:])
+    return out
+
+
+def _reference_neighbors(pres, alphabet, limit):
+    """Every one-step rewrite of a word within ``limit``: the library's
+    two-way window rewrites plus, with a Coxeter part, ``a ~ aa``."""
+    windows = compile_neighbors(pres, alphabet, limit)
+    if not _has_runs(pres):
+        return windows
+    return lambda w: windows(w) + _repeat_neighbors(w, limit)
+
+
+def _two_way_partition(pres, alphabet, limit, bound, neighbors=None):
     """Reference closure: a plain union-find over every word of length at
-    most ``limit``, uniting each with all of its two-way neighbours; the
-    classes are returned cut down to length ``bound``."""
+    most ``limit``, uniting each with all of its two-way neighbours (by
+    default the reference rewrites); the classes are returned cut down to
+    length ``bound``."""
     words = list(all_words(alphabet, limit))
     index = {w: i for i, w in enumerate(words)}
     parent = list(range(len(words)))
@@ -111,7 +144,8 @@ def _two_way_partition(pres, alphabet, limit, bound):
             x = parent[x]
         return x
 
-    neighbors = compile_neighbors(pres, alphabet, limit)
+    if neighbors is None:
+        neighbors = _reference_neighbors(pres, alphabet, limit)
     for i, w in enumerate(words):
         for nb in neighbors(w):
             parent[find(index[nb])] = find(i)
@@ -166,6 +200,85 @@ def test_one_way_closure_and_certificates_match_two_way_reference(
     assert finite["count_next"] == wider.class_count() == len(
         _two_way_partition(pres, alphabet, inst.limit + 1, max_len + 1)
     )
+
+
+def _coxeter_m(max_letter: int):
+    """A pair-order function: default infinite, 2 or 3, with overrides."""
+    pairs = list(itertools.combinations(range(1, max_letter + 1), 2))
+    override = st.tuples(st.sampled_from(pairs), st.sampled_from([None, 2, 3, 4]))
+    overrides = st.lists(override, max_size=2, unique_by=lambda o: o[0])
+    return st.builds(
+        CoxeterM,
+        st.sampled_from([None, 2, 3]),
+        overrides.map(lambda os: tuple((*pair, m) for pair, m in os)),
+    )
+
+
+def _shortlex(words):
+    return tuple(sorted(words, key=lambda t: (len(t), t)))
+
+
+@settings(max_examples=60, deadline=None)
+@example(CoxeterM(None), [((1, 2), (2, 1, 2))], False, True, False, 2, 3)
+@example(CoxeterM(None), [((1, 2), (2, 1))], False, False, False, 2, 2)
+@example(CoxeterM(None), [], False, True, True, 2, 2)
+@given(
+    _coxeter_m(3),
+    st.lists(_letter_set_pairs(3), max_size=2),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.integers(2, 3),
+    st.integers(0, 3),
+)
+def test_run_quotient_matches_two_way_reference(
+    m, pairs, uniform, in_context, weak, alphabet, max_len
+):
+    # unions of a Coxeter part with explicit pairs (unequal lengths,
+    # whole-word, uniform) and weak variants: the quotient's close, BFS and
+    # certificates against plain searches over every word with a ~ aa; the
+    # examples need a step whose window's first run extends past it, a
+    # whole-word pair inside a longer word, and a swap whose last run does
+    pres = relations.RelationPresentation(
+        "random",
+        union_of=(
+            coxeter_relation(m),
+            explicit_relation("pairs", pairs, uniform, in_context),
+        ),
+    )
+    if weak:
+        pres = weak_variant(pres)
+    inst = close(pres, alphabet, max_len)
+    reference = _two_way_partition(pres, alphabet, inst.limit, inst.limit)
+    assert slice_partition(inst, inst.limit) == reference
+    for cls in reference:
+        for seed in {min(cls), max(cls)}:
+            assert bfs_class(pres, seed, inst.limit) == _shortlex(cls)
+    largest = max(reference, key=len)
+    with pytest.raises(ResourceCapError):
+        bfs_class(pres, min(largest), inst.limit, cap=len(largest) - 1)
+    wider = _two_way_partition(pres, alphabet, inst.limit + 1, inst.limit + 1)
+    stability = headroom_stability(inst)
+    assert stability["partition_stable"] == (
+        slice_partition(inst) == _cut(wider, max_len)
+    )
+    finite = is_finite_type_bounded(inst)
+    assert finite["count"] == len(slice_partition(inst))
+    assert finite["count_next"] == len(_cut(wider, max_len + 1))
+
+
+def test_run_fibers():
+    # a run fiber holds C(bound, len(r)) distinct words, all reducing to r;
+    # a union of fibers comes in shortlex order
+    reduced = [(), (1,), (2, 1), (1, 2, 1), (3, 1, 2, 1)]
+    for bound in range(7):
+        for r in reduced:
+            fiber = _fibers([r], bound)
+            assert len(set(fiber)) == len(fiber) == math.comb(bound, len(r))
+            assert all(_reduce(w) == r and len(w) <= bound for w in fiber)
+        union = _fibers(reduced, bound)
+        assert union == list(_shortlex(union))
+        assert len(union) == sum(math.comb(bound, len(r)) for r in reduced)
 
 
 def test_knuth_generator_instance():
@@ -640,7 +753,7 @@ def test_table_neighbors_match_handwritten_rules(name, data, room):
     alphabet, w = data
     w = tuple(w)
     limit = len(w) + room
-    neighbors = compile_neighbors(builtin_relation(name), alphabet, limit)
+    neighbors = _reference_neighbors(builtin_relation(name), alphabet, limit)
     assert set(neighbors(w)) == set(_EXACT_RULES[name](w, limit))
 
 
@@ -648,26 +761,21 @@ def test_table_neighbors_match_handwritten_rules(name, data, room):
 @given(st.integers(1, 4), st.integers(0, 4))
 def test_hecke_table_closes_like_handwritten_rule(alphabet, max_len):
     # the 0-Hecke presentation rewrites aba -> bab only for adjacent letters;
-    # the handwritten rule did so for every pair, which ab ~ ba derives
-    # close compiles one-way rewrites; the shim ignores that and hands it
-    # the two-way handwritten rule, which gives every edge from both ends
+    # the handwritten rule did so for every pair, which ab ~ ba derives;
+    # close runs on the a ~ aa quotient, the oracle is a plain union-find
+    # over every word with the two-way handwritten rule
     pres = builtin_relation("hecke")
     table = close(pres, alphabet, max_len)
     visited = []
 
-    def handwritten(pres, alphabet, limit, *one_way):
-        def neighbors(w):
-            visited.append(w)
-            return _hecke_neighbors(w, limit)
+    def handwritten(w):
+        visited.append(w)
+        return _hecke_neighbors(w, table.limit)
 
-        return neighbors
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(relations, "compile_neighbors", handwritten)
-        oracle = close(pres, alphabet, max_len)
-    assert visited == list(oracle.words)  # the oracle closed through the shim
-    assert slice_partition(table) == slice_partition(oracle)
-    assert slice_partition(table, table.limit) == slice_partition(oracle, oracle.limit)
+    oracle = _two_way_partition(pres, alphabet, table.limit, table.limit, handwritten)
+    assert visited == list(table.words)  # the oracle asked about every word
+    assert slice_partition(table) == _cut(oracle, max_len)
+    assert slice_partition(table, table.limit) == oracle
 
 
 def test_builtins_are_presentation_data():
