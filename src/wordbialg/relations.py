@@ -413,7 +413,7 @@ def _fibers(reduced: Iterable[Word], bound: int) -> list[Word]:
 
 
 def _compile_run_steps(
-    pres: RelationPresentation, alphabet: int, limit: int
+    pres: RelationPresentation, alphabet: int, limit: int, one_way: bool = False
 ) -> Callable[[Word], list[Word]]:
     """One rewrite step of the ``a ~ aa`` quotient, on run-reduced words.
 
@@ -429,7 +429,13 @@ def _compile_run_steps(
     len(a)`` if that is positive.  Prefix rules take ``j = 0`` and ``α =
     0``, whole-word rules ``r == red(a)`` and ``α = β = 0``.  An extension
     that ``b`` continues with the same letter gives the step without it,
-    so it is skipped.  The steps are symmetric, like the rewrites."""
+    so it is skipped.  The steps are symmetric, like the rewrites.
+
+    A step with α = 1 (or β = 1) is the step from its target back with
+    α = 0 (β = 0), whose witness is the rewritten word.  So ``one_way``,
+    for a union-find over every reduced word, keeps only α = β = 0: each
+    edge is then generated from one end at least."""
+    extend = (0,) if one_way else (0, 1)
     by_length: dict[int, dict[Word, list]] = {}
     for (where, piece, grow), table in _rewrite_tables(pres, alphabet).items():
         for a, bs in table.items():
@@ -437,8 +443,8 @@ def _compile_run_steps(
             if not ra:
                 continue  # the empty pair rewrites nothing
             for b in map(_reduce, bs):
-                alphas = (0, 1) if where == _ANYWHERE and b[0] != ra[0] else (0,)
-                betas = (0, 1) if where != _WHOLE and b[-1] != ra[-1] else (0,)
+                alphas = extend if where == _ANYWHERE and b[0] != ra[0] else (0,)
+                betas = extend if where != _WHOLE and b[-1] != ra[-1] else (0,)
                 need = piece - len(ra) + max(grow, 0)
                 by_length.setdefault(len(ra), {}).setdefault(ra, []).append(
                     (where, need, b, alphas, betas)
@@ -477,7 +483,7 @@ def _reduced_components(
     reduced = _reduced_words(alphabet, limit)
     parent: list[int] = []
     index: dict[Word, int] = {}
-    _extend(parent, index, reduced, _compile_run_steps(pres, alphabet, limit))
+    _extend(parent, index, reduced, _compile_run_steps(pres, alphabet, limit, True))
     return {r: reduced[_find(parent, i)] for i, r in enumerate(reduced)}
 
 
@@ -592,7 +598,21 @@ def close(
     if _has_runs(pres):
         root = _reduced_components(pres, alphabet, limit)
         index.update(zip(words, itertools.count()))
-        class_ids = tuple(index[root[_reduce(w)]] for w in words)
+        # the universe is length-major and lexicographic: each length lists
+        # the words one shorter, each followed by every letter in turn, and
+        # a word reduces to its prefix's reduction joined with its last letter
+        letters = [(a,) for a in range(1, alphabet + 1)]
+        then = {
+            index[r]: [index[_join(r, a)] for a in letters]
+            for r in root
+            if len(r) < limit
+        }
+        level, reductions = [0], [0]
+        for _ in range(limit):
+            level = [k for p in level for k in then[p]]
+            reductions += level
+        class_of = {index[r]: index[c] for r, c in root.items()}
+        class_ids = tuple(map(class_of.__getitem__, reductions))
     else:
         parent: list[int] = []
         _extend(parent, index, words, compile_neighbors(pres, alphabet, limit, True))
