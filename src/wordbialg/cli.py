@@ -352,8 +352,14 @@ def cmd_psi(args) -> int:
         headroom = args.headroom if args.headroom is not None else (
             0 if pres.homogeneous else 2
         )
+        limit = degree + headroom
+        if len(seed) > limit:
+            print(
+                f"--class-of word is longer than --degree plus --headroom ({limit})",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
         try:
-            limit = degree + headroom
             members = relations.bfs_class(pres, seed, limit, cap=args.cap)
             stable = relations.bfs_class(pres, seed, limit + 1, cap=args.cap)
         except relations.ResourceCapError as err:

@@ -8,7 +8,7 @@ words, go up to length 15; longer lengths raise ``ValueError``
 lexicographic order, so the least code of a class is its least word.
 
 - :func:`compile_coded_rewrites` reads the window tables that
-  :func:`relations.compile_neighbors` also reads and merges every window
+  :func:`rewrite.compile_neighbors` also reads and merges every window
   length into one lookup per window start.  A rewrite of a homogeneous
   presentation changes a word only inside its window, so it is an xor.
 - :func:`guard_compare` reads a character's statistic (its violation mask,
@@ -22,7 +22,8 @@ import itertools
 from typing import Callable, Iterable, NamedTuple
 
 from .characters import _PEAK_FORMS, _peak_of_violation
-from .relations import _ANYWHERE, _WHOLE, RelationPresentation, _rewrite_tables
+from .relations import RelationPresentation
+from .rewrite import _ANYWHERE, _WHOLE, _rewrite_tables
 from .words import Word
 
 LANE = 5  # bits per letter: four value bits under one guard bit

@@ -1,0 +1,272 @@
+"""The rewrite engine: every generating pair of a presentation as a window
+rewrite, and one step of the ``a ~ aa`` quotient on run-reduced words.
+
+:func:`_rewrite_tables` reads each generating pair of each part of a
+presentation both ways, as a rewrite ``a -> b`` of a window, in one table
+per (where the window may sit: anywhere, as a prefix, or as the whole
+word; window length; length change).  :func:`compile_neighbors` applies
+every table through one lookup per window; the integer-coded scans merge
+the same tables into one xor-delta lookup per window start (:mod:`coded`).
+
+Every presentation with a Coxeter part contains ``a ~ aa``, and there the
+search runs on the quotient by it.  A word is related to its run
+reduction (each run of equal letters collapsed to one letter), and the
+run fiber of a reduced word ``r`` at bound ``L`` (every word of length
+``<= L`` reducing to ``r``) is connected inside the bound and holds
+``C(L, len(r))`` words (:func:`_fibers`).  So a class is a union of
+fibers, and its components are found among reduced words, with one
+rewrite step compiled from the same tables (:func:`_compile_run_steps`).
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+
+from .words import Word, shift, word_max
+
+if TYPE_CHECKING:
+    from .relations import RelationPresentation
+
+
+# --- window rewrites -------------------------------------------------------
+
+# where a window may sit in the word it rewrites
+_ANYWHERE, _PREFIX, _WHOLE = range(3)
+
+
+def _alternating(a: int, b: int, length: int) -> Word:
+    return tuple(a if i % 2 == 0 else b for i in range(length))
+
+
+def _order_preserving_injections(domain: int, alphabet: int) -> list[dict[int, int]]:
+    out = []
+    for image in itertools.combinations(range(1, alphabet + 1), domain):
+        out.append({i + 1: image[i] for i in range(domain)})
+    return out
+
+
+def _explicit_pairs(
+    pres: RelationPresentation, alphabet: int
+) -> set[tuple[Word, Word]]:
+    pairs: set[tuple[Word, Word]] = set()
+    for v, w in pres.generators:
+        if pres.uniform:
+            top = word_max(v)
+            for phi in _order_preserving_injections(top, alphabet):
+                pairs.add((tuple(phi[a] for a in v), tuple(phi[a] for a in w)))
+        else:
+            pairs.add((v, w))
+        # close under down-shifts: a(v|m)b ~ a(w|m)b for 0 <= m < min(v)
+        lo = min(v) if v else 1
+        for k in range(1, lo):
+            pairs.add((shift(v, -k), shift(w, -k)))
+    return {(v, w) for v, w in pairs if word_max(v) <= alphabet}
+
+
+def _window_pairs(
+    pres: RelationPresentation, alphabet: int
+) -> Iterator[tuple[int, Word, Word]]:
+    """``(where, v, w)`` for every generating pair ``v ~ w`` of the
+    presentation itself (not of its union members) on letters up to
+    ``alphabet``; the Coxeter kind's ``a ~ aa`` is not among them."""
+    letter_pairs = list(itertools.combinations(range(1, alphabet + 1), 2))
+    if pres.coxeter is not None:
+        for a, b in letter_pairs:
+            order = pres.coxeter.value(a, b)
+            if order is not None:
+                yield _ANYWHERE, _alternating(a, b, order), _alternating(b, a, order)
+    where = _ANYWHERE if pres.context_rewrites else _WHOLE
+    for v, w in _explicit_pairs(pres, alphabet):
+        yield where, v, w
+    if pres.initial_swap:
+        for a, b in letter_pairs:
+            yield _PREFIX, (a, b), (b, a)
+
+
+def _parts(pres: RelationPresentation) -> Iterator[RelationPresentation]:
+    """The presentation and, recursively, the members of its union."""
+    yield pres
+    for sub in pres.union_of:
+        yield from _parts(sub)
+
+
+def _rewrite_tables(
+    pres: RelationPresentation, alphabet: int
+) -> dict[tuple[int, int, int], dict[Word, set[Word]]]:
+    """Every generating pair of every part, read both ways, as a window
+    rewrite ``a -> b``, in one table per (where the window may sit, window
+    length, length change)."""
+    groups: dict[tuple[int, int, int], dict[Word, set[Word]]] = {}
+    for part in _parts(pres):
+        for where, v, w in _window_pairs(part, alphabet):
+            for a, b in ((v, w), (w, v)):
+                table = groups.setdefault((where, len(a), len(b) - len(a)), {})
+                table.setdefault(a, set()).add(b)
+    return groups
+
+
+def compile_neighbors(
+    pres: RelationPresentation, alphabet: int, limit: int, one_way: bool = False
+) -> Callable[[Word], list[Word]]:
+    """Compile a presentation into a one-step rewrite generator.
+
+    The window rewrites of :func:`_rewrite_tables` are applied table by
+    table, and a table whose rewrites would make the word longer than
+    ``limit`` is skipped whole.  No neighbour is longer than ``limit``.
+    ``a ~ aa`` is not among the rewrites: presentations with a Coxeter part
+    are searched on the run quotient (:func:`_compile_run_steps`).
+
+    ``one_way`` keeps only the rewrites toward the shortlex-smaller word:
+    shrinking ones and same-length ones toward the lexicographically
+    smaller window.  Each edge of the rewrite graph is then generated from
+    one end only, its longer or larger one, and no neighbour is longer
+    than the word."""
+    tables = _rewrite_tables(pres, alphabet)
+    lookups = []
+    for (where, piece, grow), table in sorted(tables.items()):
+        rewrites = {}
+        for a, bs in table.items():
+            kept = sorted(b for b in bs if not one_way or (len(b), b) < (len(a), a))
+            if kept:
+                rewrites[a] = tuple(kept)
+        if rewrites:
+            lookups.append((where, piece, grow, rewrites.get))
+
+    def neighbors(w: Word) -> list[Word]:
+        n = len(w)
+        out = []
+        for where, piece, grow, lookup in lookups:
+            last = n - piece  # the last window start
+            if last < 0 or n + grow > limit or (where == _WHOLE and last):
+                continue
+            for i in range(last + 1 if where == _ANYWHERE else 1):
+                reps = lookup(w[i : i + piece])
+                if reps:  # most windows start no rewrite
+                    for rep in reps:
+                        out.append(w[:i] + rep + w[i + piece :])
+        return out
+
+    return neighbors
+
+
+# --- the a ~ aa quotient ---------------------------------------------------
+
+
+def _has_runs(pres: RelationPresentation) -> bool:
+    """Whether ``a ~ aa`` is a relation of ``pres``: some part is of the
+    Coxeter kind."""
+    return any(part.coxeter is not None for part in _parts(pres))
+
+
+def _reduce(w: Word) -> Word:
+    """The run reduction of ``w``: each run of equal letters as one letter."""
+    return tuple(a for a, _ in itertools.groupby(w))
+
+
+def _join(u: Word, v: Word) -> Word:
+    """The run reduction of ``u + v`` for run-reduced ``u`` and ``v``."""
+    return u + v[1:] if u and v and u[-1] == v[0] else u + v
+
+
+def _reduced_words(alphabet: int, limit: int) -> list[Word]:
+    """The run-reduced words of length at most ``limit``, length-major."""
+    layer: list[Word] = [()]
+    out = list(layer)
+    for _ in range(limit):
+        layer = [
+            w + (a,)
+            for w in layer
+            for a in range(1, alphabet + 1)
+            if not w or w[-1] != a
+        ]
+        out += layer
+    return out
+
+
+def _fibers(reduced: Iterable[Word], bound: int) -> list[Word]:
+    """The union of the run fibers of the run-reduced words ``reduced`` at
+    ``bound``, in shortlex order.  The fiber of ``r`` is every word of
+    length at most ``bound`` that reduces to ``r``, ``C(bound, len(r))``
+    words; it is built one run at a time."""
+    out: list[Word] = []
+    for r in reduced:
+        words: list[Word] = [()]
+        for i, a in enumerate(r):
+            room = bound - len(r) + i + 1  # leaves one letter per later run
+            longer = []
+            for w in words:
+                w += (a,)
+                while len(w) <= room:
+                    longer.append(w)
+                    w += (a,)
+            words = longer
+        out += words
+    out.sort()
+    out.sort(key=len)
+    return out
+
+
+def _compile_run_steps(
+    pres: RelationPresentation, alphabet: int, limit: int, one_way: bool = False
+) -> Callable[[Word], list[Word]]:
+    """One rewrite step of the ``a ~ aa`` quotient, on run-reduced words.
+
+    A word is related to its run reduction, and the run fiber of a reduced
+    word is connected within any bound it fits, so the classes of words of
+    length <= ``limit`` are unions of the fibers of one component of this
+    step's graph on reduced words.  Each window rewrite ``a -> b`` fires at
+    every occurrence of ``red(a)`` in ``r``, say ``r[j..j']``; in a word of
+    the fiber, the first and the last run of the window may extend past it
+    (by α, β in {0, 1} letters), and the step goes to ``red(r[:j] + r[j]·α
+    + b + r[j']·β + r[j'+1:])``.  It is kept when its shortest witness fits:
+    ``len(r) - len(red(a)) + len(a) + α + β`` letters, plus ``len(b) -
+    len(a)`` if that is positive.  Prefix rules take ``j = 0`` and ``α =
+    0``, whole-word rules ``r == red(a)`` and ``α = β = 0``.  An extension
+    that ``b`` continues with the same letter gives the step without it,
+    so it is skipped.  The steps are symmetric, like the rewrites.
+
+    A step with α = 1 (or β = 1) is the step from its target back with
+    α = 0 (β = 0), whose witness is the rewritten word.  So ``one_way``,
+    for a union-find over every reduced word, keeps only α = β = 0: each
+    edge is then generated from one end at least."""
+    extend = (0,) if one_way else (0, 1)
+    by_length: dict[int, dict[Word, list]] = {}
+    for (where, piece, grow), table in _rewrite_tables(pres, alphabet).items():
+        for a, bs in table.items():
+            ra = _reduce(a)
+            if not ra:
+                # the sides of a pair have one letter set, so only () ~ ()
+                # has an empty side, and it rewrites nothing
+                continue
+            for b in map(_reduce, bs):
+                alphas = extend if where == _ANYWHERE and b[0] != ra[0] else (0,)
+                betas = extend if where != _WHOLE and b[-1] != ra[-1] else (0,)
+                need = piece - len(ra) + max(grow, 0)
+                by_length.setdefault(len(ra), {}).setdefault(ra, []).append(
+                    (where, need, b, alphas, betas)
+                )
+    lookups = [(k, table.get) for k, table in sorted(by_length.items())]
+
+    def steps(r: Word) -> list[Word]:
+        n = len(r)
+        out = []
+        for k, lookup in lookups:
+            last = n - k  # the last window start
+            for j in range(last + 1):
+                rules = lookup(r[j : j + k])
+                if not rules:
+                    continue
+                for where, need, b, alphas, betas in rules:
+                    room = limit - n - need  # letters left for α + β
+                    anchored = where != _ANYWHERE and (j or where == _WHOLE and last)
+                    if room < 0 or anchored:
+                        continue
+                    for alpha in alphas:
+                        head = _join(r[: j + alpha], b)
+                        for beta in betas:
+                            if alpha + beta <= room:
+                                out.append(_join(head, r[j + k - beta :]))
+        return out
+
+    return steps

@@ -154,6 +154,8 @@ def test_psi_requires_input():
         ["psi", "--character", "xx"],
         ["psi", "--word", "12", "--character", "xx"],
         ["psi", "--class-of", "1a"],
+        ["psi", "--class-of", "12345", "--relation", "knuth", "--degree", "2"],
+        ["psi", "--class-of", "1212121", "--relation", "hecke", "--degree", "4"],
         ["psi"],
         ["classes", "--relation", "no-such-relation"],
         ["check"],
@@ -188,6 +190,7 @@ def test_input_errors_exit_with_the_usage_code(argv):
         {"builtin": ["knuth"]},
         {"generators": [[1, 2]]},
         {"generators": [["12"]]},
+        {"union_of": ["hecke"], "generators": [["1", ""]]},
         "no-such-relation",
     ],
 )

@@ -17,9 +17,7 @@ from wordbialg.relations import (
     check_p_algebraic,
     check_uniformly_algebraic,
     close,
-    compile_neighbors,
     coxeter_relation,
-    destandardization_counts,
     explicit_relation,
     gap_braid_m,
     headroom_stability,
@@ -28,11 +26,9 @@ from wordbialg.relations import (
     universal_coxeter_m,
     universe_size,
     weak_variant,
-    _fibers,
-    _has_runs,
-    _reduce,
 )
 from wordbialg.coded import compile_coded_rewrites, decode_word
+from wordbialg.rewrite import _fibers, _has_runs, _reduce, compile_neighbors
 from wordbialg.scans import content_components
 from wordbialg.words import (
     Word,
@@ -222,9 +218,10 @@ def _shortlex(words):
 @example(CoxeterM(None), [((1, 2), (2, 1, 2))], False, True, False, 2, 3)
 @example(CoxeterM(None), [((1, 2), (2, 1))], False, False, False, 2, 2)
 @example(CoxeterM(None), [], False, True, True, 2, 2)
+@example(CoxeterM(2), [((), ()), ((1, 2), (2, 1, 1))], False, True, False, 2, 2)
 @given(
     _coxeter_m(3),
-    st.lists(_letter_set_pairs(3), max_size=2),
+    st.lists(st.one_of(_letter_set_pairs(3), st.just(((), ()))), max_size=2),
     st.booleans(),
     st.booleans(),
     st.booleans(),
@@ -238,7 +235,8 @@ def test_run_quotient_matches_two_way_reference(
     # whole-word, uniform) and weak variants: the quotient's close, BFS and
     # certificates against plain searches over every word with a ~ aa; the
     # examples need a step whose window's first run extends past it, a
-    # whole-word pair inside a longer word, and a swap whose last run does
+    # whole-word pair inside a longer word, a swap whose last run does, and
+    # the one pair with an empty side, () ~ ()
     pres = relations.RelationPresentation(
         "random",
         union_of=(
@@ -559,8 +557,8 @@ def test_count_destandardizations():
     # the cut position is forced, so 111 is not a ((1),(1))-destandardization
     assert count_destandardizations([(1, 1, 1)], (1,), (1,)) == 0
     assert count_destandardizations([(1, 1)], (1,), (1,)) == 1
-    counts = destandardization_counts([(1, 3)])
-    assert counts[((1, 2), ())] == 1 and ((2, 1), ()) not in counts
+    assert count_destandardizations([(1, 3)], (1, 2), ()) == 1
+    assert count_destandardizations([(1, 3)], (2, 1), ()) == 0
 
 
 def test_gap_braid_two_letter_class_counts():
@@ -640,6 +638,16 @@ def test_bfs_class_matches_closure():
         assert bfs_class(builtin_relation("k-knuth"), seed, inst.limit) == inst.class_of(
             seed, full=True
         )
+
+
+@pytest.mark.parametrize("name", ["knuth", "hecke"])
+def test_bfs_class_rejects_a_seed_longer_than_its_bound(name):
+    # one contract with and without a Coxeter part: a seed of length
+    # max_len is in its class, a longer one raises
+    pres = builtin_relation(name)
+    assert (1, 2, 1) in bfs_class(pres, (1, 2, 1), 3)
+    with pytest.raises(ValueError):
+        bfs_class(pres, (1, 2, 1, 2), 3)
 
 
 def test_weak_variant():
