@@ -33,7 +33,6 @@ certificate.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from typing import Iterable
@@ -319,7 +318,7 @@ def multi_fundamental(alpha: Composition, degree: int) -> QSym:
                 beta[-1] -= 1
 
     rec(0, [], 0)
-    return QSym(degree, {b: Fraction(c) for b, c in terms.items()})
+    return QSym(degree, terms)
 
 
 def _comp_cut_positions(alpha: Composition) -> list[int]:

@@ -24,6 +24,7 @@ import time
 from collections import defaultdict
 
 from . import bialgebra, characters, qsym, relations, scans
+from .coded import check_codable
 from .words import (
     all_words,
     eval_hecke_word,
@@ -237,6 +238,17 @@ def cached_scan(
 # --- subcommands ------------------------------------------------------------
 
 
+def _codable(pres: relations.RelationPresentation, max_len: int) -> bool:
+    """Whether the content-sliced scans reach ``max_len``; if not, says why
+    on stderr, so a command refuses before its first length."""
+    try:
+        check_codable(pres, max_len)
+    except ValueError as err:
+        print(f"--max-len {max_len}: {err}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_classes(args) -> int:
     pres = args.relation
     lengths = list(range(args.max_len + 1))
@@ -258,6 +270,8 @@ def cmd_classes(args) -> int:
         and pres.name in relations.BUILTIN_NAMES
         and pres == relations.builtin_relation(pres.name)
     ):
+        if not _codable(pres, args.max_len):
+            return EXIT_USAGE
         bounds = {"alphabet": args.max_len, "max_len": args.max_len}
         for n in lengths:
             cache = ContentCache(
@@ -429,6 +443,8 @@ def cmd_conjectures(args) -> int:
         if args.max_len > EXTENDED_CLASS_LIMIT and not args.extended:
             print("lengths above 7 need --extended", file=sys.stderr)
             return EXIT_RESOURCE_CAP
+        if not _codable(relations.builtin_relation("exotic-knuth"), args.max_len):
+            return EXIT_USAGE
         want_csv = args.format == "csv"
         bases = ("s", "Q") if want_csv else (
             ("Q",) if args.which == "exotic-sym" else ("s",)

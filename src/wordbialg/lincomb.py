@@ -5,7 +5,9 @@ tensor pairs, compositions).  Zero coefficients are never stored, so
 equality is support-and-coefficient equality.  A coefficient is a plain
 ``int`` unless a division made it fractional, and only then a
 ``Fraction``; every structure constant of the word bialgebras is an
-integer, so their arithmetic never builds a ``Fraction``.
+integer, so their arithmetic never builds a ``Fraction``.  :mod:`qsym`
+keeps its coefficients by the same convention, through :func:`_exact`
+and :func:`_add_into`.
 """
 
 from __future__ import annotations

@@ -2,14 +2,19 @@
 
 Everything is stored in the monomial basis: a :class:`QSym` maps
 compositions to exact rationals and carries the truncation degree up to
-which its coefficients are meaningful.  Fundamental, peak, and the
-symmetric bases (monomial, Schur, Schur-Q) are conversion layers.
+which its coefficients are meaningful.  Coefficients follow
+:mod:`lincomb`'s convention: a plain ``int`` when whole, a ``Fraction``
+only where a division made one (the Schur-Q pivot ``2^l(lam)``).
+Fundamental, peak, and the symmetric bases (monomial, Schur, Schur-Q) are
+conversion layers.
 
 Multiplication is the overlapping shuffle of compositions, which agrees
-with multiplying the underlying power series.  Schur functions are built
-from semistandard-tableau counts, Schur-Q functions from marked shifted
-tableau counts; both expansions invert by triangular elimination along
-reverse-lexicographic (dominance-compatible) order.
+with multiplying the underlying power series.  The Schur and Schur-Q
+bases share one path: a basis element's monomial coefficient at each
+partition is a tableau count (semistandard, or marked shifted), spread
+over that partition's rearrangements, and both expansions invert by
+triangular elimination along reverse-lexicographic (dominance-compatible)
+order.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Mapping
 
-from .lincomb import format_scalar, parse_scalar
+from .lincomb import _add_into, _exact, format_scalar, parse_scalar
 from .words import (
     Composition,
     Partition,
@@ -45,19 +50,15 @@ class QSym:
 
     def __init__(self, degree: int, terms: Mapping[Composition, object] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[Composition, Fraction] = {}
+        clean: dict = {}
         for alpha, c in items:
-            alpha = tuple(alpha)
-            c = Fraction(c)
             if c and sum(alpha) <= degree:
-                clean[alpha] = clean.get(alpha, Fraction(0)) + c
-                if not clean[alpha]:
-                    del clean[alpha]
+                _add_into(clean, tuple(alpha), _exact(c))
         self.degree = degree
         self.terms = clean
 
-    def coeff(self, alpha: Composition) -> Fraction:
-        return self.terms.get(tuple(alpha), Fraction(0))
+    def coeff(self, alpha: Composition) -> int | Fraction:
+        return self.terms.get(tuple(alpha), 0)
 
     def truncate(self, degree: int) -> "QSym":
         return QSym(min(degree, self.degree), self.terms)
@@ -69,25 +70,25 @@ class QSym:
         degree = min(self.degree, other.degree)
         out = dict(self.terms)
         for alpha, c in other.terms.items():
-            out[alpha] = out.get(alpha, Fraction(0)) + c
+            _add_into(out, alpha, c)
         return QSym(degree, out)
 
     def __sub__(self, other: "QSym") -> "QSym":
         return self + other.scale(-1)
 
     def scale(self, c) -> "QSym":
-        c = Fraction(c)
+        c = _exact(c)
         return QSym(self.degree, {a: c * x for a, x in self.terms.items()})
 
     def __mul__(self, other: "QSym") -> "QSym":
         degree = min(self.degree, other.degree)
-        out: dict[Composition, Fraction] = {}
+        out: dict = {}
         for alpha, ca in self.terms.items():
             for beta, cb in other.terms.items():
                 if sum(alpha) + sum(beta) > degree:
                     continue
                 for gamma, mult in quasi_shuffle(alpha, beta).items():
-                    out[gamma] = out.get(gamma, Fraction(0)) + ca * cb * mult
+                    _add_into(out, gamma, ca * cb * mult)
         return QSym(degree, out)
 
     def __eq__(self, other: object) -> bool:
@@ -114,12 +115,10 @@ class SymExpansion:
         items = terms.items() if isinstance(terms, Mapping) else terms
         self.basis = basis
         self.degree = degree
-        self.terms = {
-            tuple(lam): Fraction(c) for lam, c in items if Fraction(c)
-        }
+        self.terms = {tuple(lam): _exact(c) for lam, c in items if c}
 
-    def coeff(self, lam: Partition) -> Fraction:
-        return self.terms.get(tuple(lam), Fraction(0))
+    def coeff(self, lam: Partition) -> int | Fraction:
+        return self.terms.get(tuple(lam), 0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymExpansion):
@@ -164,7 +163,7 @@ def qs_zero(degree: int) -> QSym:
 
 
 def qs_one(degree: int) -> QSym:
-    return QSym(degree, {(): Fraction(1)})
+    return QSym(degree, {(): 1})
 
 
 def monomial(alpha: Composition, degree: int | None = None) -> QSym:
@@ -173,7 +172,7 @@ def monomial(alpha: Composition, degree: int | None = None) -> QSym:
         degree = sum(alpha)
     if sum(alpha) > degree:
         raise ValueError(f"|{alpha}| exceeds truncation degree {degree}")
-    return QSym(degree, {alpha: Fraction(1)})
+    return QSym(degree, {alpha: 1})
 
 
 @lru_cache(maxsize=None)
@@ -196,7 +195,7 @@ def fundamental_L(alpha: Composition, degree: int | None = None) -> QSym:
         degree = n
     if n > degree:
         raise ValueError(f"|{alpha}| exceeds truncation degree {degree}")
-    return QSym(degree, {beta: Fraction(1) for beta in _fundamental_terms(alpha)})
+    return QSym(degree, dict.fromkeys(_fundamental_terms(alpha), 1))
 
 
 @lru_cache(maxsize=None)
@@ -223,35 +222,30 @@ def peak_K(alpha: Composition, degree: int | None = None) -> QSym:
         degree = n
     if n > degree:
         raise ValueError(f"|{alpha}| exceeds truncation degree {degree}")
-    return QSym(degree, {beta: Fraction(c) for beta, c in _peak_terms(alpha)})
+    return QSym(degree, _peak_terms(alpha))
 
 
-def to_fundamental(f: QSym) -> dict[Composition, Fraction]:
-    """Coefficients in the fundamental basis, by inclusion-exclusion."""
-    out: dict[Composition, Fraction] = {}
+def to_fundamental(f: QSym) -> dict[Composition, int | Fraction]:
+    """Coefficients in the fundamental basis, by inclusion-exclusion:
+    ``M_alpha`` is the sum of ``(-1)^(l(beta) - l(alpha)) L_beta`` over the
+    refinements ``beta`` of ``alpha``."""
+    out: dict = {}
     for alpha, coeff in f.terms.items():
-        n = sum(alpha)
-        base = comp_to_set(alpha)
-        free = sorted(set(range(1, n)) - base)
-        for k in range(len(free) + 1):
-            for extra in itertools.combinations(free, k):
-                beta = comp_from_set(n, base | set(extra))
-                acc = out.get(beta, Fraction(0)) + coeff * (-1) ** k
-                if acc:
-                    out[beta] = acc
-                else:
-                    out.pop(beta, None)
+        for beta in _fundamental_terms(alpha):
+            _add_into(out, beta, -coeff if (len(beta) - len(alpha)) & 1 else coeff)
     return out
 
 
-def from_fundamental(coeffs: Mapping[Composition, Fraction], degree: int) -> QSym:
-    out: dict[Composition, Fraction] = {}
-    for alpha, c in coeffs.items():
-        if sum(alpha) > degree:
-            continue
-        for beta in _fundamental_terms(tuple(alpha)):
-            out[beta] = out.get(beta, Fraction(0)) + c
-    return QSym(degree, out)
+def from_fundamental(coeffs: Mapping[Composition, object], degree: int) -> QSym:
+    return QSym(
+        degree,
+        (
+            (beta, c)
+            for alpha, c in coeffs.items()
+            if sum(alpha) <= degree
+            for beta in _fundamental_terms(tuple(alpha))
+        ),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -283,7 +277,7 @@ def monomial_sym(lam: Partition, degree: int | None = None) -> QSym:
     lam = tuple(lam)
     if degree is None:
         degree = sum(lam)
-    return QSym(degree, {beta: Fraction(1) for beta in _rearrangements(lam)})
+    return QSym(degree, dict.fromkeys(_rearrangements(lam), 1))
 
 
 def homogeneous_h(n: int, degree: int | None = None) -> QSym:
@@ -330,16 +324,7 @@ def _horizontal_strip_removals(lam: Partition, size: int) -> tuple[Partition, ..
 
 def schur(lam: Partition, degree: int | None = None) -> QSym:
     """Schur function in the monomial basis via Kostka numbers."""
-    lam = tuple(lam)
-    n = sum(lam)
-    if degree is None:
-        degree = n
-    terms = {}
-    for alpha in compositions(n):
-        k = kostka(lam, comp_sort(alpha))
-        if k:
-            terms[alpha] = Fraction(k)
-    return QSym(degree, terms)
+    return _basis_element(lam, "s", degree)
 
 
 def _triangular_solve(
@@ -353,7 +338,6 @@ def _triangular_solve(
     one that indexes no basis element (non-strict, for Schur-Q) can never
     cancel, so the element is outside the span.  Exact: ints stay ints
     while the Schur-Q pivot ``2^l(lam)`` divides, Fractions where not."""
-    in_m = _schur_in_m if basis == "s" else _schur_q_in_m
     residual = {lam: c for lam, c in terms.items() if c}
     coeffs: dict[Partition, object] = {}
     while residual:
@@ -367,33 +351,51 @@ def _triangular_solve(
             pivot = 1 << len(lam)
             c = c // pivot if isinstance(c, int) and not c % pivot else Fraction(c, pivot)
         coeffs[lam] = c
-        for mu, x in in_m(lam).items():
-            acc = residual.get(mu, 0) - c * x
-            if acc:
-                residual[mu] = acc
-            else:
-                residual.pop(mu, None)
+        for mu, x in _in_m(lam, basis).items():
+            _add_into(residual, mu, -c * x)
     return coeffs
 
 
 @lru_cache(maxsize=None)
-def _schur_in_m(lam: Partition) -> dict[Partition, int]:
-    return {
-        mu: kostka(lam, mu)
-        for mu in partitions(sum(lam))
-        if kostka(lam, mu)
-    }
+def _in_m(lam: Partition, basis: str) -> dict[Partition, int]:
+    """Monomial coefficients, by partition, of the Schur (``"s"``) or
+    Schur-Q (``"Q"``) function of ``lam``: tableau counts by content."""
+    count = kostka if basis == "s" else marked_shifted_count
+    return {mu: c for mu in partitions(sum(lam)) if (c := count(lam, mu))}
+
+
+def _basis_element(lam: Partition, basis: str, degree: int | None) -> QSym:
+    """The basis element of ``lam``, its coefficient at each partition
+    spread over that partition's rearrangements."""
+    lam = tuple(lam)
+    return QSym(
+        sum(lam) if degree is None else degree,
+        (
+            (alpha, c)
+            for mu, c in _in_m(lam, basis).items()
+            for alpha in _rearrangements(mu)
+        ),
+    )
+
+
+def _expand(f: QSym, basis: str) -> SymExpansion:
+    return SymExpansion(
+        basis, f.degree, _triangular_solve(to_monomial_sym(f).terms, basis)
+    )
+
+
+def _positive(f: QSym, basis: str) -> PositivityCertificate:
+    expansion = _expand(f, basis)
+    negative = tuple((lam, c) for lam, c in sorted(expansion.terms.items()) if c < 0)
+    return PositivityCertificate(basis, expansion, not negative, negative)
 
 
 def schur_expand(f: QSym) -> SymExpansion:
-    terms = _triangular_solve(to_monomial_sym(f).terms, "s")
-    return SymExpansion("s", f.degree, terms)
+    return _expand(f, "s")
 
 
 def schur_positive(f: QSym) -> PositivityCertificate:
-    expansion = schur_expand(f)
-    negative = tuple((lam, c) for lam, c in sorted(expansion.terms.items()) if c < 0)
-    return PositivityCertificate("s", expansion, not negative, negative)
+    return _positive(f, "s")
 
 
 # --- Schur Q-functions ---------------------------------------------------
@@ -466,38 +468,15 @@ def q_function(n: int, degree: int | None = None) -> QSym:
 
 def schur_q(lam: Partition, degree: int | None = None) -> QSym:
     """Schur Q-function of a strict partition, in the monomial basis."""
-    lam = tuple(lam)
-    if not is_strict_partition(lam):
-        raise ValueError(f"{lam} is not a strict partition")
-    n = sum(lam)
-    if degree is None:
-        degree = n
-    terms = {}
-    for alpha in compositions(n):
-        c = marked_shifted_count(lam, comp_sort(alpha))
-        if c:
-            terms[alpha] = Fraction(c)
-    return QSym(degree, terms)
-
-
-@lru_cache(maxsize=None)
-def _schur_q_in_m(lam: Partition) -> dict[Partition, int]:
-    return {
-        mu: marked_shifted_count(lam, mu)
-        for mu in partitions(sum(lam))
-        if marked_shifted_count(lam, mu)
-    }
+    return _basis_element(lam, "Q", degree)
 
 
 def schur_q_expand(f: QSym) -> SymExpansion:
-    terms = _triangular_solve(to_monomial_sym(f).terms, "Q")
-    return SymExpansion("Q", f.degree, terms)
+    return _expand(f, "Q")
 
 
 def schur_q_positive(f: QSym) -> PositivityCertificate:
-    expansion = schur_q_expand(f)
-    negative = tuple((lam, c) for lam, c in sorted(expansion.terms.items()) if c < 0)
-    return PositivityCertificate("Q", expansion, not negative, negative)
+    return _positive(f, "Q")
 
 
 # --- involutions and substitution ----------------------------------------
@@ -530,18 +509,14 @@ def substitute_geometric(f: QSym) -> QSym:
     same-length compositions ``beta >= alpha`` componentwise, truncated at
     the ambient degree.
     """
-    out: dict[Composition, Fraction] = {}
+    out: dict = {}
     degree = f.degree
     for alpha, coeff in f.terms.items():
         for beta in _componentwise_dominating(alpha, degree):
             mult = 1
             for a, b in zip(alpha, beta):
                 mult *= _binomial(b - 1, a - 1)
-            acc = out.get(beta, Fraction(0)) + coeff * mult
-            if acc:
-                out[beta] = acc
-            else:
-                out.pop(beta, None)
+            _add_into(out, beta, coeff * mult)
     return QSym(degree, out)
 
 
@@ -575,24 +550,22 @@ def _componentwise_dominating(alpha: Composition, degree: int):
 # --- coproduct and the canonical character --------------------------------
 
 
-def coproduct_terms(f: QSym) -> dict[tuple[Composition, Composition], Fraction]:
+def coproduct_terms(f: QSym) -> dict[tuple[Composition, Composition], int | Fraction]:
     """Deconcatenation coproduct of compositions, extended linearly."""
-    out: dict[tuple[Composition, Composition], Fraction] = {}
+    out: dict = {}
     for alpha, c in f.terms.items():
         for i in range(len(alpha) + 1):
-            key = (alpha[:i], alpha[i:])
-            out[key] = out.get(key, Fraction(0)) + c
-    return {k: v for k, v in out.items() if v}
+            _add_into(out, (alpha[:i], alpha[i:]), c)
+    return out
 
 
-def canonical_character(f: QSym) -> dict[int, Fraction]:
+def canonical_character(f: QSym) -> dict[int, int | Fraction]:
     """Set ``x_1 = t`` and all other variables to zero; coefficients by degree."""
-    out: dict[int, Fraction] = {}
+    out: dict = {}
     for alpha, c in f.terms.items():
         if len(alpha) <= 1:
-            d = sum(alpha)
-            out[d] = out.get(d, Fraction(0)) + c
-    return {d: c for d, c in out.items() if c}
+            _add_into(out, sum(alpha), c)
+    return out
 
 
 # --- serialization --------------------------------------------------------

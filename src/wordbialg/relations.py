@@ -118,6 +118,16 @@ class GapCoxeterM(CoxeterM):
     gap: int = 1
     order: int | None = 3
 
+    def __post_init__(self):
+        # value() reads only gap and order, so the inherited fields must
+        # keep their defaults
+        if (self.default, self.overrides) != (2, ()):
+            raise ValueError("a gap pair order takes only gap and order")
+        if self.gap < 1:
+            raise ValueError("gap must be positive")
+        if self.order is not None and self.order < 2:
+            raise ValueError(f"pair order {self.order} must be >= 2 or None")
+
     def value(self, i: int, j: int) -> int | None:
         if i == j:
             return 1
@@ -126,8 +136,6 @@ class GapCoxeterM(CoxeterM):
 
 def gap_braid_m(gap: int, order: int | None = 3) -> CoxeterM:
     """m(i, i + gap) = order with all other pair orders 2, for every i."""
-    if gap < 1:
-        raise ValueError("gap must be positive")
     return GapCoxeterM(gap=gap, order=order)
 
 
@@ -264,13 +272,13 @@ class RelationInstance:
     index: dict = field(repr=False)
 
     def __post_init__(self):
+        # ``words`` is in shortlex order (``close`` lists it so), so each
+        # class's members come out sorted and the classes come out in
+        # representative order
         members: dict[int, list[Word]] = {}
         for w, cid in zip(self.words, self.class_ids):
             members.setdefault(cid, []).append(w)
-        self._members = {
-            cid: tuple(sorted(ws, key=lambda t: (len(t), t)))
-            for cid, ws in members.items()
-        }
+        self._members = {cid: tuple(ws) for cid, ws in members.items()}
         # condition (a) of the algebraic check by (sample_cap, seed) and
         # condition (b): the uniform and P-algebraic checks repeat them
         self._congruence: dict[tuple[int, int], dict] = {}
@@ -304,15 +312,12 @@ class RelationInstance:
 
     def iter_classes(self, full: bool = False) -> Iterator[tuple[Word, ...]]:
         """All classes meeting the reported slice, in representative order."""
-        out = []
         for members in self._members.values():
             sliced = members if full else tuple(
                 x for x in members if len(x) <= self.max_len
             )
             if sliced:
-                out.append(sliced)
-        out.sort(key=lambda ms: (len(ms[0]), ms[0]))
-        yield from out
+                yield sliced
 
     def packed_classes(self, length: int) -> list[tuple[Word, ...]]:
         """Classes containing a packed word of the given length."""

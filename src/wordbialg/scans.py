@@ -36,20 +36,10 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
-from .characters import (
-    _compositions_of,
-    class_image,
-    format_character,
-    image_of_histogram,
-)
-from .qsym import (
-    _triangular_solve,
-    is_symmetric,
-    schur_positive,
-    schur_q_positive,
-)
+from .characters import _compositions_of, format_character, image_of_histogram
+from .qsym import _triangular_solve
 from .coded import (
     CodedRewrites,
     check_codable,
@@ -374,65 +364,6 @@ def positivity_scan_homogeneous(
     if detail:
         report["classes"] = sorted(rows, key=lambda v: v["representative"])
     return report
-
-
-# --- generic (instance-based) scans -----------------------------------------
-
-
-def instance_scan(
-    inst,
-    character,
-    degree: int,
-    basis: str | None = None,
-    lengths: Iterable[int] | None = None,
-) -> dict:
-    """Symmetry (and optional positivity) scan over the packed classes of a
-    closed relation instance, summing member images up to ``degree``."""
-    if degree > inst.max_len:
-        raise ValueError("degree bound exceeds the instance's certified slice")
-    if lengths is None:
-        lengths = range(inst.max_len + 1)
-    seen: set[int] = set()
-    total = 0
-    non_symmetric: list[str] = []
-    non_positive: list[str] = []
-    for length in lengths:
-        for members in inst.packed_classes(length):
-            cid = inst.class_id(members[0])
-            if cid in seen:
-                continue
-            seen.add(cid)
-            total += 1
-            image = class_image(members, character, degree)
-            rep = format_word(members[0])
-            if not is_symmetric(image):
-                non_symmetric.append(rep)
-                continue
-            if basis == "s":
-                cert = schur_positive(image)
-            elif basis == "Q":
-                try:
-                    cert = schur_q_positive(image)
-                except ValueError:
-                    non_positive.append(rep)
-                    continue
-            else:
-                continue
-            if not cert.nonnegative:
-                non_positive.append(rep)
-    return {
-        "relation": inst.presentation.name,
-        "character": format_character(character),
-        "basis": basis,
-        "bounds": {
-            "alphabet": inst.alphabet,
-            "max_len": inst.max_len,
-            "degree": degree,
-        },
-        "total_classes": total,
-        "non_symmetric": sorted(non_symmetric),
-        "non_positive": sorted(non_positive),
-    }
 
 
 # --- bounded conjecture searches ---------------------------------------------

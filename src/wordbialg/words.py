@@ -212,13 +212,6 @@ def parse_anchored(s: str) -> Anchored:
 # --- compositions -------------------------------------------------------
 
 
-def check_composition(alpha: Iterable[int]) -> Composition:
-    alpha = tuple(alpha)
-    if any(a < 1 for a in alpha):
-        raise ValueError(f"composition parts must be positive: {alpha}")
-    return alpha
-
-
 def compositions(n: int) -> Iterator[Composition]:
     """All compositions of ``n``, by subsets of ``[n-1]``."""
     if n == 0:

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,29 @@ def test_classes_generic_path_defaults_alphabet_to_max_len():
 def test_classes_requires_extended_for_long_lengths():
     proc = run_cli("classes", "--relation", "exotic-knuth", "--max-len", "8")
     assert proc.returncode == 3
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["classes", "--extended", "--max-len", "16"],
+        ["conjectures", "--which", "exotic-sym", "--extended", "--max-len", "16"],
+    ],
+)
+def test_uncodable_length_refused_before_any_work(args):
+    # the coded lanes stop at 15: the refusal comes before length 0, not
+    # after hours of work on the lengths below it
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "wordbialg.cli", *args],
+        capture_output=True,
+        text=True,
+        timeout=2,
+    )
+    assert time.perf_counter() - t0 < 2
+    assert proc.returncode == 4 and not proc.stdout
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "not 16" in proc.stderr
 
 
 def test_json_outputs_are_byte_stable():

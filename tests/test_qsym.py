@@ -36,7 +36,15 @@ from wordbialg.qsym import (
     to_fundamental,
     to_monomial_sym,
 )
-from wordbialg.words import compositions, partitions
+from wordbialg.words import (
+    comp_from_set,
+    comp_sort,
+    comp_to_set,
+    comp_transpose,
+    compositions,
+    partitions,
+    strict_partitions,
+)
 
 compositions_st = st.lists(st.integers(1, 3), min_size=0, max_size=4).map(tuple)
 qsym_st = st.dictionaries(compositions_st, st.integers(-4, 4), max_size=4).map(
@@ -195,6 +203,29 @@ def test_schur_expand_rebuild_identity():
         for lam, c in expansion.terms.items():
             rebuilt = rebuilt + schur(lam, degree).scale(c)
         assert rebuilt == f
+
+
+def _schur_by_compositions(lam, count):
+    """The basis element of ``lam`` with the tableau count ``count`` read
+    at every composition of its size: the reference for the shared builder,
+    which reads each partition once and spreads it over rearrangements."""
+    terms = {}
+    for alpha in compositions(sum(lam)):
+        c = count(lam, comp_sort(alpha))
+        if c:
+            terms[alpha] = Fraction(c)
+    return QSym(sum(lam), terms)
+
+
+def test_schur_bases_match_per_composition_reference():
+    for n in range(8):
+        for lam in partitions(n):
+            assert schur(lam).terms == _schur_by_compositions(lam, kostka).terms
+        for lam in strict_partitions(n):
+            assert schur_q(lam).terms == _schur_by_compositions(
+                lam, marked_shifted_count
+            ).terms
+    assert schur((2, 1), 2) == QSym(2, {})
 
 
 def test_schur_expand_rejects_non_span():
@@ -432,3 +463,105 @@ def test_canonical_character():
 def test_json_round_trip():
     f = schur((2, 1), 5)
     assert qsym_from_json(qsym_to_json(f)) == f
+
+
+# --- coefficient convention: ints against an all-Fraction oracle -------------
+
+int_terms_st = st.dictionaries(compositions_st, st.integers(-4, 4), max_size=4)
+scalars_st = st.one_of(
+    st.integers(-4, 4), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+)
+
+
+def _oracle(pairs, degree) -> dict:
+    out = {}
+    for alpha, c in pairs:
+        if sum(alpha) <= degree:
+            out[alpha] = out.get(alpha, Fraction(0)) + Fraction(c)
+    return {a: c for a, c in out.items() if c}
+
+
+def _oracle_to_fundamental(terms) -> dict:
+    """Inclusion-exclusion over the cut sets containing each ``alpha``'s."""
+    out = {}
+    for alpha, c in terms.items():
+        n = sum(alpha)
+        base = comp_to_set(alpha)
+        free = sorted(set(range(1, n)) - base)
+        for k in range(len(free) + 1):
+            for extra in itertools.combinations(free, k):
+                beta = comp_from_set(n, base | set(extra))
+                out[beta] = out.get(beta, Fraction(0)) + c * (-1) ** k
+    return {b: c for b, c in out.items() if c}
+
+
+def _oracle_from_fundamental(coeffs, degree) -> dict:
+    """``L_alpha`` is the sum of ``M_beta`` over cut sets containing
+    ``alpha``'s, read off every composition of the size."""
+    pairs = [
+        (beta, c)
+        for alpha, c in coeffs.items()
+        for beta in compositions(sum(alpha))
+        if comp_to_set(alpha) <= comp_to_set(beta)
+    ]
+    return _oracle(pairs, degree)
+
+
+def _stored_exactly(values) -> bool:
+    return all(
+        type(c) is (int if Fraction(c).denominator == 1 else Fraction) for c in values
+    )
+
+
+def _agrees(f: QSym, oracle: dict) -> bool:
+    return f.terms == oracle and _stored_exactly(f.terms.values())
+
+
+@given(int_terms_st, int_terms_st, scalars_st)
+@settings(max_examples=60)
+def test_int_coefficients_match_fraction_oracle(xs, ys, c):
+    degree = 8
+    f, g = QSym(degree, xs), QSym(degree, ys)
+    of, og = _oracle(xs.items(), degree), _oracle(ys.items(), degree)
+    assert _agrees(f, of) and _agrees(g, og)
+    assert _agrees(f + g, _oracle(list(of.items()) + list(og.items()), degree))
+    assert _agrees(f - g, _oracle(list(of.items()) + [(a, -v) for a, v in og.items()], degree))
+    assert _agrees(f.scale(c), _oracle([(a, v * c) for a, v in of.items()], degree))
+    assert _agrees(f.scale(c).scale(6), _oracle([(a, v * c * 6) for a, v in of.items()], degree))
+    assert _agrees(
+        f * g,
+        _oracle(
+            [
+                (gamma, va * vb * mult)
+                for a, va in of.items()
+                for b, vb in og.items()
+                for gamma, mult in quasi_shuffle(a, b).items()
+            ],
+            degree,
+        ),
+    )
+    fundamental = to_fundamental(f.scale(c))
+    want = _oracle_to_fundamental(_oracle([(a, v * c) for a, v in of.items()], degree))
+    assert fundamental == want and _stored_exactly(fundamental.values())
+    assert _agrees(from_fundamental(fundamental, degree), _oracle_from_fundamental(want, degree))
+    transposed = {comp_transpose(a): v for a, v in _oracle_to_fundamental(of).items()}
+    assert _agrees(omega_L(f), _oracle_from_fundamental(transposed, degree))
+
+
+def test_whole_coefficients_come_back_as_int():
+    half = monomial((2, 1), 5).scale(Fraction(1, 2))
+    assert type(half.coeff((2, 1))) is Fraction
+    assert type((half + half).coeff((2, 1))) is int
+    assert type(half.scale(4).coeff((2, 1))) is int
+    assert type((half * half.scale(2)).coeff((2, 1, 2, 1))) is int
+    assert type(QSym(3, {(1, 2): Fraction(6, 3)}).coeff((1, 2))) is int
+    assert qs_one(0).coeff(()) == 1 and qs_one(0).coeff((1,)) == 0
+    for f in (schur((3, 1)), schur_q((3, 1)), peak_K((2, 2)), fundamental_L((1, 2))):
+        assert _stored_exactly(f.terms.values())
+    assert _stored_exactly(canonical_character(half.scale(2)).values())
+    assert _stored_exactly(coproduct_terms(half.scale(2)).values())
+    # the Schur-Q pivot 2^l(lam) leaves a Fraction only where it does not divide
+    expansion = schur_q_expand(q_function(2).scale(3) * q_function(1).scale(5))
+    assert _stored_exactly(expansion.terms.values())
+    halves = schur_q_expand(schur_q((2, 1)).scale(Fraction(1, 2)))
+    assert halves.terms == {(2, 1): Fraction(1, 2)}

@@ -596,6 +596,26 @@ def test_coxeter_gap_one_is_hecke():
     assert slice_partition(a) == slice_partition(b)
 
 
+@pytest.mark.parametrize("order", [1, 0, -3])
+def test_gap_pair_order_below_two_is_refused(order):
+    # an order of 1 would relate (1,) and (2,), which no class search of
+    # a Coxeter presentation can reach
+    with pytest.raises(ValueError, match="must be >= 2"):
+        gap_braid_m(1, order=order)
+    assert gap_braid_m(1, order=None).value(1, 2) is None
+    with pytest.raises(ValueError, match="gap must be positive"):
+        gap_braid_m(0)
+
+
+@pytest.mark.parametrize(
+    "fields", [{"default": 5}, {"default": None}, {"overrides": ((1, 2, 7),)}]
+)
+def test_gap_pair_order_refuses_inherited_fields(fields):
+    # value() reads only gap and order: these would be silently ignored
+    with pytest.raises(ValueError, match="only gap and order"):
+        relations.GapCoxeterM(**fields)
+
+
 def test_universal_coxeter_is_repeat_collapse():
     a = close(builtin_relation("k-equivalence"), 3, 4)
     b = close(coxeter_relation(universal_coxeter_m()), 3, 4)

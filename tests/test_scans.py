@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from character_oracle import ALL_CHARACTERS, oracle_sum
 from wordbialg import scans
-from wordbialg.characters import _peak_mask
+from wordbialg.characters import _peak_mask, class_image, format_character
 from wordbialg.coded import (
     compile_coded_rewrites,
     decode_word,
@@ -17,12 +17,62 @@ from wordbialg.relations import bfs_class, builtin_relation, close
 from wordbialg.scans import (
     content_components,
     doubling_check,
-    instance_scan,
     packed_class_count,
     packed_contents,
     positivity_scan_homogeneous,
 )
-from wordbialg.words import all_words, multiset_permutations
+from wordbialg.words import all_words, format_word, multiset_permutations
+
+
+def instance_scan(inst, character, degree, basis=None, lengths=None):
+    """Symmetry (and optional positivity) scan over the packed classes of a
+    closed relation instance, summing member images up to ``degree``: the
+    generic oracle of the content-sliced scan."""
+    if degree > inst.max_len:
+        raise ValueError("degree bound exceeds the instance's certified slice")
+    if lengths is None:
+        lengths = range(inst.max_len + 1)
+    seen = set()
+    total = 0
+    non_symmetric = []
+    non_positive = []
+    for length in lengths:
+        for members in inst.packed_classes(length):
+            cid = inst.class_id(members[0])
+            if cid in seen:
+                continue
+            seen.add(cid)
+            total += 1
+            image = class_image(members, character, degree)
+            rep = format_word(members[0])
+            if not is_symmetric(image):
+                non_symmetric.append(rep)
+                continue
+            if basis == "s":
+                cert = schur_positive(image)
+            elif basis == "Q":
+                try:
+                    cert = schur_q_positive(image)
+                except ValueError:
+                    non_positive.append(rep)
+                    continue
+            else:
+                continue
+            if not cert.nonnegative:
+                non_positive.append(rep)
+    return {
+        "relation": inst.presentation.name,
+        "character": format_character(character),
+        "basis": basis,
+        "bounds": {
+            "alphabet": inst.alphabet,
+            "max_len": inst.max_len,
+            "degree": degree,
+        },
+        "total_classes": total,
+        "non_symmetric": sorted(non_symmetric),
+        "non_positive": sorted(non_positive),
+    }
 
 
 def test_packed_contents_cover_ordered_bell():
