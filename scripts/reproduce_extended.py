@@ -20,7 +20,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from wordbialg.cli import ContentCache, cached_class_count, cached_scan
+from wordbialg.cli import ContentCache
+from wordbialg.scans import packed_class_count, positivity_scan_homogeneous
 
 RELATION = "exotic-knuth"
 CHARACTER = ("gt", "le")
@@ -30,7 +31,7 @@ def count_stage(length: int, jobs: int, cache_dir: str | None) -> tuple[int, int
     """(packed classes, packed words) at one length."""
     signature = {"command": "classes", "relation": RELATION, "length": length}
     cache = ContentCache(cache_dir, signature)
-    return cached_class_count(RELATION, length, jobs, cache)
+    return packed_class_count(RELATION, length, jobs, cache)
 
 
 def scan_stage(length: int, jobs: int, cache_dir: str | None) -> dict:
@@ -43,7 +44,7 @@ def scan_stage(length: int, jobs: int, cache_dir: str | None) -> dict:
         "length": length,
     }
     cache = ContentCache(cache_dir, signature)
-    return cached_scan(RELATION, length, CHARACTER, ("Q",), jobs, cache)
+    return positivity_scan_homogeneous(RELATION, length, CHARACTER, ("Q",), jobs, cache)
 
 
 def main() -> int:

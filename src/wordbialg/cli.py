@@ -201,40 +201,6 @@ class ContentCache:
             fh.write(json.dumps(row, sort_keys=True, default=_jsonable) + "\n")
 
 
-def cached_class_count(
-    relation: str, length: int, jobs: int, cache: ContentCache
-) -> tuple[int, int]:
-    """``scans.packed_class_count`` resumed from ``cache``, recording there
-    each content it computes."""
-
-    def record(content, classes, words):
-        cache.record(content, {"classes": classes, "words": words})
-
-    cached = {c: (r["classes"], r["words"]) for c, r in cache.done.items()}
-    return scans.packed_class_count(relation, length, jobs, record, cached)
-
-
-def cached_scan(
-    relation: str,
-    length: int,
-    character,
-    bases: tuple[str, ...],
-    jobs: int,
-    cache: ContentCache,
-    detail: bool = False,
-) -> dict:
-    """``scans.positivity_scan_homogeneous`` resumed from ``cache``,
-    recording there each content's verdicts."""
-
-    def record(content, verdicts):
-        cache.record(content, {"verdicts": verdicts})
-
-    cached = {c: r["verdicts"] for c, r in cache.done.items()}
-    return scans.positivity_scan_homogeneous(
-        relation, length, character, bases, jobs, record, cached, detail
-    )
-
-
 # --- subcommands ------------------------------------------------------------
 
 
@@ -278,7 +244,7 @@ def cmd_classes(args) -> int:
                 args.cache_dir if n > EXTENDED_CLASS_LIMIT else None,
                 {"command": "classes", "relation": pres.name, "length": n},
             )
-            classes, words = cached_class_count(pres.name, n, args.jobs, cache)
+            classes, words = scans.packed_class_count(pres.name, n, args.jobs, cache)
             per_length.append(
                 {"length": n, "packed_words": words, "classes": classes}
             )
@@ -362,7 +328,7 @@ def cmd_psi(args) -> int:
     if args.class_of:
         seed = args.class_of
         pres = args.relation
-        degree = args.degree or (len(seed) + 2)
+        degree = len(seed) + 2 if args.degree is None else args.degree
         headroom = args.headroom if args.headroom is not None else (
             0 if pres.homogeneous else 2
         )
@@ -391,7 +357,7 @@ def cmd_psi(args) -> int:
         }
     else:
         w = args.word
-        degree = args.degree or len(w)
+        degree = len(w) if args.degree is None else args.degree
         image = characters.word_image(w, char, degree)
         source = {"word": format_word(w)}
     payload = {
@@ -441,7 +407,10 @@ def cmd_conjectures(args) -> int:
         return EXIT_OK
     if args.which in ("exotic-sym", "exotic-schur-positive"):
         if args.max_len > EXTENDED_CLASS_LIMIT and not args.extended:
-            print("lengths above 7 need --extended", file=sys.stderr)
+            print(
+                f"lengths above {EXTENDED_CLASS_LIMIT} need --extended",
+                file=sys.stderr,
+            )
             return EXIT_RESOURCE_CAP
         if not _codable(relations.builtin_relation("exotic-knuth"), args.max_len):
             return EXIT_USAGE
@@ -460,9 +429,9 @@ def cmd_conjectures(args) -> int:
         rows: list[dict] = []
         for n in range(args.max_len + 1):
             # only the longest length is cached: the shorter ones are quick
-            rep = cached_scan(
+            rep = scans.positivity_scan_homogeneous(
                 "exotic-knuth", n, ("gt", "le"), bases, args.jobs,
-                cache if n == args.max_len else ContentCache(None, {}),
+                cache if n == args.max_len else None,
                 detail=want_csv,
             )
             if want_csv:
@@ -517,22 +486,19 @@ def cmd_verify(args) -> int:
     elif args.suite == "duality":
         note(bialgebra.duality_pairing_check(4, 3))
     elif args.suite == "oracles":
-        inst = relations.close(relations.builtin_relation("knuth"), 3, 6)
-        fibers = defaultdict(set)
-        for w in all_words(3, 6):
-            fibers[rsk_insert(w)].add(w)
-        ok = {frozenset(c) for c in inst.iter_classes()} == {
-            frozenset(v) for v in fibers.values()
-        }
-        note({"axiom": "knuth-insertion-fibers", "status": "pass" if ok else "fail"})
-        inst = relations.close(relations.builtin_relation("hecke"), 3, 6)
-        fibers = defaultdict(set)
-        for w in all_words(3, 6):
-            fibers[eval_hecke_word(w, 3)].add(w)
-        ok = {frozenset(c) for c in inst.iter_classes()} == {
-            frozenset(v) for v in fibers.values()
-        }
-        note({"axiom": "hecke-evaluation-fibers", "status": "pass" if ok else "fail"})
+        # each class is a fiber of an insertion or evaluation map
+        for name, axiom, key in (
+            ("knuth", "knuth-insertion-fibers", rsk_insert),
+            ("hecke", "hecke-evaluation-fibers", lambda w: eval_hecke_word(w, 3)),
+        ):
+            inst = relations.close(relations.builtin_relation(name), 3, 6)
+            fibers = defaultdict(set)
+            for w in all_words(3, 6):
+                fibers[key(w)].add(w)
+            ok = {frozenset(c) for c in inst.iter_classes()} == {
+                frozenset(v) for v in fibers.values()
+            }
+            note({"axiom": axiom, "status": "pass" if ok else "fail"})
     elif args.suite == "identities":
         for n in range(1, 7):
             ok = characters.nsym_generator_image(n, "le") == qsym.homogeneous_h(n)

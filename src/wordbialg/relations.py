@@ -24,9 +24,9 @@ with letters in ``[alphabet]`` and length at most ``max_len + headroom``;
 the headroom zone exists because inhomogeneous rewrites may route two
 short words through longer ones; it generates each rewrite edge once, from
 its longer or larger end.  ``headroom_stability`` and
-``is_finite_type_bounded`` extend its union-find by the words one letter
-longer and compare class counts.  All classifier verdicts are relative to
-the stated bounds.
+``is_finite_type_bounded`` run the same union-find one length wider and
+compare class counts.  All classifier verdicts are relative to the stated
+bounds.
 
 Every presentation with a Coxeter part contains ``a ~ aa``, and there the
 search runs on the quotient by it: a word is related to its run reduction
@@ -46,7 +46,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .rewrite import (
     _compile_run_steps,
@@ -351,36 +351,30 @@ def close(
         headroom = 0 if pres.homogeneous else 2
     limit = max_len + headroom
     _check_cap(alphabet, limit, cap)
-    words = tuple(all_words(alphabet, limit))
-    index: dict[Word, int] = {}
-    if _has_runs(pres):
-        root = _reduced_components(pres, alphabet, limit)
-        index.update(zip(words, itertools.count()))
+    universe = tuple(all_words(alphabet, limit))
+    words, index, roots = _components(pres, alphabet, limit, universe)
+    if words is universe:  # no ``a ~ aa``: the union-find ran on the universe
+        class_ids = tuple(roots)
+    else:
         # the universe is length-major and lexicographic: each length lists
         # the words one shorter, each followed by every letter in turn, and
-        # a word reduces to its prefix's reduction joined with its last letter
+        # a word reduces to its prefix's reduction joined with its last
+        # letter; the reduced words shorter than ``limit`` are a prefix of
+        # ``words``, which is length-major too
         letters = [(a,) for a in range(1, alphabet + 1)]
-        then = {
-            index[r]: [index[_join(r, a)] for a in letters]
-            for r in root
-            if len(r) < limit
-        }
+        then = [[index[_join(r, a)] for a in letters] for r in words if len(r) < limit]
         level, reductions = [0], [0]
         for _ in range(limit):
             level = [k for p in level for k in then[p]]
             reductions += level
-        class_of = {index[r]: index[c] for r, c in root.items()}
-        class_ids = tuple(map(class_of.__getitem__, reductions))
-    else:
-        parent: list[int] = []
-        _extend(parent, index, words, compile_neighbors(pres, alphabet, limit, True))
-        class_ids = tuple(_find(parent, i) for i in range(len(words)))
+        class_ids = tuple(map(roots.__getitem__, reductions))
+        index = dict(zip(universe, itertools.count()))
     return RelationInstance(
         presentation=pres,
         alphabet=alphabet,
         max_len=max_len,
         headroom=headroom,
-        words=words,
+        words=universe,
         class_ids=class_ids,
         index=index,
     )
@@ -393,39 +387,37 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _extend(
-    parent: list[int],
-    index: dict[Word, int],
-    words: Sequence[Word],
-    neighbors: Callable[[Word], list[Word]],
-) -> None:
-    """Number ``words`` on from the union-find ``parent`` and its ``index``
-    and unite each with its one-way neighbours, which are among them or
-    numbered already."""
-    first = len(parent)
-    parent.extend(range(first, first + len(words)))
-    index.update(zip(words, itertools.count(first)))
-    for i, w in enumerate(words, first):
+def _components(
+    pres: RelationPresentation,
+    alphabet: int,
+    limit: int,
+    universe: Sequence[Word] | None = None,
+) -> tuple[Sequence[Word], dict[Word, int], list[int]]:
+    """The union-find of the closure at bound ``limit``: its words, their
+    positions, and the position of each word's component root.
+
+    With ``a ~ aa`` the words are the run-reduced words, united by the
+    quotient's steps; otherwise they are the universe (``universe``, when
+    the caller has listed it), united with their one-way neighbours.  Either
+    way the words are length-major, and each step goes to a word among them."""
+    if _has_runs(pres):
+        words = _reduced_words(alphabet, limit)
+        steps = _compile_run_steps(pres, alphabet, limit, True)
+    else:
+        words = tuple(all_words(alphabet, limit)) if universe is None else universe
+        steps = compile_neighbors(pres, alphabet, limit, True)
+    index = dict(zip(words, itertools.count()))
+    parent = list(range(len(words)))
+    for i, w in enumerate(words):
         ri = _find(parent, i)
-        for nb in neighbors(w):
+        for nb in steps(w):
             rj = index[nb]
             while parent[rj] != rj:  # _find, inlined in the hot loop
                 parent[rj] = parent[parent[rj]]
                 rj = parent[rj]
             if ri != rj:
                 parent[rj] = ri
-
-
-def _reduced_components(
-    pres: RelationPresentation, alphabet: int, limit: int
-) -> dict[Word, Word]:
-    """Each run-reduced word of length at most ``limit`` mapped to the root
-    of its component under the quotient's steps at bound ``limit``."""
-    reduced = _reduced_words(alphabet, limit)
-    parent: list[int] = []
-    index: dict[Word, int] = {}
-    _extend(parent, index, reduced, _compile_run_steps(pres, alphabet, limit, True))
-    return {r: reduced[_find(parent, i)] for i, r in enumerate(reduced)}
+    return words, index, [_find(parent, i) for i in range(len(words))]
 
 
 def _check_cap(alphabet: int, limit: int, cap: int) -> None:
@@ -489,37 +481,22 @@ def bfs_class(
 
 
 def _wider_facts(inst: RelationInstance, cap: int) -> tuple[int, int]:
-    """The class counts of the universe one length past the instance's, on
+    """The class counts of the closure one length past the instance's, on
     the reported slice and at ``max_len + 1``, which the headroom and
-    finite-type certificates share; computed once per instance, with the
-    cap checked on every call.  With ``a ~ aa`` they are component counts
-    of the run-reduced words one length wider, and no longer word is
-    listed.  Otherwise the universe is length-major, so the instance's
-    class ids seed the wider union-find, and only the words one letter
-    longer are added and united with their one-way neighbours."""
+    finite-type certificates share: the distinct component roots
+    (:func:`_components` at ``limit + 1``) among the words of each length
+    bound.  A component meets a bound when one of its words does, the run
+    reduction included.  Computed once per instance, with the cap checked
+    on every call."""
     _check_cap(inst.alphabet, inst.limit + 1, cap)
     if inst._wider is None:
-        bounds = (inst.max_len, inst.max_len + 1)
-        if _has_runs(inst.presentation):
-            root = _reduced_components(
-                inst.presentation, inst.alphabet, inst.limit + 1
-            )
-            inst._wider = tuple(
-                len({c for r, c in root.items() if len(r) <= n}) for n in bounds
-            )
-        else:
-            parent, index = list(inst.class_ids), dict(inst.index)
-            longer = list(
-                itertools.product(range(1, inst.alphabet + 1), repeat=inst.limit + 1)
-            )
-            neighbors = compile_neighbors(
-                inst.presentation, inst.alphabet, inst.limit + 1, True
-            )
-            _extend(parent, index, longer, neighbors)
-            inst._wider = tuple(
-                len({_find(parent, k) for k in range(universe_size(inst.alphabet, n))})
-                for n in bounds
-            )
+        words, _, roots = _components(
+            inst.presentation, inst.alphabet, inst.limit + 1
+        )
+        inst._wider = tuple(
+            len({c for w, c in zip(words, roots) if len(w) <= n})
+            for n in (inst.max_len, inst.max_len + 1)
+        )
     return inst._wider
 
 
@@ -583,6 +560,18 @@ def check_algebraic(
     }
 
 
+def _condition(
+    name: str, checked: int, witness: dict | None, status: str = "pass"
+) -> dict:
+    """One condition's report: ``status`` unless a witness fails it."""
+    return {
+        "condition": name,
+        "status": "fail" if witness else status,
+        "checked": checked,
+        **({"witness": witness} if witness else {}),
+    }
+
+
 def _concatenation_congruence(
     inst: RelationInstance, sample_cap: int, seed: int
 ) -> dict:
@@ -635,12 +624,12 @@ def _concatenation_congruence(
             if witness:
                 break
 
-    inst._congruence[key] = {
-        "condition": "concatenation-congruence",
-        "status": "fail" if witness else ("bounded-evidence" if sampled else "pass"),
-        "checked": checked,
-        **({"witness": witness} if witness else {}),
-    }
+    inst._congruence[key] = _condition(
+        "concatenation-congruence",
+        checked,
+        witness,
+        "bounded-evidence" if sampled else "pass",
+    )
     return inst._congruence[key]
 
 
@@ -672,12 +661,7 @@ def _interval_restriction(inst: RelationInstance) -> dict:
                 break
         if witness:
             break
-    inst._interval = {
-        "condition": "interval-restriction",
-        "status": "fail" if witness else "pass",
-        "checked": checked,
-        **({"witness": witness} if witness else {}),
-    }
+    inst._interval = _condition("interval-restriction", checked, witness)
     return inst._interval
 
 
@@ -700,12 +684,7 @@ def check_uniformly_algebraic(inst: RelationInstance, **kwargs) -> dict:
                 break
         if witness:
             break
-    injection_cond = {
-        "condition": "order-preserving-injections",
-        "status": "fail" if witness else "pass",
-        "checked": checked,
-        **({"witness": witness} if witness else {}),
-    }
+    injection_cond = _condition("order-preserving-injections", checked, witness)
     status = "fail" if (base["status"] == "fail" or witness) else base["status"]
     return {
         "property": "uniformly-algebraic",
@@ -773,12 +752,7 @@ def check_p_algebraic(inst: RelationInstance, prime: int | None = None) -> dict:
         if witness:
             break
 
-    condition_a = {
-        "condition": "destandardization-counts",
-        "status": "fail" if witness else "pass",
-        "checked": checked,
-        **({"witness": witness} if witness else {}),
-    }
+    condition_a = _condition("destandardization-counts", checked, witness)
     condition_b = _interval_restriction(inst)
     status = "fail" if (witness or condition_b["status"] == "fail") else "pass"
     return {

@@ -6,8 +6,10 @@ content: each composition of the length is an independent flood-fill over
 the distinct rearrangements of its multiset.  That slicing is what makes
 the length-8/9 runs tractable and embarrassingly parallel; workers handle
 whole contents and the parent merges in sorted content order, so output
-is deterministic for any worker count.  A resumed run hands the scan the
-per-content results it cached, which are folded in with the fresh ones.
+is deterministic for any worker count.  A content's result is one row,
+the unit a resumable run caches: a resumed run hands the scan its cache,
+whose rows are folded in with the fresh ones, and each fresh row is
+recorded there as it comes.
 
 The flood fill works on integer-coded words (:mod:`coded`: one 5-bit lane
 per letter, first letter most significant, so letters and lengths up to
@@ -34,9 +36,10 @@ memoised on the sorted histogram.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from collections import Counter
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .characters import _compositions_of, format_character, image_of_histogram
 from .qsym import _triangular_solve
@@ -208,17 +211,15 @@ def _init_worker(builtin_name: str, length: int, scan_args) -> None:
         _WORKER["detail"] = False
 
 
-def _count_content(content: Composition) -> tuple[Composition, int, int]:
-    rewrites = _WORKER["rewrites"]
-    classes = 0
-    words = 0
-    for component in content_components(content, rewrites):
+def _count_content(content: Composition) -> tuple[Composition, dict]:
+    classes = words = 0
+    for component in content_components(content, _WORKER["rewrites"]):
         classes += 1
         words += len(component)
-    return content, classes, words
+    return content, {"classes": classes, "words": words}
 
 
-def _scan_content(content: Composition) -> tuple[Composition, list[dict]]:
+def _scan_content(content: Composition) -> tuple[Composition, dict]:
     rewrites = _WORKER["rewrites"]
     tables: ScanTables = _WORKER["tables"]
     detail: bool = _WORKER["detail"]
@@ -233,7 +234,7 @@ def _scan_content(content: Composition) -> tuple[Composition, list[dict]]:
                 decode_word(component[0], rewrites.length)
             )
         out.append(verdict)
-    return content, out
+    return content, {"verdicts": out}
 
 
 def _usable_cpus() -> int:
@@ -257,51 +258,46 @@ def _pool(builtin_name: str, length: int, scan_args, jobs: int):
     )
 
 
-def _fresh_results(
-    builtin_name: str, length: int, scan_args, task, jobs: int, cached: Mapping
-) -> Iterator[tuple]:
-    """``task(content)`` for every packed content of the length that is not
-    in ``cached``, in one process or on a clamped fork pool."""
+def _rows(
+    builtin_name: str, length: int, scan_args, task, jobs: int, cache
+) -> Iterator[dict]:
+    """The row of every packed content of the length: first the rows that
+    ``cache.done`` holds, then ``task(content)``'s for the other contents,
+    computed in one process or on a clamped fork pool and each recorded
+    with ``cache.record`` as it comes."""
     check_codable(builtin_relation(builtin_name), length)
-    contents = [c for c in packed_contents(length) if c not in cached]
+    done = {} if cache is None else cache.done
+    yield from done.values()
+    contents = [c for c in packed_contents(length) if c not in done]
     jobs = _worker_count(jobs, len(contents))
-    if jobs == 1:
-        _init_worker(builtin_name, length, scan_args)
-        yield from map(task, contents)
-    else:
-        with _pool(builtin_name, length, scan_args, jobs) as pool:
-            yield from pool.imap_unordered(task, contents)
+    with contextlib.ExitStack() as stack:
+        if jobs == 1:
+            _init_worker(builtin_name, length, scan_args)
+            fresh = map(task, contents)
+        else:
+            pool = stack.enter_context(_pool(builtin_name, length, scan_args, jobs))
+            fresh = pool.imap_unordered(task, contents)
+        for content, row in fresh:
+            if cache is not None:
+                cache.record(content, row)
+            yield row
 
 
 def packed_class_count(
-    builtin_name: str,
-    length: int,
-    jobs: int = 1,
-    progress: Callable[[Composition, int, int], None] | None = None,
-    cached: Mapping[Composition, tuple[int, int]] = {},
+    builtin_name: str, length: int, jobs: int = 1, cache=None
 ) -> tuple[int, int]:
     """(number of packed classes, number of packed words) at one length.
 
-    Only valid for homogeneous, content-preserving built-ins.  ``progress``
-    receives each content it computes with its class and word counts;
-    ``cached`` maps contents already counted (by a resumed run) to their
-    ``(classes, words)``, which are summed in instead of recomputed."""
-    total_classes = 0
-    total_words = 0
-
-    def absorb(classes, words):
-        nonlocal total_classes, total_words
-        total_classes += classes
-        total_words += words
-
-    for classes, words in cached.values():
-        absorb(classes, words)
-    fresh = _fresh_results(builtin_name, length, None, _count_content, jobs, cached)
-    for content, classes, words in fresh:
-        absorb(classes, words)
-        if progress is not None:
-            progress(content, classes, words)
-    return total_classes, total_words
+    Only valid for homogeneous, content-preserving built-ins.  ``cache``
+    resumes a run: any object with ``done``, the rows of the contents
+    already counted by content, and ``record(content, row)``, which is
+    handed each fresh row ``{"classes", "words"}`` (``cli.ContentCache``
+    is one)."""
+    classes = words = 0
+    for row in _rows(builtin_name, length, None, _count_content, jobs, cache):
+        classes += row["classes"]
+        words += row["words"]
+    return classes, words
 
 
 def positivity_scan_homogeneous(
@@ -310,8 +306,7 @@ def positivity_scan_homogeneous(
     character,
     basis: str | tuple[str, ...],
     jobs: int = 1,
-    progress: Callable[[Composition, list[dict]], None] | None = None,
-    cached: Mapping[Composition, list[dict]] = {},
+    cache=None,
     detail: bool = False,
 ) -> dict:
     """Symmetry and positivity of every packed class image at one length.
@@ -319,17 +314,16 @@ def positivity_scan_homogeneous(
     ``basis`` may name one basis or several; the report counts classes,
     symmetric classes, and positive-in-every-basis classes, listing a
     representative for each failure (for every class with ``detail``).
-    ``progress`` receives each content's computed batch (for streaming and
-    caching); ``cached`` maps contents already scanned (by a resumed run)
-    to their batches, which are folded in instead of recomputed."""
+    ``cache`` resumes a run as in :func:`packed_class_count`; its rows are
+    ``{"verdicts"}``, one content's verdicts each."""
     bases = (basis,) if isinstance(basis, str) else tuple(basis)
     totals = {"classes": 0, "symmetric": 0, "positive": 0}
     non_symmetric: list[str] = []
     non_positive: list[str] = []
-    rows: list[dict] = []
-
-    def absorb(verdicts):
-        for v in verdicts:
+    details: list[dict] = []
+    scan_args = (character, bases, detail)
+    for row in _rows(builtin_name, length, scan_args, _scan_content, jobs, cache):
+        for v in row["verdicts"]:
             totals["classes"] += 1
             if v["symmetric"]:
                 totals["symmetric"] += 1
@@ -340,16 +334,7 @@ def positivity_scan_homogeneous(
             else:
                 non_symmetric.append(v["representative"])
             if detail:
-                rows.append(v)
-
-    for verdicts in cached.values():
-        absorb(verdicts)
-    scan_args = (character, bases, detail)
-    fresh = _fresh_results(builtin_name, length, scan_args, _scan_content, jobs, cached)
-    for content, verdicts in fresh:
-        absorb(verdicts)
-        if progress is not None:
-            progress(content, verdicts)
+                details.append(v)
     report = {
         "relation": builtin_name,
         "character": format_character(character),
@@ -362,7 +347,7 @@ def positivity_scan_homogeneous(
         "non_positive": sorted(non_positive),
     }
     if detail:
-        report["classes"] = sorted(rows, key=lambda v: v["representative"])
+        report["classes"] = sorted(details, key=lambda v: v["representative"])
     return report
 
 

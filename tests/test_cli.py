@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from wordbialg import cli, relations
+from wordbialg import cli, relations, scans
 from wordbialg.cli import ContentCache, main, resolve_relation
 from wordbialg.scans import packed_contents
 
@@ -164,6 +164,16 @@ def test_psi_class():
     payload = json.loads(proc.stdout)
     assert payload["schur"]["terms"] == [{"partition": [2, 2], "coeff": "1"}]
     assert payload["schur_positive"] is True
+
+
+@pytest.mark.parametrize(
+    "source", [["--word", "123"], ["--class-of", "12", "--relation", "hecke"]]
+)
+def test_psi_degree_zero_is_honoured(source, capsys):
+    assert main(["psi", *source, "--degree", "0", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["degree"] == 0
+    assert payload["monomial"] == {"degree": 0, "terms": []}
 
 
 def test_psi_requires_input():
@@ -395,6 +405,47 @@ def test_content_cache_ignores_stale_versions(tmp_path, monkeypatch):
     assert set(ContentCache(str(tmp_path), signature).done) == {(1,)}
     monkeypatch.setattr(cli, "CACHE_VERSION", cli.CACHE_VERSION + 1)
     assert ContentCache(str(tmp_path), signature).done == {}
+
+
+def test_version_2_cache_rows_resume_with_nothing_recomputed(tmp_path, monkeypatch):
+    # rows as CACHE_VERSION 2 writes them, under the file names it gives
+    # them: a change to the version, the key or the row layout recomputes
+    assert cli.CACHE_VERSION == 2
+    counts = {"command": "classes", "relation": "exotic-knuth", "length": 3}
+    (tmp_path / "scan-08227cfe29f6b6fb.jsonl").write_text(
+        '{"classes": 4, "content": [1, 1, 1], "words": 6}\n'
+        '{"classes": 1, "content": [1, 2], "words": 3}\n'
+        '{"classes": 3, "content": [2, 1], "words": 3}\n'
+        '{"classes": 1, "content": [3], "words": 1}\n'
+    )
+    verdicts = {
+        "command": "conjectures", "which": "exotic-sym", "bases": ["Q"], "max_len": 3,
+    }
+    true = '{"positive": {"Q": true}, "size": %d, "symmetric": true}'
+    (tmp_path / "scan-769e0a482f5a97ef.jsonl").write_text(
+        '{"content": [1, 1, 1], "verdicts": [%s, %s, %s, %s]}\n'
+        % (true % 1, true % 2, true % 2, true % 1)
+        + '{"content": [1, 2], "verdicts": [%s]}\n' % (true % 3)
+        + '{"content": [2, 1], "verdicts": [%s, %s, %s]}\n' % ((true % 1,) * 3)
+        + '{"content": [3], "verdicts": [%s]}\n' % (true % 1)
+    )
+    files = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    peak = ("gt", "le")
+    fresh = scans.positivity_scan_homogeneous("exotic-knuth", 3, peak, ("Q",))
+
+    def recompute(content):
+        raise AssertionError(f"content {content} recomputed")
+
+    monkeypatch.setattr(scans, "_count_content", recompute)
+    monkeypatch.setattr(scans, "_scan_content", recompute)
+    cache = ContentCache(str(tmp_path), counts)
+    assert scans.packed_class_count("exotic-knuth", 3, cache=cache) == (9, 13)
+    cache = ContentCache(str(tmp_path), verdicts)
+    resumed = scans.positivity_scan_homogeneous(
+        "exotic-knuth", 3, peak, ("Q",), cache=cache
+    )
+    assert resumed == fresh
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == files
 
 
 def _load_script(name):

@@ -161,32 +161,42 @@ def test_knuth_symmetry_scan_generic():
     assert rep["non_symmetric"] == [] and rep["non_positive"] == []
 
 
+class _MemoryCache:
+    """The resume interface of ``cli.ContentCache`` in memory: ``done``
+    holds the rows already computed, ``recorded`` the rows handed over."""
+
+    def __init__(self, done=()):
+        self.done = dict(done)
+        self.recorded = {}
+
+    def record(self, content, row):
+        self.recorded[content] = row
+
+
 def test_scan_progress_and_resume():
     peak = ("gt", "le")
-    seen = {}
-    full = positivity_scan_homogeneous(
-        "exotic-knuth", 4, peak, "Q",
-        progress=lambda content, verdicts: seen.setdefault(content, verdicts),
-    )
-    assert sum(len(v) for v in seen.values()) == 31
-    # a resumed run folds the cached batches in and computes only the rest
-    cached = dict(list(seen.items())[:2])
-    fresh = []
-    resumed = positivity_scan_homogeneous(
-        "exotic-knuth", 4, peak, "Q",
-        progress=lambda content, verdicts: fresh.append(content),
-        cached=cached,
-    )
-    assert resumed == full
-    assert sorted(fresh) == sorted(set(seen) - set(cached))
-    counts = {}
-    total = packed_class_count(
-        "exotic-knuth", 4, progress=lambda content, c, w: counts.setdefault(content, (c, w))
-    )
+    contents = set(packed_contents(4))
+    full = _MemoryCache()
+    report = positivity_scan_homogeneous("exotic-knuth", 4, peak, "Q", cache=full)
+    assert set(full.recorded) == contents
+    assert sum(len(row["verdicts"]) for row in full.recorded.values()) == 31
+    assert report == positivity_scan_homogeneous("exotic-knuth", 4, peak, "Q")
+    # a resumed run folds the cached rows in and records only the rest
+    resumed = _MemoryCache(list(full.recorded.items())[:2])
+    assert positivity_scan_homogeneous(
+        "exotic-knuth", 4, peak, "Q", cache=resumed
+    ) == report
+    assert set(resumed.recorded) == contents - set(resumed.done)
+    counts = _MemoryCache()
+    total = packed_class_count("exotic-knuth", 4, cache=counts)
     assert total == (31, 75)
-    cached_counts = dict(list(counts.items())[:3])
-    assert packed_class_count("exotic-knuth", 4, cached=cached_counts) == total
-    assert packed_class_count("exotic-knuth", 4, cached=counts) == total
+    assert set(counts.recorded) == contents
+    partial = _MemoryCache(list(counts.recorded.items())[:3])
+    assert packed_class_count("exotic-knuth", 4, cache=partial) == total
+    assert set(partial.recorded) == contents - set(partial.done)
+    complete = _MemoryCache(counts.recorded)
+    assert packed_class_count("exotic-knuth", 4, cache=complete) == total
+    assert complete.recorded == {}
 
 
 def _generic_verdict(members, char, basis, n):
