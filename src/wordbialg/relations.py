@@ -16,8 +16,8 @@ A presentation may also swap the first two letters of a word
 ``k-knuth``, ``hecke``, ``exotic-knuth``) are named presentations of these
 kinds, kept in one table; there is no separate rewrite family for them.
 The rewrite engine (:mod:`rewrite`) turns every generating pair into a
-window rewrite and applies all of them through one table lookup per
-window.
+window rewrite and compiles them into one step, on words or on the
+``a ~ aa`` quotient below, with one table lookup per window.
 
 ``close`` materializes the equivalence classes on the universe of words
 with letters in ``[alphabet]`` and length at most ``max_len + headroom``;
@@ -36,7 +36,8 @@ union of run fibers (the words of the bound that reduce to one word; see
 by its fiber sizes against its cap and only then lists the fibers;
 ``close`` runs its union-find over the reduced words, each universe word
 taking its reduction's class; and the certificates count components of
-the reduced words one length wider.
+the reduced words one length wider.  All of them take their steps from
+``compile_neighbors``, as they do without ``a ~ aa``.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .rewrite import (
-    _compile_run_steps,
     _fibers,
     _has_runs,
     _join,
@@ -66,8 +66,6 @@ from .words import (
     flatten,
     is_packed,
     parse_word,
-    restrict,
-    shift,
     word_max,
 )
 
@@ -402,10 +400,9 @@ def _components(
     way the words are length-major, and each step goes to a word among them."""
     if _has_runs(pres):
         words = _reduced_words(alphabet, limit)
-        steps = _compile_run_steps(pres, alphabet, limit, True)
     else:
         words = tuple(all_words(alphabet, limit)) if universe is None else universe
-        steps = compile_neighbors(pres, alphabet, limit, True)
+    steps = compile_neighbors(pres, alphabet, limit, True)
     index = dict(zip(words, itertools.count()))
     parent = list(range(len(words)))
     for i, w in enumerate(words):
@@ -451,12 +448,8 @@ def bfs_class(
     if alphabet is None:
         alphabet = word_max(seed)
     runs = _has_runs(pres)
-    if runs:
-        start = _reduce(seed)
-        neighbors = _compile_run_steps(pres, alphabet, max_len)
-    else:
-        start = seed
-        neighbors = compile_neighbors(pres, alphabet, max_len)
+    start = _reduce(seed) if runs else seed
+    neighbors = compile_neighbors(pres, alphabet, max_len)
 
     def size(w: Word) -> int:  # the words ``w`` stands for
         return math.comb(max_len, len(w)) if runs else 1
@@ -646,11 +639,9 @@ def _interval_restriction(inst: RelationInstance) -> dict:
     for rep, w in _observed_pairs(inst):
         if rep is not last_rep:  # pairs come one class at a time
             last_rep = rep
-            rep_cuts = [
-                shift(restrict(rep, range(m + 1, n + 1)), -m) for m, n in intervals
-            ]
+            rep_cuts = [tuple(a - m for a in rep if m < a <= n) for m, n in intervals]
         for (m, n), rv in zip(intervals, rep_cuts):
-            wv = shift(restrict(w, range(m + 1, n + 1)), -m)
+            wv = tuple(a - m for a in w if m < a <= n)
             checked += 1
             if not inst.related(rv, wv):
                 witness = {

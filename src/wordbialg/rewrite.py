@@ -1,5 +1,5 @@
 """The rewrite engine: every generating pair of a presentation as a window
-rewrite, and one step of the ``a ~ aa`` quotient on run-reduced words.
+rewrite, and one step compiler for words and for the ``a ~ aa`` quotient.
 
 :func:`_rewrite_tables` reads each generating pair of each part of a
 presentation both ways, as a rewrite ``a -> b`` of a window, in one table
@@ -14,13 +14,14 @@ reduction (each run of equal letters collapsed to one letter), and the
 run fiber of a reduced word ``r`` at bound ``L`` (every word of length
 ``<= L`` reducing to ``r``) is connected inside the bound and holds
 ``C(L, len(r))`` words (:func:`_fibers`).  So a class is a union of
-fibers, and its components are found among reduced words, with one
-rewrite step compiled from the same tables (:func:`_compile_run_steps`).
+fibers, and its components are found among reduced words, with the step
+compiler of plain words (:func:`compile_neighbors`) on reduced windows.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .words import Word, shift, word_max
@@ -106,50 +107,6 @@ def _rewrite_tables(
     return groups
 
 
-def compile_neighbors(
-    pres: RelationPresentation, alphabet: int, limit: int, one_way: bool = False
-) -> Callable[[Word], list[Word]]:
-    """Compile a presentation into a one-step rewrite generator.
-
-    The window rewrites of :func:`_rewrite_tables` are applied table by
-    table, and a table whose rewrites would make the word longer than
-    ``limit`` is skipped whole.  No neighbour is longer than ``limit``.
-    ``a ~ aa`` is not among the rewrites: presentations with a Coxeter part
-    are searched on the run quotient (:func:`_compile_run_steps`).
-
-    ``one_way`` keeps only the rewrites toward the shortlex-smaller word:
-    shrinking ones and same-length ones toward the lexicographically
-    smaller window.  Each edge of the rewrite graph is then generated from
-    one end only, its longer or larger one, and no neighbour is longer
-    than the word."""
-    tables = _rewrite_tables(pres, alphabet)
-    lookups = []
-    for (where, piece, grow), table in sorted(tables.items()):
-        rewrites = {}
-        for a, bs in table.items():
-            kept = sorted(b for b in bs if not one_way or (len(b), b) < (len(a), a))
-            if kept:
-                rewrites[a] = tuple(kept)
-        if rewrites:
-            lookups.append((where, piece, grow, rewrites.get))
-
-    def neighbors(w: Word) -> list[Word]:
-        n = len(w)
-        out = []
-        for where, piece, grow, lookup in lookups:
-            last = n - piece  # the last window start
-            if last < 0 or n + grow > limit or (where == _WHOLE and last):
-                continue
-            for i in range(last + 1 if where == _ANYWHERE else 1):
-                reps = lookup(w[i : i + piece])
-                if reps:  # most windows start no rewrite
-                    for rep in reps:
-                        out.append(w[:i] + rep + w[i + piece :])
-        return out
-
-    return neighbors
-
-
 # --- the a ~ aa quotient ---------------------------------------------------
 
 
@@ -207,66 +164,78 @@ def _fibers(reduced: Iterable[Word], bound: int) -> list[Word]:
     return out
 
 
-def _compile_run_steps(
+# --- one rewrite step ------------------------------------------------------
+
+
+def compile_neighbors(
     pres: RelationPresentation, alphabet: int, limit: int, one_way: bool = False
 ) -> Callable[[Word], list[Word]]:
-    """One rewrite step of the ``a ~ aa`` quotient, on run-reduced words.
+    """Compile a presentation into a one-step rewrite generator: on words,
+    or, with ``a ~ aa`` (:func:`_has_runs`), on run-reduced words.
 
-    A word is related to its run reduction, and the run fiber of a reduced
-    word is connected within any bound it fits, so the classes of words of
-    length <= ``limit`` are unions of the fibers of one component of this
-    step's graph on reduced words.  Each window rewrite ``a -> b`` fires at
-    every occurrence of ``red(a)`` in ``r``, say ``r[j..j']``; in a word of
-    the fiber, the first and the last run of the window may extend past it
-    (by α, β in {0, 1} letters), and the step goes to ``red(r[:j] + r[j]·α
-    + b + r[j']·β + r[j'+1:])``.  It is kept when its shortest witness fits:
+    Each window rewrite ``a -> b`` of :func:`_rewrite_tables` fires at
+    every occurrence of ``red(a)`` in the word ``r``, say ``r[j..j']``,
+    where ``red`` is the run reduction with ``a ~ aa`` and the identity
+    without.  In a word of the run fiber, the first and the last run of the
+    window may extend past it (by α, β in {0, 1} letters; without ``a ~
+    aa`` both are 0), and the step goes to ``red(r[:j] + r[j]·α + b +
+    r[j']·β + r[j'+1:])``.  It is kept when its shortest witness fits:
     ``len(r) - len(red(a)) + len(a) + α + β`` letters, plus ``len(b) -
-    len(a)`` if that is positive.  Prefix rules take ``j = 0`` and ``α =
-    0``, whole-word rules ``r == red(a)`` and ``α = β = 0``.  An extension
-    that ``b`` continues with the same letter gives the step without it,
-    so it is skipped.  The steps are symmetric, like the rewrites.
+    len(a)`` if that is positive; so no neighbour is longer than
+    ``limit``.  Prefix rules take ``j = 0`` and ``α = 0``, whole-word
+    rules ``r == red(a)`` and ``α = β = 0``.  An extension that ``b``
+    continues with the same letter gives the step without it, so it is
+    skipped.  The steps are symmetric, like the rewrites.
 
-    A step with α = 1 (or β = 1) is the step from its target back with
-    α = 0 (β = 0), whose witness is the rewritten word.  So ``one_way``,
-    for a union-find over every reduced word, keeps only α = β = 0: each
-    edge is then generated from one end at least."""
-    extend = (0,) if one_way else (0, 1)
-    by_length: dict[int, dict[Word, list]] = {}
+    ``one_way`` generates each edge from one end at least, for a
+    union-find over every word.  With ``a ~ aa`` it keeps α = β = 0: a
+    step with α = 1 (or β = 1) is the step from its target back with α = 0
+    (β = 0), whose witness is the rewritten word.  Without, it keeps only
+    the rewrites toward the shortlex-smaller word, so each edge is
+    generated from its longer or larger end and no neighbour is longer
+    than the word."""
+    runs = _has_runs(pres)
+    red = _reduce if runs else tuple
+    join = _join if runs else operator.add
+    extend = (0, 1) if runs and not one_way else (0,)
+    # (where, len(red(a)), need) -> red(a) -> (α, red(b), window end - β, α + β)
+    groups: dict[tuple[int, int, int], dict[Word, list]] = {}
     for (where, piece, grow), table in _rewrite_tables(pres, alphabet).items():
         for a, bs in table.items():
-            ra = _reduce(a)
+            ra = red(a)
             if not ra:
                 # the sides of a pair have one letter set, so only () ~ ()
                 # has an empty side, and it rewrites nothing
                 continue
-            for b in map(_reduce, bs):
+            for b in sorted(bs):
+                if one_way and not runs and (len(b), b) >= (len(a), a):
+                    continue
+                b = red(b)
                 alphas = extend if where == _ANYWHERE and b[0] != ra[0] else (0,)
                 betas = extend if where != _WHOLE and b[-1] != ra[-1] else (0,)
                 need = piece - len(ra) + max(grow, 0)
-                by_length.setdefault(len(ra), {}).setdefault(ra, []).append(
-                    (where, need, b, alphas, betas)
+                group = groups.setdefault((where, len(ra), need), {})
+                group.setdefault(ra, []).extend(
+                    (alpha, b, len(ra) - beta, alpha + beta)
+                    for alpha in alphas
+                    for beta in betas
                 )
-    lookups = [(k, table.get) for k, table in sorted(by_length.items())]
+    lookups = [(*key, group.get) for key, group in sorted(groups.items())]
 
-    def steps(r: Word) -> list[Word]:
+    def neighbors(r: Word) -> list[Word]:
         n = len(r)
         out = []
-        for k, lookup in lookups:
+        for where, k, need, lookup in lookups:
             last = n - k  # the last window start
-            for j in range(last + 1):
-                rules = lookup(r[j : j + k])
-                if not rules:
-                    continue
-                for where, need, b, alphas, betas in rules:
-                    room = limit - n - need  # letters left for α + β
-                    anchored = where != _ANYWHERE and (j or where == _WHOLE and last)
-                    if room < 0 or anchored:
-                        continue
-                    for alpha in alphas:
-                        head = _join(r[: j + alpha], b)
-                        for beta in betas:
-                            if alpha + beta <= room:
-                                out.append(_join(head, r[j + k - beta :]))
+            room = limit - n - need  # letters left for α + β
+            if last < 0 or room < 0 or (where == _WHOLE and last):
+                continue
+            for j in range(last + 1 if where == _ANYWHERE else 1):
+                steps = lookup(r[j : j + k])
+                if steps:  # most windows start no rewrite
+                    for alpha, b, end, extra in steps:
+                        if extra <= room:
+                            out.append(join(join(r[: j + alpha], b), r[j + end :]))
         return out
 
-    return steps
+    return neighbors

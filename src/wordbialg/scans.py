@@ -130,12 +130,11 @@ class ScanTables:
     sorted histogram, so the expansion and the solve run once per distinct
     histogram, not once per class."""
 
-    def __init__(self, length: int, character, basis: str | tuple[str, ...]):
-        self.bases = (basis,) if isinstance(basis, str) else tuple(basis)
+    def __init__(self, length: int, character, bases: tuple[str, ...]):
+        self.bases = tuple(bases)
         for b in self.bases:
             if b not in ("s", "Q"):
                 raise ValueError(f"unknown basis {b!r}")
-        self.basis = basis
         self.length = length
         self.character = character
         comps = _compositions_of(length)
@@ -154,9 +153,7 @@ class ScanTables:
     def class_verdict(self, members: Sequence[int]) -> dict:
         """Aggregate one class, given as word codes, and decide symmetry
         plus positivity in each basis; an image outside a basis span is not
-        positive there.  ``positive`` maps basis to verdict when the tables
-        were built for a tuple of bases, and is the one verdict for a
-        single basis."""
+        positive there.  ``positive`` maps each basis to its verdict."""
         stats = self._stats
         hist: dict = {}
         for raw, c in Counter(map(self._guards, members)).items():
@@ -170,11 +167,7 @@ class ScanTables:
             coeffs = image_of_histogram(key, self.character, self.length)
             decided = self._memo[key] = self._decide(coeffs)
         symmetric, positive = decided
-        if isinstance(self.basis, str):
-            positive = positive[self.basis]
-        else:
-            positive = dict(positive)
-        return {"size": len(members), "symmetric": symmetric, "positive": positive}
+        return dict(size=len(members), symmetric=symmetric, positive=dict(positive))
 
     def _decide(self, coeffs: list) -> tuple[bool, dict[str, bool | None]]:
         """Symmetry, and positivity per basis, of the monomial coefficients

@@ -28,7 +28,15 @@ from wordbialg.relations import (
     weak_variant,
 )
 from wordbialg.coded import compile_coded_rewrites, decode_word
-from wordbialg.rewrite import _fibers, _has_runs, _reduce, compile_neighbors
+from wordbialg.rewrite import (
+    _ANYWHERE,
+    _WHOLE,
+    _fibers,
+    _has_runs,
+    _reduce,
+    _rewrite_tables,
+    compile_neighbors,
+)
 from wordbialg.scans import content_components
 from wordbialg.words import (
     Word,
@@ -118,12 +126,25 @@ def _repeat_neighbors(w: Word, limit: int) -> list[Word]:
 
 
 def _reference_neighbors(pres, alphabet, limit):
-    """Every one-step rewrite of a word within ``limit``: the library's
-    two-way window rewrites plus, with a Coxeter part, ``a ~ aa``."""
-    windows = compile_neighbors(pres, alphabet, limit)
-    if not _has_runs(pres):
-        return windows
-    return lambda w: windows(w) + _repeat_neighbors(w, limit)
+    """Every one-step rewrite of a word within ``limit``, by brute force:
+    each window rewrite ``a -> b`` of the presentation's tables at every
+    occurrence of ``a`` its anchor allows, plus, with a Coxeter part,
+    ``a ~ aa``."""
+    tables = _rewrite_tables(pres, alphabet)
+    runs = _has_runs(pres)
+
+    def neighbors(w):
+        out = _repeat_neighbors(w, limit) if runs else []
+        for (where, piece, _), table in tables.items():
+            for i in range(len(w) - piece + 1):
+                if where != _ANYWHERE and (i or where == _WHOLE and len(w) > piece):
+                    continue
+                for b in table.get(w[i : i + piece], ()):
+                    if len(w) - piece + len(b) <= limit:
+                        out.append(w[:i] + b + w[i + piece :])
+        return out
+
+    return neighbors
 
 
 def _two_way_partition(pres, alphabet, limit, bound, neighbors=None):
@@ -165,6 +186,33 @@ def _letter_set_pairs(max_letter: int):
         )
 
     return word.flatmap(partner)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_letter_set_pairs(3), min_size=1, max_size=3),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.integers(1, 3),
+    st.integers(0, 4),
+)
+def test_compiled_neighbors_match_brute_force_windows(
+    pairs, uniform, in_context, weak, alphabet, limit
+):
+    # without a Coxeter part the compiled step is the plain window rewrite;
+    # one-way keeps exactly the neighbours shortlex-smaller than the word
+    pres = explicit_relation("random", pairs, uniform, in_context)
+    if weak:
+        pres = weak_variant(pres)
+    reference = _reference_neighbors(pres, alphabet, limit)
+    two_way = compile_neighbors(pres, alphabet, limit)
+    one_way = compile_neighbors(pres, alphabet, limit, True)
+    for w in all_words(alphabet, limit):
+        expected = set(reference(w))
+        assert set(two_way(w)) == expected
+        key = (len(w), w)
+        assert set(one_way(w)) == {v for v in expected if (len(v), v) < key}
 
 
 @settings(max_examples=60, deadline=None)

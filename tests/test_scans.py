@@ -230,9 +230,10 @@ def test_class_verdict_matches_generic_path(data, relation):
     members = sorted(set(members) | {tuple(w) for w in extra})
     for char in ALL_CHARACTERS:
         for basis in ("s", "Q"):
-            verdict = scans.ScanTables(n, char, basis).class_verdict(
+            verdict = scans.ScanTables(n, char, (basis,)).class_verdict(
                 [encode_word(w) for w in members]
             )
+            verdict["positive"] = verdict["positive"][basis]
             assert verdict == _generic_verdict(members, char, basis, n), (char, basis)
 
 
@@ -328,10 +329,10 @@ def test_scan_over_two_bases_bins_each_class_once(monkeypatch):
             tuple(sorted(Counter(_peak_mask(w, peak) for w in members).items()))
         )
         for basis in ("s", "Q"):
-            single = scans.ScanTables(5, peak, basis).class_verdict(
+            single = scans.ScanTables(5, peak, (basis,)).class_verdict(
                 [encode_word(w) for w in members]
             )
-            assert single["positive"] == row["positive"][basis]
+            assert single["positive"] == {basis: row["positive"][basis]}
             assert single["symmetric"] == row["symmetric"]
     # one expansion per distinct peak-mask histogram, for both bases at once
     assert scan_expansions == len(histograms) < report["total_classes"]
@@ -365,17 +366,14 @@ def test_shared_tables_memo_matches_generic_path(data, relation, rng):
             for members in classes
             for b in ("s", "Q")
         }
-        for basis in ("s", "Q", ("s", "Q")):
-            tables = scans.ScanTables(n, char, basis)
+        for bases in (("s",), ("Q",), ("s", "Q")):
+            tables = scans.ScanTables(n, char, bases)
             for members in feed:
                 verdict = tables.class_verdict([encode_word(w) for w in members])
-                if isinstance(basis, str):
-                    assert verdict == generic[members, basis], (char, basis, members)
-                    continue
                 assert verdict == {
                     **generic[members, "s"],
-                    "positive": {b: generic[members, b]["positive"] for b in basis},
-                }, (char, basis, members)
+                    "positive": {b: generic[members, b]["positive"] for b in bases},
+                }, (char, bases, members)
             assert len(tables._memo) <= len(classes)
 
 
