@@ -46,6 +46,7 @@ import functools
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -705,12 +706,9 @@ def check_p_algebraic(inst: RelationInstance, prime: int | None = None) -> dict:
     flat = functools.cache(flatten)  # each distinct block flattened once
     for members in inst.iter_classes():
         # the class's cuts counted by flattened block pair
-        counts: dict[tuple[Word, Word], int] = {}
-        for w in members:
-            if len(w) <= inst.max_len:
-                for i in range(len(w) + 1):
-                    key = (flat(w[:i]), flat(w[i:]))
-                    counts[key] = counts.get(key, 0) + 1
+        counts = Counter(
+            (flat(w[:i]), flat(w[i:])) for w in members for i in range(len(w) + 1)
+        )
         blocks: dict[tuple[int, int, int], dict[tuple[Word, Word], int]] = {}
         for (u, v), c in counts.items():
             cu = packed_class_of.get(u)
@@ -720,23 +718,33 @@ def check_p_algebraic(inst: RelationInstance, prime: int | None = None) -> dict:
             blocks.setdefault((cu, cv, len(u) + len(v)), {})[(u, v)] = c
         for (cu, cv, total_len), seen in blocks.items():
             vs_by_len = packed_by_len[cv]
-            expected = None
-            for u in itertools.chain.from_iterable(packed_by_len[cu].values()):
-                for v in vs_by_len.get(total_len - len(u), ()):
-                    c = seen.get((u, v), 0)
-                    checked += 1
-                    if expected is None:
-                        expected = c
-                        first = (u, v)
-                    elif not _congruent(c, expected, prime):
-                        witness = {
-                            "class": members[0],
-                            "pair": first,
-                            "other_pair": (u, v),
-                            "counts": (expected, c),
-                        }
-                        break
-                if witness:
+            # seen's pairs are among the walk's; if it holds them all, with
+            # one count, the walk passes them all in any characteristic
+            pairs = sum(
+                len(us) * len(vs_by_len.get(total_len - n, ()))
+                for n, us in packed_by_len[cu].items()
+            )
+            if len(seen) == pairs and len(set(seen.values())) == 1:
+                checked += pairs
+                continue
+            walk = (
+                (u, v)
+                for u in itertools.chain.from_iterable(packed_by_len[cu].values())
+                for v in vs_by_len.get(total_len - len(u), ())
+            )
+            first = next(walk)  # seen is not empty, so neither is the walk
+            expected = seen.get(first, 0)
+            checked += 1
+            for u, v in walk:
+                c = seen.get((u, v), 0)
+                checked += 1
+                if not _congruent(c, expected, prime):
+                    witness = {
+                        "class": members[0],
+                        "pair": first,
+                        "other_pair": (u, v),
+                        "counts": (expected, c),
+                    }
                     break
             if witness:
                 break

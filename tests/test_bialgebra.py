@@ -1,7 +1,10 @@
+import itertools
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wordbialg.bialgebra import (
     alphabet_coproduct,
@@ -21,7 +24,42 @@ from wordbialg.bialgebra import (
     verify_bialgebra_axioms,
 )
 from wordbialg.lincomb import LinComb
-from wordbialg.words import Anchored, anchored, flatten
+from wordbialg.words import Anchored, anchored, flatten, shift
+
+
+def _brute_shuffle(u, v) -> dict:
+    """The shuffle product by choosing, one interleaving at a time, the
+    positions that take ``u``'s letters."""
+    m, n = len(u), len(v)
+    out: dict = {}
+    for positions in itertools.combinations(range(m + n), m):
+        word = [0] * (m + n)
+        taken = set(positions)
+        it_u = iter(u)
+        it_v = iter(v)
+        for i in range(m + n):
+            word[i] = next(it_u) if i in taken else next(it_v)
+        key = tuple(word)
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+_short_words = st.lists(st.integers(1, 3), max_size=5).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@example((), (), 0, 0)
+@example((1, 1, 2), (), 1, 0)
+@example((1, 2, 1), (1, 1), 1, 2)
+@given(_short_words, _short_words, st.integers(0, 4), st.integers(0, 4))
+def test_shuffles_match_brute_force(u, v, m, n):
+    # few letters, so repeated letters and multiplicities are common; the
+    # anchors are not validated, so shifted letters may collide as well
+    assert dict(shuffle(u, v).items()) == _brute_shuffle(u, v)
+    a, b = Anchored(u, m), Anchored(v, n)
+    assert dict(shifted_shuffle(a, b).items()) == {
+        Anchored(w, m + n): c for w, c in _brute_shuffle(u, shift(v, m)).items()
+    }
 
 
 def test_shuffle_identity():
@@ -163,12 +201,7 @@ def test_axioms_small_bounds():
 
 
 def test_corrupted_coproduct_fails_with_witness():
-    def broken(a):
-        full = deconcat_coproduct(a)
-        return LinComb(
-            [(k, c) for k, c in full.items() if k[0].word or not a.word]
-        )
-
+    broken = _without_unit_left_cuts(deconcat_coproduct, lambda a: len(a.word))
     reports = verify_bialgebra_axioms("anchored", 3, 2, coproduct=broken)
     failed = [r for r in reports if r["status"] == "fail"]
     assert failed and all("witness" in r for r in failed)
@@ -270,15 +303,14 @@ def _reference_axioms(basis, degree, max_degree, product, coproduct, counit, uni
                 break
         out.append((axiom, "pass" if witness is None else "fail", checked, witness))
 
-    pairs = [
-        (a, b) for a in basis for b in basis if degree(a) + degree(b) <= max_degree
-    ]
-    triples = [
-        (a, b, c)
-        for a, b in pairs
-        for c in basis
-        if degree(a) + degree(b) + degree(c) <= max_degree
-    ]
+    def cases(k):
+        return [
+            case
+            for case in itertools.product(basis, repeat=k)
+            if sum(map(degree, case)) <= max_degree
+        ]
+
+    pairs, triples = cases(2), cases(3)
     run(
         "unit-law",
         basis,
@@ -351,20 +383,20 @@ def _lopsided(product, degree):
     return skewed
 
 
-@pytest.mark.parametrize(
-    "structure, bounds, basis, degree, unit, maps",
-    [
-        (
-            "anchored", (3, 2), anchored_basis(3, 2), lambda a: len(a.word),
-            LinComb.basis(Anchored((), 0)),
-            (shifted_shuffle, deconcat_coproduct, deconcat_counit),
-        ),
-        (
-            "packed", (4,), packed_basis(4), len, LinComb.basis(()),
-            (packed_product, packed_coproduct, packed_counit),
-        ),
-    ],
-)
+_STRUCTURES = [
+    (
+        "anchored", (3, 2), anchored_basis(3, 2), lambda a: len(a.word),
+        LinComb.basis(Anchored((), 0)),
+        (shifted_shuffle, deconcat_coproduct, deconcat_counit),
+    ),
+    (
+        "packed", (4,), packed_basis(4), len, LinComb.basis(()),
+        (packed_product, packed_coproduct, packed_counit),
+    ),
+]
+
+
+@pytest.mark.parametrize("structure, bounds, basis, degree, unit, maps", _STRUCTURES)
 def test_memoised_check_matches_fraction_reference(
     structure, bounds, basis, degree, unit, maps
 ):
@@ -385,3 +417,56 @@ def test_memoised_check_matches_fraction_reference(
             basis, degree, bounds[0], product, coproduct, counit, unit
         )
     )
+
+
+def _drop_one_term(product, x, y):
+    """``product`` with one term of ``x * y`` (the least by ``repr``) left out."""
+
+    def dropped(a, b):
+        out = product(a, b)
+        if (a, b) != (x, y):
+            return out
+        first = min(out.support(), key=repr)
+        return LinComb([(k, c) for k, c in out.items() if k != first])
+
+    return dropped
+
+
+def _without_unit_left_cuts(coproduct, degree):
+    """``coproduct`` without its degree-0 (x) ``a`` cuts of ``a`` of positive
+    degree."""
+
+    def broken(a):
+        return LinComb(
+            [(k, c) for k, c in coproduct(a).items() if degree(k[0]) or not degree(a)]
+        )
+
+    return broken
+
+
+@pytest.mark.parametrize(
+    "structure, bounds, basis, degree, unit, maps, pair",
+    [
+        (*_STRUCTURES[0], (anchored((1,), 1), anchored((2, 1), 2))),
+        (*_STRUCTURES[1], ((1,), (1, 2))),
+    ],
+)
+def test_axiom_cases_come_in_filtered_product_order(
+    structure, bounds, basis, degree, unit, maps, pair
+):
+    # a fault met partway through an axiom's cases fixes both the count of
+    # cases checked and the witness, so a reordering of the cases shows
+    product, coproduct, counit = maps
+    faults = [
+        {"product": _drop_one_term(product, *pair)},
+        {"coproduct": _without_unit_left_cuts(coproduct, degree)},
+    ]
+    for fault in faults:
+        reports = verify_bialgebra_axioms(structure, *bounds, **fault)
+        got = [(r["axiom"], r["status"], r["checked"], r.get("witness")) for r in reports]
+        want = _reference_axioms(
+            basis, degree, bounds[0], fault.get("product", product),
+            fault.get("coproduct", coproduct), counit, unit,
+        )
+        assert got == want
+        assert any(status == "fail" and checked > 1 for _, status, checked, _ in got)

@@ -463,6 +463,102 @@ def test_gap_braid_relation_classification():
     assert is_finite_type_bounded(inst)["stable"]
 
 
+def _reference_p_algebraic(inst, prime=None):
+    """``check_p_algebraic`` with every group of cut counts walked pair by
+    pair: each packed ``u`` of one class against each packed ``v`` of the
+    other with the right total length, stopping at the first count that
+    differs from the group's first."""
+    packed_class_of = {}
+    packed_by_len = defaultdict(lambda: defaultdict(list))
+    for members in inst.iter_classes():
+        for w in members:
+            if set(w) == set(range(1, len(set(w)) + 1)):
+                packed_class_of[w] = inst.class_id(members[0])
+                packed_by_len[packed_class_of[w]][len(w)].append(w)
+    witness, checked = None, 0
+    for members in inst.iter_classes():
+        counts = defaultdict(int)
+        for w in members:
+            for i in range(len(w) + 1):
+                counts[flatten(w[:i]), flatten(w[i:])] += 1
+        blocks = defaultdict(dict)
+        for (u, v), c in counts.items():
+            if u in packed_class_of and v in packed_class_of:
+                key = (packed_class_of[u], packed_class_of[v], len(u) + len(v))
+                blocks[key][u, v] = c
+        for (cu, cv, total_len), seen in blocks.items():
+            pairs = [
+                (u, v)
+                for us in packed_by_len[cu].values()
+                for u in us
+                for v in packed_by_len[cv].get(total_len - len(u), ())
+            ]
+            expected = seen.get(pairs[0], 0)
+            for u, v in pairs:
+                checked += 1
+                c = seen.get((u, v), 0)
+                if c != expected if prime is None else (c - expected) % prime:
+                    witness = {
+                        "class": members[0],
+                        "pair": pairs[0],
+                        "other_pair": (u, v),
+                        "counts": (expected, c),
+                    }
+                    break
+            if witness:
+                break
+        if witness:
+            break
+    interval = relations._interval_restriction(inst)
+    return {
+        "property": "p-algebraic",
+        "status": "fail" if witness or interval["status"] == "fail" else "pass",
+        "prime": prime,
+        "conditions": [
+            relations._condition("destandardization-counts", checked, witness),
+            interval,
+        ],
+        "bounds": {"alphabet": inst.alphabet, "max_len": inst.max_len},
+    }
+
+
+@pytest.mark.parametrize("name", [*EXPECTED_VERDICTS, "coxeter-gap2"])
+def test_p_algebraic_matches_pair_by_pair_walk(name):
+    if name == "coxeter-gap2":
+        inst = close(coxeter_relation(gap_braid_m(2)), 3, 5)
+    else:
+        inst = close(builtin_relation(name), 3, 5)
+    for prime in (None, 2):
+        assert check_p_algebraic(inst, prime) == _reference_p_algebraic(inst, prime)
+
+
+@settings(max_examples=60, deadline=None)
+@example([((1, 2), (2, 1))], False, True, False, 3, 4)
+# fails on a group holding every pair of the walk, with unequal counts
+@example([((2, 2, 3), (3, 2, 3)), ((2, 3, 3), (3, 2, 2))], False, True, True, 2, 3)
+@given(
+    st.lists(
+        _letter_set_pairs(3).filter(lambda p: len(p[0]) == len(p[1])),
+        min_size=1,
+        max_size=3,
+    ),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.integers(2, 3),
+    st.integers(1, 4),
+)
+def test_p_algebraic_matches_pair_by_pair_walk_on_random_presentations(
+    pairs, uniform, in_context, weak, alphabet, max_len
+):
+    pres = explicit_relation("random", pairs, uniform, in_context)
+    if weak:
+        pres = weak_variant(pres)
+    inst = close(pres, alphabet, max_len)
+    for prime in (None, 2):
+        assert check_p_algebraic(inst, prime) == _reference_p_algebraic(inst, prime)
+
+
 def test_concatenation_congruence_runs_once_per_instance():
     # every check calls ``related`` once per counted case, so the calls add
     # up to conditions (a) and (b) once each and the injections once
