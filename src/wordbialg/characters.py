@@ -45,7 +45,6 @@ from .words import (
     Partition,
     Permutation,
     Word,
-    all_reduced_words,
     ascents,
     descent_letters,
     descents,
@@ -369,12 +368,6 @@ def grothendieck_family(pi: Permutation, degree: int) -> dict[str, QSym]:
 
 def grassmannian_stable_family(lam: Partition, degree: int) -> dict[str, QSym]:
     return grothendieck_family(grassmannian_permutation(lam), degree)
-
-
-def stanley_symmetric_bottom(pi: Permutation) -> QSym:
-    """Degree-``length`` part of the stable family from reduced words only."""
-    ell = permutation_length(pi)
-    return QSym(ell, _image_terms(zip(all_reduced_words(pi), repeat(1)), "gt", ell))
 
 
 # --- identities used as cross-checks ---------------------------------------

@@ -86,6 +86,7 @@ def compile_coded_rewrites(pres: RelationPresentation, length: int) -> CodedRewr
     top = max((len(a) for _, a, _ in rewrites), default=0)
     letters = range(1, length + 1)
     windows = []
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per move set
     for start in range(length):
         width = min(top, length - start)
         shift = LANE * (length - start - width)
@@ -101,7 +102,10 @@ def compile_coded_rewrites(pres: RelationPresentation, length: int) -> CodedRewr
             for tail in itertools.product(letters, repeat=width - piece):
                 deltas.setdefault(encode_word(a + tail), set()).update(moves)
         if deltas:
-            table = {key: tuple(sorted(ds)) for key, ds in deltas.items()}
+            table = {}
+            for key, ds in deltas.items():
+                ds = tuple(sorted(ds))
+                table[key] = shared.setdefault(ds, ds)
             windows.append((shift, (1 << LANE * width) - 1, table.get))
     return CodedRewrites(length, tuple(windows))
 

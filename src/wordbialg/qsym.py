@@ -25,13 +25,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Mapping
 
-from .lincomb import _add_into, _exact, format_scalar, parse_scalar
+from .lincomb import _add_into, _exact, format_scalar
 from .words import (
     Composition,
     Partition,
-    comp_complement,
     comp_from_set,
-    comp_reverse,
     comp_sort,
     comp_to_set,
     comp_transpose,
@@ -494,14 +492,6 @@ def omega_L(f: QSym) -> QSym:
     return _map_fundamental(f, comp_transpose)
 
 
-def reverse_L(f: QSym) -> QSym:
-    return _map_fundamental(f, comp_reverse)
-
-
-def complement_L(f: QSym) -> QSym:
-    return _map_fundamental(f, comp_complement)
-
-
 def substitute_geometric(f: QSym) -> QSym:
     """Substitute ``x_i -> x_i + x_i^2 + ...`` in every variable.
 
@@ -579,13 +569,6 @@ def qsym_to_json(f: QSym) -> dict:
             for alpha, c in sorted(f.terms.items())
         ],
     }
-
-
-def qsym_from_json(data: dict) -> QSym:
-    return QSym(
-        data["degree"],
-        {tuple(t["comp"]): parse_scalar(t["coeff"]) for t in data["terms"]},
-    )
 
 
 def sym_expansion_to_json(e: SymExpansion) -> dict:

@@ -291,9 +291,10 @@ class RelationInstance:
 
     def class_id(self, w: Word) -> int:
         w = tuple(w)
-        if w not in self.index:
+        i = self.index.get(w)
+        if i is None:
             raise KeyError(f"word {w} outside the closed universe")
-        return self.class_ids[self.index[w]]
+        return self.class_ids[i]
 
     def related(self, v: Word, w: Word) -> bool:
         return self.class_id(v) == self.class_id(w)

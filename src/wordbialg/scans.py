@@ -13,10 +13,12 @@ recorded there as it comes.
 
 The flood fill works on integer-coded words (:mod:`coded`: one 5-bit lane
 per letter, first letter most significant, so letters and lengths up to
-15).  A content's words are enumerated lazily in lexicographic order and
-coded one by one, so its codes come in increasing order and are never
-listed whole; the visited set holds codes, and a
-one-step rewrite is one lookup per window start in the merged window
+15).  A content's codes are listed by halves: each arrangement of the
+first half of its letters is coded once, and each distinct multiset of
+letters it leaves has its arrangements coded once, so a block of codes is
+one head code or-ed onto a list of tail codes.  The codes come in
+increasing order and are never listed whole; the visited set holds codes,
+and a one-step rewrite is one lookup per window start in the merged window
 tables of :func:`coded.compile_coded_rewrites` followed by an xor.
 Integer order is word order, so each component's least code is its
 lexicographically least word, the representative.
@@ -44,6 +46,7 @@ from typing import Iterator, Sequence
 from .characters import _compositions_of, format_character, image_of_histogram
 from .qsym import _triangular_solve
 from .coded import (
+    LANE,
     CodedRewrites,
     check_codable,
     compile_coded_rewrites,
@@ -55,6 +58,7 @@ from .relations import DEFAULT_CAP, builtin_relation, close, weak_variant
 from .words import (
     Composition,
     Partition,
+    _arrangements,
     all_words,
     comp_sort,
     compositions,
@@ -88,31 +92,42 @@ def content_components(
     lists of word codes (:func:`coded.encode_word`), each headed by its
     least code.
 
-    The codes are enumerated in increasing order, and a code the
-    enumeration has passed is dropped from the visited set: its component
-    is closed, so no later search can reach it."""
-    if sum(content) != rewrites.length:
-        raise ValueError(f"content {content} is not of length {rewrites.length}")
+    The codes come in increasing order, by halves: each arrangement of the
+    first half of the letters is coded once and joined to the codes of the
+    arrangements of the letters it leaves, coded once per distinct leftover.
+    A block of codes the enumeration has passed is dropped from the visited
+    set: its components are closed, so no later search can reach it."""
+    n = rewrites.length
+    if sum(content) != n:
+        raise ValueError(f"content {content} is not of length {n}")
     windows = rewrites.windows
-    letters = [a for a, c in enumerate(content, 1) for _ in range(c)]
+    letters = list(range(1, len(content) + 1))
+    half = n // 2
+    width = LANE * (n - half)
+    tails: dict[tuple[int, ...], list[int]] = {}
     seen: set[int] = set()
-    for start in map(encode_word, multiset_permutations(letters)):
-        if start in seen:
-            seen.remove(start)
-            continue
-        component = [start]
-        seen.add(start)
-        for x in component:
-            for shift, mask, deltas in windows:
-                moves = deltas(x >> shift & mask)
-                if moves:
-                    for d in moves:
-                        y = x ^ d
-                        if y not in seen:
-                            seen.add(y)
-                            component.append(y)
-        seen.remove(start)
-        yield component
+    for head, left in _arrangements(letters, tuple(content), half):
+        codes = tails.get(left)
+        if codes is None:
+            rest = [a for a, c in zip(letters, left) for _ in range(c)]
+            codes = tails[left] = list(map(encode_word, multiset_permutations(rest)))
+        block = list(map((encode_word(head) << width).__or__, codes))
+        for start in block:
+            if start in seen:
+                continue
+            component = [start]
+            seen.add(start)
+            for x in component:
+                for shift, mask, deltas in windows:
+                    moves = deltas(x >> shift & mask)
+                    if moves:
+                        for d in moves:
+                            y = x ^ d
+                            if y not in seen:
+                                seen.add(y)
+                                component.append(y)
+            yield component
+        seen.difference_update(block)
 
 
 # --- class verdicts ---------------------------------------------------------

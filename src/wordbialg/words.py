@@ -121,21 +121,11 @@ def all_words(alphabet: int, max_len: int) -> Iterator[Word]:
 
 
 def multiset_permutations(items: Iterable[int]) -> Iterator[tuple[int, ...]]:
-    """Distinct permutations of a multiset, in lexicographic order.
-
-    Each arrangement of the first half is joined to the arrangements of the
-    letters it leaves, which are listed once per distinct leftover; so the
-    lists held are about the square root of the output, not the output."""
+    """Distinct permutations of a multiset, in lexicographic order."""
     w = sorted(items)
     letters = sorted(set(w))
     counts = tuple(w.count(a) for a in letters)
-    head = len(w) // 2
-    tails: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for h, left in _arrangements(letters, counts, head):
-        if left not in tails:
-            tails[left] = [t for t, _ in _arrangements(letters, left, len(w) - head)]
-        for t in tails[left]:
-            yield h + t
+    return (word for word, _ in _arrangements(letters, counts, len(w)))
 
 
 def _arrangements(
@@ -195,18 +185,6 @@ def parse_word(s: str) -> Word:
     if "," in s:
         return check_word(int(p) for p in s.split(","))
     return check_word(int(c) for c in s)
-
-
-def format_anchored(a: Anchored) -> str:
-    return f"[{format_word(a.word)}|{a.anchor}]"
-
-
-def parse_anchored(s: str) -> Anchored:
-    s = s.strip()
-    if not (s.startswith("[") and s.endswith("]") and "|" in s):
-        raise ValueError(f"not an anchored word: {s!r}")
-    body, _, anchor = s[1:-1].rpartition("|")
-    return anchored(parse_word(body), int(anchor))
 
 
 # --- compositions -------------------------------------------------------
@@ -269,11 +247,6 @@ def comp_sort(alpha: Composition) -> Partition:
     return tuple(sorted((a for a in alpha if a > 0), reverse=True))
 
 
-def descent_composition(w: Word) -> Composition:
-    """The composition of ``len(w)`` with cut set ``descents(w)``."""
-    return comp_from_set(len(w), descents(w))
-
-
 # --- partitions ---------------------------------------------------------
 
 
@@ -300,16 +273,6 @@ def partitions(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
         for rest in partitions(n - first, first):
             out.append((first,) + rest)
     return tuple(out)
-
-
-def strict_partitions(n: int) -> tuple[Partition, ...]:
-    return tuple(lam for lam in partitions(n) if is_strict_partition(lam))
-
-
-def partition_transpose(lam: Partition) -> Partition:
-    if not lam:
-        return ()
-    return tuple(sum(1 for a in lam if a >= i) for i in range(1, lam[0] + 1))
 
 
 # --- tableau words ------------------------------------------------------

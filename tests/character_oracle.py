@@ -6,7 +6,9 @@ letters compared), in exact rationals and one word at a time.  Nothing
 here reads a violation mask, so the library's mask kernel
 (``wordbialg.characters``) is checked against an independent path.
 ``comp_flat`` is the composition map that relates the peak characters of
-a word to those of its reverse.
+a word to those of its reverse; ``descent_composition`` (the fundamental
+index of a word) and ``strict_partitions`` (the Schur-Q indices) are the
+word and partition helpers the tests share.
 """
 
 from fractions import Fraction
@@ -14,7 +16,7 @@ from functools import lru_cache
 
 from wordbialg.lincomb import LinComb
 from wordbialg.qsym import QSym
-from wordbialg.words import Anchored, compositions, is_peak_composition
+from wordbialg.words import Anchored, compositions, is_peak_composition, partitions
 
 KINDS = ("le", "ge", "lt", "gt")
 ALL_CHARACTERS = list(KINDS) + [(a, b) for a in KINDS for b in KINDS]
@@ -134,3 +136,18 @@ def comp_flat(alpha):
     rev[0] += 1
     rev[-1] -= 1
     return tuple(p for p in rev if p > 0)
+
+
+def descent_composition(w):
+    """The composition of ``len(w)`` cut after every descent ``w[i] > w[i+1]``."""
+    parts, run = [], 0
+    for i, a in enumerate(w):
+        run += 1
+        if i + 1 == len(w) or a > w[i + 1]:
+            parts.append(run)
+            run = 0
+    return tuple(parts)
+
+
+def strict_partitions(n):
+    return tuple(lam for lam in partitions(n) if len(set(lam)) == len(lam))

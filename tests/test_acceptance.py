@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from character_oracle import comp_flat
+from character_oracle import comp_flat, descent_composition
 from wordbialg.bialgebra import (
     duality_pairing_check,
     shuffle,
@@ -65,7 +65,6 @@ from wordbialg.words import (
     comp_from_set,
     comp_reverse,
     comp_transpose,
-    descent_composition,
     eval_hecke_word,
     is_increasing_tableau,
     packed_words,

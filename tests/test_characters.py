@@ -18,6 +18,7 @@ from character_oracle import (
     character_coefficient,
     character_on_lincomb,
     character_poly,
+    descent_composition,
     oracle_image,
     oracle_sum,
 )
@@ -32,7 +33,6 @@ from wordbialg.characters import (
     multi_fundamental,
     nsym_generator_image,
     parse_character,
-    stanley_symmetric_bottom,
     word_image,
 )
 from wordbialg.lincomb import LinComb
@@ -51,9 +51,9 @@ from wordbialg.qsym import (
 )
 from wordbialg.relations import bfs_class, builtin_relation
 from wordbialg.words import (
+    all_reduced_words,
     anchored,
     comp_from_set,
-    descent_composition,
     descents,
     eval_hecke_word,
     permutation_length,
@@ -348,6 +348,12 @@ def test_grothendieck_family_s3():
         ell = permutation_length(pi)
         for alpha, c in fam["G"].terms.items():
             assert c == fam["K"].coeff(alpha) * (-1) ** (ell + sum(alpha))
+
+
+def stanley_symmetric_bottom(pi):
+    """Degree-``length`` part of the stable family from reduced words only."""
+    ell = permutation_length(pi)
+    return class_image(all_reduced_words(pi), "gt", ell)
 
 
 def test_grothendieck_bottom_vs_reduced_words():

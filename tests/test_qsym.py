@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from character_oracle import strict_partitions
+from wordbialg.lincomb import parse_scalar
 from wordbialg.qsym import (
     QSym,
+    _map_fundamental,
     canonical_character,
-    complement_L,
     coproduct_terms,
     fundamental_L,
     from_fundamental,
@@ -22,10 +24,8 @@ from wordbialg.qsym import (
     peak_K,
     q_function,
     qs_one,
-    qsym_from_json,
     qsym_to_json,
     quasi_shuffle,
-    reverse_L,
     schur,
     schur_expand,
     schur_positive,
@@ -37,14 +37,32 @@ from wordbialg.qsym import (
     to_monomial_sym,
 )
 from wordbialg.words import (
+    comp_complement,
     comp_from_set,
+    comp_reverse,
     comp_sort,
     comp_to_set,
     comp_transpose,
     compositions,
     partitions,
-    strict_partitions,
 )
+
+
+def reverse_L(f):
+    return _map_fundamental(f, comp_reverse)
+
+
+def complement_L(f):
+    return _map_fundamental(f, comp_complement)
+
+
+def qsym_from_json(data):
+    """The inverse of ``qsym_to_json``."""
+    return QSym(
+        data["degree"],
+        {tuple(t["comp"]): parse_scalar(t["coeff"]) for t in data["terms"]},
+    )
+
 
 compositions_st = st.lists(st.integers(1, 3), min_size=0, max_size=4).map(tuple)
 qsym_st = st.dictionaries(compositions_st, st.integers(-4, 4), max_size=4).map(
@@ -292,8 +310,6 @@ def _brute_marked_shifted_count(lam, content):
 
 
 def test_marked_shifted_strip_recursion_matches_enumeration():
-    from wordbialg.words import strict_partitions
-
     for n in range(9):
         for lam in strict_partitions(n):
             for mu in partitions(n):
@@ -322,8 +338,6 @@ def test_schur_q_product_identity():
 
 def test_schur_q_expansion():
     for n in range(1, 8):
-        from wordbialg.words import strict_partitions
-
         for lam in strict_partitions(n):
             qq = schur_q(lam)
             assert is_symmetric(qq)

@@ -105,6 +105,50 @@ def test_content_components_match_closure():
     assert {frozenset(c) for c in components} == expected
 
 
+def _per_word_components(content, rewrites):
+    """The flood fill with every word of the content coded on its own, in
+    increasing order: the brute-force oracle of ``content_components``."""
+    import itertools
+
+    letters = [a for a, c in enumerate(content, 1) for _ in range(c)]
+    starts = sorted(map(encode_word, set(itertools.permutations(letters))))
+    seen = set()
+    for start in starts:
+        if start in seen:
+            continue
+        component = [start]
+        seen.add(start)
+        for x in component:
+            for shift, mask, deltas in rewrites.windows:
+                for d in deltas(x >> shift & mask) or ():
+                    y = x ^ d
+                    if y not in seen:
+                        seen.add(y)
+                        component.append(y)
+        yield component
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(1, 4), max_size=8),
+    st.sampled_from(["exotic-knuth", "knuth", "commutation"]),
+)
+def test_content_components_match_per_word_fill(parts, relation):
+    # contents up to length 8: the leading parts that fit
+    content = []
+    for c in parts:
+        if sum(content) + c > 8:
+            break
+        content.append(c)
+    n = sum(content)
+    rewrites = compile_coded_rewrites(builtin_relation(relation), n)
+    got = list(content_components(tuple(content), rewrites))
+    expected = list(_per_word_components(content, rewrites))
+    assert [c[0] for c in got] == [c[0] for c in expected]
+    assert all(c[0] == min(c) for c in got)
+    assert [set(c) for c in got] == [set(c) for c in expected]
+
+
 def test_known_class_counts():
     reference = [1, 1, 3, 9, 31, 110, 412]
     for n, want in enumerate(reference):

