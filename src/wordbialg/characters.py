@@ -23,9 +23,11 @@ So the image of a word depends on one statistic: the violation mask, the
 peak mask, or the pair of violation masks.  Words are binned by length
 and statistic, and each length's histogram is expanded into monomial
 coefficients indexed by cut mask (:func:`image_of_histogram`): one
-subset-sum (zeta) transform for a fundamental, the transform read at the
+subset-sum (zeta) transform for a fundamental (the transform between the
+M and F bases, :func:`qsym._subset_transform`), the transform read at the
 thickened cut set and scaled by ``2^l`` for a peak function, the block
-product for a pair of masks.  Words, classes, linear combinations and the
+product for a pair of masks.  A violation mask is read off a word in one
+pass of comparisons.  Words, classes, linear combinations and the
 scans all go through that kernel.  Class images are truncated by degree;
 their correctness rests on the relation engine's headroom stability
 certificate.
@@ -33,38 +35,33 @@ certificate.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
-from itertools import repeat
+from itertools import compress, repeat, tee
 from typing import Iterable
 
 from .lincomb import LinComb
-from .qsym import QSym, omega_L
+from .qsym import QSym, _compositions_of, _subset_transform, omega_L
 from .words import (
     Anchored,
     Composition,
     Partition,
     Permutation,
     Word,
-    ascents,
+    comp_to_set,
     descent_letters,
-    descents,
     grassmannian_permutation,
     identity_permutation,
     permutation_length,
     swap_values,
-    weak_ascents,
-    weak_descents,
 )
 
 BASIC_KINDS = ("le", "ge", "lt", "gt")
 
-# positions where a block may NOT be cut-free, per kind
-_VIOLATIONS = {
-    "le": descents,
-    "ge": ascents,
-    "lt": weak_descents,
-    "gt": weak_ascents,
-}
+# letters w_i, w_(i+1) that break a kind's comparison, so that a block may
+# not be cut-free at position i: descents, ascents, weak descents, weak ascents
+_VIOLATES = {"le": operator.gt, "ge": operator.lt, "lt": operator.ge, "gt": operator.le}
+_BITS = bytes.maketrans(b"\0\1", b"01")
 
 Character = str | tuple[str, str]
 
@@ -98,15 +95,6 @@ def word_image(w: Word, char: Character, degree: int | None = None) -> QSym:
     return QSym(degree, _image_terms([(w, 1)], char, degree))
 
 
-@lru_cache(maxsize=None)
-def _compositions_of(n: int) -> tuple[Composition, ...]:
-    """Compositions of ``n`` indexed by the mask of their cut set (cut
-    ``i`` is bit ``i - 1``), the order :func:`compositions` yields."""
-    from .words import compositions
-
-    return tuple(compositions(n))
-
-
 # The peak statistic of each closed form, read off the violation mask V of
 # a basic kind: position i >= 2 is a peak when i is in V and i - 1 is not
 # (``True``), or when i - 1 is in V and i is not (``False``).  The first
@@ -135,11 +123,11 @@ def _peak_of_violation(v: int, n: int, starts: bool) -> int:
 
 def _violation_mask(w: Word, kind: str) -> int:
     """The violation set of a basic kind as a bit mask: position ``i`` is
-    bit ``i - 1``, the bit order of :func:`_compositions_of`."""
-    mask = 0
-    for i in _VIOLATIONS[kind](w):
-        mask |= 1 << (i - 1)
-    return mask
+    bit ``i - 1``, the bit order of :func:`_compositions_of`, read off one
+    comparison per adjacent pair as a string of binary digits."""
+    if len(w) < 2:
+        return 0
+    return int(bytes(map(_VIOLATES[kind], w, w[1:])).translate(_BITS)[::-1], 2)
 
 
 def _statistic(w: Word, char: Character):
@@ -151,17 +139,6 @@ def _statistic(w: Word, char: Character):
     if char in _PEAK_FORMS:
         return _peak_mask(w, char)
     return (_violation_mask(w, char[0]), _violation_mask(w, char[1]))
-
-
-def _subset_sums(values: list) -> None:
-    """Zeta transform in place over a table indexed by masks of ``[n-1]``:
-    ``values[m]`` becomes the sum over submasks of ``m``.  On fundamental
-    coefficients by violation mask this gives the monomial coefficients."""
-    for bit in range(len(values).bit_length() - 1):
-        step = 1 << bit
-        for mask in range(len(values)):
-            if mask & step:
-                values[mask] += values[mask ^ step]
 
 
 def _block_products(v1: int, v2: int, n: int) -> list[int]:
@@ -192,26 +169,13 @@ def _block_products(v1: int, v2: int, n: int) -> list[int]:
     return prefixes[n]
 
 
-def image_by_mask(
-    weighted: Iterable[tuple[Word, object]], char: Character, n: int
-) -> list:
-    """Monomial coefficients of ``sum c * image(w)`` over ``(w, c)`` pairs
-    of words of length ``n``, as a list indexed by cut mask (the order of
-    :func:`_compositions_of`): the words are binned by statistic and the
-    histogram is expanded once."""
-    hist: dict = {}
-    for w, c in weighted:
-        s = _statistic(w, char)
-        hist[s] = hist.get(s, 0) + c
-    return image_of_histogram(hist.items(), char, n)
-
-
 def image_of_histogram(
     hist: Iterable[tuple[object, object]], char: Character, n: int
 ) -> list:
-    """Monomial coefficients by cut mask of the image of words of length
-    ``n``, from ``(statistic, weight)`` pairs, the weight of the words with
-    that :func:`_statistic`.
+    """Monomial coefficients of the image of words of length ``n``, as a
+    list indexed by cut mask (the order of :func:`_compositions_of`), from
+    ``(statistic, weight)`` pairs, the weight of the words with that
+    :func:`_statistic`.
 
     A closed form expands the histogram with one zeta transform ``z``.  A
     fundamental ``L_V`` is the sum of ``M_S`` over ``S`` containing ``V``,
@@ -228,7 +192,7 @@ def image_of_histogram(
         return values
     for m, c in hist:
         values[m] += c
-    _subset_sums(values)
+    _subset_transform(values)
     if isinstance(char, str):
         return values
     full = size - 1
@@ -244,30 +208,33 @@ def _image_terms(
     """Monomial coefficients of ``sum c * image(w)`` over ``(w, c)`` pairs,
     words longer than ``degree`` contributing nothing.
 
-    The pairs are split by length and each length goes through
-    :func:`image_by_mask` once, so coefficients stay plain ints (or the
-    weights' type) until the caller builds a single QSym."""
-    by_length: dict[int, list] = {}
+    The words are binned by length and :func:`_statistic`, and each
+    length's histogram is expanded once (:func:`image_of_histogram`), so
+    coefficients stay plain ints (or the weights' type) until the caller
+    builds a single QSym."""
+    hists: dict[int, dict] = {}
     for w, c in weighted:
-        w = _as_word(w)
+        if type(w) is not tuple:
+            w = _as_word(w)
         if len(w) <= degree:
-            by_length.setdefault(len(w), []).append((w, c))
+            hist = hists.setdefault(len(w), {})
+            s = _statistic(w, char)
+            hist[s] = hist.get(s, 0) + c
     terms: dict[Composition, object] = {}
-    for n, pairs in by_length.items():
-        terms.update(
-            (alpha, c)
-            for alpha, c in zip(_compositions_of(n), image_by_mask(pairs, char, n))
-            if c
-        )
+    for n, hist in hists.items():
+        coeffs = image_of_histogram(hist.items(), char, n)
+        terms.update((alpha, c) for alpha, c in zip(_compositions_of(n), coeffs) if c)
     return terms
 
 
 def class_image(
     members: Iterable[Word], char: Character, degree: int
 ) -> QSym:
-    """Sum of member images, truncated: members longer than the degree
-    bound contribute nothing."""
-    return QSym(degree, _image_terms(zip(members, repeat(1)), char, degree))
+    """Sum of member images, truncated: members (plain words) longer than
+    the degree bound contribute nothing, and are dropped unread."""
+    kept, sizes = tee(members)
+    short = compress(kept, map(degree.__ge__, map(len, sizes)))
+    return QSym(degree, _image_terms(zip(short, repeat(1)), char, degree))
 
 
 def lincomb_image(x: LinComb, char: Character, degree: int) -> QSym:
@@ -288,7 +255,7 @@ def multi_fundamental(alpha: Composition, degree: int) -> QSym:
     """
     alpha = tuple(alpha)
     n = sum(alpha)  # number of chain slots
-    strict_after = set(_comp_cut_positions(alpha))
+    strict_after = comp_to_set(alpha)
     terms: dict[Composition, int] = {}
     if n == 0:
         return QSym(degree, {(): 1})
@@ -318,14 +285,6 @@ def multi_fundamental(alpha: Composition, degree: int) -> QSym:
 
     rec(0, [], 0)
     return QSym(degree, terms)
-
-
-def _comp_cut_positions(alpha: Composition) -> list[int]:
-    out, total = [], 0
-    for part in alpha[:-1]:
-        total += part
-        out.append(total)
-    return out
 
 
 # --- Hecke words and the stable family -------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -204,6 +205,12 @@ class ContentCache:
 # --- subcommands ------------------------------------------------------------
 
 
+def _fail(message: str, code: int = EXIT_RESOURCE_CAP) -> int:
+    """Refuse with one line on stderr; returns the exit code."""
+    print(message, file=sys.stderr)
+    return code
+
+
 def _codable(pres: relations.RelationPresentation, max_len: int) -> bool:
     """Whether the content-sliced scans reach ``max_len``; if not, says why
     on stderr, so a command refuses before its first length."""
@@ -219,12 +226,9 @@ def cmd_classes(args) -> int:
     pres = args.relation
     lengths = list(range(args.max_len + 1))
     if args.max_len > EXTENDED_CLASS_LIMIT and not args.extended:
-        print(
-            f"lengths above {EXTENDED_CLASS_LIMIT} need --extended "
-            "(minutes-scale run)",
-            file=sys.stderr,
+        return _fail(
+            f"lengths above {EXTENDED_CLASS_LIMIT} need --extended (minutes-scale run)"
         )
-        return EXIT_RESOURCE_CAP
     t0 = time.time()
     per_length = []
     # packed words of length n use the letters 1..n, so an alphabet of
@@ -239,11 +243,21 @@ def cmd_classes(args) -> int:
         if not _codable(pres, args.max_len):
             return EXIT_USAGE
         bounds = {"alphabet": args.max_len, "max_len": args.max_len}
-        for n in lengths:
-            cache = ContentCache(
+        caches = [
+            ContentCache(
                 args.cache_dir if n > EXTENDED_CLASS_LIMIT else None,
                 {"command": "classes", "relation": pres.name, "length": n},
             )
+            for n in lengths
+        ]
+        # a worker holds one content's words: weigh the largest still to run
+        largest = max(scans.largest_content(n, c.done) for n, c in zip(lengths, caches))
+        if largest > args.cap:
+            return _fail(
+                f"content of {largest} words exceeds cap {args.cap}; "
+                "raise --cap or shrink bounds"
+            )
+        for n, cache in zip(lengths, caches):
             classes, words = scans.packed_class_count(pres.name, n, args.jobs, cache)
             per_length.append(
                 {"length": n, "packed_words": words, "classes": classes}
@@ -255,8 +269,7 @@ def cmd_classes(args) -> int:
                 pres, alphabet, args.max_len, args.headroom, cap=args.cap
             )
         except relations.ResourceCapError as err:
-            print(str(err), file=sys.stderr)
-            return EXIT_RESOURCE_CAP
+            return _fail(str(err))
         bounds = {
             "alphabet": alphabet,
             "max_len": args.max_len,
@@ -299,8 +312,7 @@ def cmd_check(args) -> int:
         stability = relations.headroom_stability(inst, cap=args.cap)
         ftype = relations.is_finite_type_bounded(inst, cap=args.cap)
     except relations.ResourceCapError as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_RESOURCE_CAP
+        return _fail(str(err))
     alg = relations.check_algebraic(inst)
     uni = relations.check_uniformly_algebraic(inst)
     palg = relations.check_p_algebraic(inst, prime=args.prime)
@@ -334,21 +346,33 @@ def cmd_psi(args) -> int:
         )
         limit = degree + headroom
         if len(seed) > limit:
-            print(
+            return _fail(
                 f"--class-of word is longer than --degree plus --headroom ({limit})",
-                file=sys.stderr,
+                EXIT_USAGE,
             )
-            return EXIT_USAGE
+        lengths = [len(seed)] if pres.homogeneous else range(len(set(seed)), degree + 1)
+    else:
+        w = args.word
+        degree = len(w) if args.degree is None else args.degree
+        lengths = [len(w)]
+    # the image holds 2^(n-1) coefficients per length n <= degree it meets
+    size = 0
+    for n in itertools.takewhile(degree.__ge__, lengths):
+        size += 1 << max(n - 1, 0)
+        if size > args.cap:
+            return _fail(
+                f"image exceeds cap {args.cap} coefficients within degree "
+                f"{degree}; raise --cap or lower --degree"
+            )
+    if args.class_of:
         try:
             members = relations.bfs_class(pres, seed, limit, cap=args.cap)
             stable = relations.bfs_class(pres, seed, limit + 1, cap=args.cap)
         except relations.ResourceCapError as err:
-            print(str(err), file=sys.stderr)
-            return EXIT_RESOURCE_CAP
+            return _fail(str(err))
         sliced = [w for w in stable if len(w) <= degree]
         if sliced != [w for w in members if len(w) <= degree]:
-            print("unstable truncation: raise --headroom", file=sys.stderr)
-            return EXIT_PROPERTY_FAILURE
+            return _fail("unstable truncation: raise --headroom", EXIT_PROPERTY_FAILURE)
         image = characters.class_image(members, char, degree)
         source = {
             "class_of": format_word(seed),
@@ -356,8 +380,6 @@ def cmd_psi(args) -> int:
             "members_within_degree": sum(1 for w in members if len(w) <= degree),
         }
     else:
-        w = args.word
-        degree = len(w) if args.degree is None else args.degree
         image = characters.word_image(w, char, degree)
         source = {"word": format_word(w)}
     payload = {
@@ -398,8 +420,7 @@ def cmd_conjectures(args) -> int:
                 base, args.alphabet, args.max_len, cap=args.cap
             )
         except relations.ResourceCapError as err:
-            print(str(err), file=sys.stderr)
-            return EXIT_RESOURCE_CAP
+            return _fail(str(err))
         report["which"] = args.which
         emit(report, args.format, time.time() - t0)
         if report["mismatches"]:
@@ -407,11 +428,7 @@ def cmd_conjectures(args) -> int:
         return EXIT_OK
     if args.which in ("exotic-sym", "exotic-schur-positive"):
         if args.max_len > EXTENDED_CLASS_LIMIT and not args.extended:
-            print(
-                f"lengths above {EXTENDED_CLASS_LIMIT} need --extended",
-                file=sys.stderr,
-            )
-            return EXIT_RESOURCE_CAP
+            return _fail(f"lengths above {EXTENDED_CLASS_LIMIT} need --extended")
         if not _codable(relations.builtin_relation("exotic-knuth"), args.max_len):
             return EXIT_USAGE
         want_csv = args.format == "csv"
@@ -633,8 +650,7 @@ def main(argv=None) -> int:
     elif args.command == "check" and args.relation is None:
         missing = "check needs --relation"
     if missing:
-        print(f"{parser.prog}: error: {missing}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(f"{parser.prog}: error: {missing}", EXIT_USAGE)
     try:
         code = args.func(args)
         sys.stdout.flush()

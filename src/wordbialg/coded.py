@@ -115,7 +115,7 @@ def guard_compare(length: int, character) -> tuple[Callable, Callable]:
     every adjacent pair of lanes at once and leaves one guard bit per pair
     and comparison, and ``statistic(guards(code))`` is the word's
     :func:`characters._statistic`, its masks in the bit order of
-    :func:`characters._compositions_of`.
+    :func:`qsym._compositions_of`.
 
     Lane ``k`` of a code holds letter ``length - 1 - k``.  With the guard
     bit set in every lane, ``(x >> LANE | G) - (x & low)`` subtracts each

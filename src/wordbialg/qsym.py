@@ -6,7 +6,10 @@ which its coefficients are meaningful.  Coefficients follow
 :mod:`lincomb`'s convention: a plain ``int`` when whole, a ``Fraction``
 only where a division made one (the Schur-Q pivot ``2^l(lam)``).
 Fundamental, peak, and the symmetric bases (monomial, Schur, Schur-Q) are
-conversion layers.
+conversion layers.  Every change between the monomial and fundamental
+bases, and the character kernel's expansion, is one subset transform per
+degree over a table by cut mask (:func:`_subset_transform`): ``d 2^d``
+for degree ``d``, not one term per refinement.
 
 Multiplication is the overlapping shuffle of compositions, which agrees
 with multiplying the underlying power series.  The Schur and Schur-Q
@@ -20,6 +23,8 @@ order.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,7 +34,6 @@ from .lincomb import _add_into, _exact, format_scalar
 from .words import (
     Composition,
     Partition,
-    comp_from_set,
     comp_sort,
     comp_to_set,
     comp_transpose,
@@ -174,26 +178,66 @@ def monomial(alpha: Composition, degree: int | None = None) -> QSym:
 
 
 @lru_cache(maxsize=None)
-def _fundamental_terms(alpha: Composition) -> tuple[Composition, ...]:
-    n = sum(alpha)
-    base = comp_to_set(alpha)
-    free = sorted(set(range(1, n)) - base)
-    out = []
-    for k in range(len(free) + 1):
-        for extra in itertools.combinations(free, k):
-            out.append(comp_from_set(n, base | set(extra)))
-    return tuple(out)
+def _compositions_of(n: int) -> tuple[Composition, ...]:
+    """Compositions of ``n`` indexed by the mask of their cut set (cut
+    ``i`` is bit ``i - 1``), the order :func:`compositions` yields."""
+    return tuple(compositions(n))
+
+
+def _subset_transform(values: list, op=operator.add) -> None:
+    """Zeta transform in place over a table indexed by masks of ``[n-1]``:
+    ``values[m]`` becomes the sum over submasks of ``m``; with
+    ``operator.sub``, its inverse, the Möbius transform.  ``L_S`` is the
+    sum of ``M_T`` over ``T`` containing ``S``, so zeta takes fundamental
+    coefficients by cut mask to monomial ones, and Möbius back.  Each bit
+    is one pass of slice maps: one strided slice per offset or one
+    contiguous slice per block, whichever are fewer."""
+    size = len(values)
+    step = 1
+    while step < size:
+        span = 2 * step
+        if step * span < size:
+            for j in range(step, span):
+                values[j::span] = map(op, values[j::span], values[j - step :: span])
+        else:
+            for j in range(step, size, span):
+                values[j : j + step] = map(op, values[j : j + step], values[j - step : j])
+        step = span
+
+
+def _change_basis(terms, op) -> list:
+    """``(composition, coefficient)`` pairs moved between the F and M bases,
+    zeros included: each size's coefficients as one table by cut mask,
+    Möbius-transformed (``operator.sub``) or zeta-transformed (``add``)."""
+    tables: dict[int, list] = {}
+    for alpha, c in terms:
+        n = sum(alpha)
+        if n not in tables:
+            tables[n] = [0] * (1 << max(n - 1, 0))
+        tables[n][sum(1 << (t - 1) for t in itertools.accumulate(alpha[:-1]))] += c
+    out: list = []
+    for n, table in tables.items():
+        _subset_transform(table, op)
+        out += zip(_compositions_of(n), table)
+    return out
+
+
+def to_fundamental(f: QSym) -> dict[Composition, int | Fraction]:
+    """Coefficients in the fundamental basis."""
+    pairs = _change_basis(f.terms.items(), operator.sub)
+    return {alpha: _exact(c) for alpha, c in pairs if c}
+
+
+def from_fundamental(coeffs: Mapping[Composition, object], degree: int) -> QSym:
+    """The function with the given fundamental coefficients."""
+    kept = ((tuple(a), c) for a, c in coeffs.items() if sum(a) <= degree)
+    return QSym(degree, _change_basis(kept, operator.add))
 
 
 def fundamental_L(alpha: Composition, degree: int | None = None) -> QSym:
     """Sum of ``M_beta`` over refinements ``beta`` of ``alpha``."""
-    alpha = tuple(alpha)
-    n = sum(alpha)
-    if degree is None:
-        degree = n
-    if n > degree:
-        raise ValueError(f"|{alpha}| exceeds truncation degree {degree}")
-    return QSym(degree, dict.fromkeys(_fundamental_terms(alpha), 1))
+    f = monomial(alpha, degree)
+    return from_fundamental(f.terms, f.degree)
 
 
 @lru_cache(maxsize=None)
@@ -221,29 +265,6 @@ def peak_K(alpha: Composition, degree: int | None = None) -> QSym:
     if n > degree:
         raise ValueError(f"|{alpha}| exceeds truncation degree {degree}")
     return QSym(degree, _peak_terms(alpha))
-
-
-def to_fundamental(f: QSym) -> dict[Composition, int | Fraction]:
-    """Coefficients in the fundamental basis, by inclusion-exclusion:
-    ``M_alpha`` is the sum of ``(-1)^(l(beta) - l(alpha)) L_beta`` over the
-    refinements ``beta`` of ``alpha``."""
-    out: dict = {}
-    for alpha, coeff in f.terms.items():
-        for beta in _fundamental_terms(alpha):
-            _add_into(out, beta, -coeff if (len(beta) - len(alpha)) & 1 else coeff)
-    return out
-
-
-def from_fundamental(coeffs: Mapping[Composition, object], degree: int) -> QSym:
-    return QSym(
-        degree,
-        (
-            (beta, c)
-            for alpha, c in coeffs.items()
-            if sum(alpha) <= degree
-            for beta in _fundamental_terms(tuple(alpha))
-        ),
-    )
 
 
 @lru_cache(maxsize=None)
@@ -503,20 +524,9 @@ def substitute_geometric(f: QSym) -> QSym:
     degree = f.degree
     for alpha, coeff in f.terms.items():
         for beta in _componentwise_dominating(alpha, degree):
-            mult = 1
-            for a, b in zip(alpha, beta):
-                mult *= _binomial(b - 1, a - 1)
+            mult = math.prod(math.comb(b - 1, a - 1) for a, b in zip(alpha, beta))
             _add_into(out, beta, coeff * mult)
     return QSym(degree, out)
-
-
-def _binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def _componentwise_dominating(alpha: Composition, degree: int):

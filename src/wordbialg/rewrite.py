@@ -13,13 +13,18 @@ search runs on the quotient by it.  A word is related to its run
 reduction (each run of equal letters collapsed to one letter), and the
 run fiber of a reduced word ``r`` at bound ``L`` (every word of length
 ``<= L`` reducing to ``r``) is connected inside the bound and holds
-``C(L, len(r))`` words (:func:`_fibers`).  So a class is a union of
-fibers, and its components are found among reduced words, with the step
-compiler of plain words (:func:`compile_neighbors`) on reduced windows.
+``C(L, len(r))`` words.  So a class is a union of fibers, and its
+components are found among reduced words, with the step compiler of plain
+words (:func:`compile_neighbors`) on reduced windows.  The fibers are
+listed at the end (:func:`_fibers`): one cached ``itemgetter`` per number
+of runs and length reads every fiber word of that length off a reduced
+word at once, and each length is sorted once.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import operator
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
@@ -141,27 +146,40 @@ def _reduced_words(alphabet: int, limit: int) -> list[Word]:
     return out
 
 
+@functools.cache
+def _run_gather(k: int, m: int) -> Callable:
+    """One gather reading off a reduced word of length ``k >= 2`` its fiber
+    words of length ``m`` one after another, one per vector of run lengths:
+    a fiber word's position ``p`` reads the letter at the number of run
+    starts ``<= p``."""
+    return operator.itemgetter(
+        *[
+            bisect.bisect_right(starts, p)
+            for starts in itertools.combinations(range(1, m), k - 1)
+            for p in range(m)
+        ]
+    )
+
+
 def _fibers(reduced: Iterable[Word], bound: int) -> list[Word]:
     """The union of the run fibers of the run-reduced words ``reduced`` at
-    ``bound``, in shortlex order.  The fiber of ``r`` is every word of
+    ``bound >= 0``, in shortlex order.  The fiber of ``r`` is every word of
     length at most ``bound`` that reduces to ``r``, ``C(bound, len(r))``
-    words; it is built one run at a time."""
-    out: list[Word] = []
-    for r in reduced:
-        words: list[Word] = [()]
-        for i, a in enumerate(r):
-            room = bound - len(r) + i + 1  # leaves one letter per later run
-            longer = []
-            for w in words:
-                w += (a,)
-                while len(w) <= room:
-                    longer.append(w)
-                    w += (a,)
-            words = longer
-        out += words
-    out.sort()
-    out.sort(key=len)
-    return out
+    words, read off ``r`` by :func:`_run_gather`."""
+    bins: list[list[Word]] = [[] for _ in range(bound + 1)]
+    for k, rs in itertools.groupby(sorted(reduced, key=len), len):
+        rs = list(rs)
+        if k < 2:  # r * m, () at m = 0 only; a one-index gather gives a letter
+            for m in range(k, bound + 1 if k else 1):
+                bins[m] += [r * m for r in rs]
+        else:
+            for m in range(k, bound + 1):
+                gather = _run_gather(k, m)
+                for r in rs:  # split the gathered letters into words of m
+                    bins[m] += zip(*[iter(gather(r))] * m)
+    for words in bins:
+        words.sort()
+    return list(itertools.chain.from_iterable(bins))
 
 
 # --- one rewrite step ------------------------------------------------------

@@ -43,8 +43,8 @@ import os
 from collections import Counter
 from typing import Iterator, Sequence
 
-from .characters import _compositions_of, format_character, image_of_histogram
-from .qsym import _triangular_solve
+from .characters import format_character, image_of_histogram
+from .qsym import _compositions_of, _triangular_solve
 from .coded import (
     LANE,
     CodedRewrites,
@@ -74,6 +74,12 @@ def packed_contents(length: int) -> list[Composition]:
         key=lambda c: (-_multinomial(c), c),
     )
     return out
+
+
+def largest_content(length: int, done) -> int:
+    """The most words of a packed content of the length not in ``done``
+    (0 if there is none): what one worker of a content scan holds."""
+    return next((_multinomial(c) for c in packed_contents(length) if c not in done), 0)
 
 
 def _multinomial(content: Composition) -> int:

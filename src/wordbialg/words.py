@@ -20,6 +20,7 @@ anchored words serialize as ``"[3421|4]"``.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
@@ -196,11 +197,7 @@ def compositions(n: int) -> Iterator[Composition]:
         yield ()
         return
     for mask in range(1 << (n - 1)):
-        yield comp_from_set(n, _mask_to_set(mask))
-
-
-def _mask_to_set(mask: int) -> set[int]:
-    return {i + 1 for i in range(mask.bit_length()) if mask >> i & 1}
+        yield comp_from_set(n, [i + 1 for i in range(n - 1) if mask >> i & 1])
 
 
 def comp_to_set(alpha: Composition) -> frozenset[int]:
@@ -330,7 +327,7 @@ def rsk_insert(w: Word) -> tuple[Word, ...]:
     for a in w:
         for row in rows:
             # smallest entry strictly larger than a gets bumped
-            pos = _bisect_gt(row, a)
+            pos = bisect.bisect_right(row, a)
             if pos == len(row):
                 row.append(a)
                 a = -1
@@ -339,17 +336,6 @@ def rsk_insert(w: Word) -> tuple[Word, ...]:
         if a != -1:
             rows.append([a])
     return tuple(tuple(r) for r in rows)
-
-
-def _bisect_gt(row: list[int], a: int) -> int:
-    lo, hi = 0, len(row)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if row[mid] <= a:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 # --- permutations -------------------------------------------------------

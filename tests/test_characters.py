@@ -24,6 +24,7 @@ from character_oracle import (
 )
 from wordbialg.characters import (
     BASIC_KINDS,
+    _violation_mask,
     class_image,
     format_character,
     grassmannian_stable_family,
@@ -53,10 +54,13 @@ from wordbialg.relations import bfs_class, builtin_relation
 from wordbialg.words import (
     all_reduced_words,
     anchored,
+    ascents,
     comp_from_set,
     descents,
     eval_hecke_word,
     permutation_length,
+    weak_ascents,
+    weak_descents,
 )
 
 # The peak or valley set indexing each peak convolution's image: the
@@ -377,3 +381,27 @@ def test_grothendieck_degreewise_vs_closure():
     closure_image = class_image(members, "gt", 5)
     fam = grothendieck_family(pi, 5)
     assert fam["K"] == closure_image
+
+
+_VIOLATION_SETS = {
+    "le": descents,
+    "ge": ascents,
+    "lt": weak_descents,
+    "gt": weak_ascents,
+}
+
+
+@given(
+    st.one_of(
+        st.lists(st.integers(1, 5), max_size=12),
+        st.lists(st.integers(1, 5), min_size=65, max_size=80),
+    )
+)
+@example([])
+@example([3])
+@example([2] * 70)
+@settings(max_examples=120, deadline=None)
+def test_violation_mask_matches_the_violation_sets(w):
+    w = tuple(w)
+    for kind, violations in _VIOLATION_SETS.items():
+        assert _violation_mask(w, kind) == sum(1 << (i - 1) for i in violations(w))

@@ -197,6 +197,7 @@ def test_psi_requires_input():
         ["classes", "--max-len", "-1"],
         ["check", "--relation", "knuth", "--alphabet", "0"],
         ["psi", "--word", "312", "--degree", "-3"],
+        ["psi", "--class-of", "1", "--relation", "hecke", "--degree", "-1"],
         ["psi", "--word", "312", "--headroom", "-1"],
         ["classes", "--cap", "0"],
         ["classes", "--jobs", "0"],
@@ -252,6 +253,38 @@ def test_capped_requests_exit_3(argv):
     assert proc.returncode == cli.EXIT_RESOURCE_CAP
     assert "exceeds cap" in proc.stderr and "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1 and not proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 2^39 coefficients at length 40 alone, for a class of 42 words
+        ["psi", "--class-of", "1", "--relation", "hecke", "--degree", "40",
+         "--cap", "1000"],
+        ["psi", "--word", "1212121212121212121212121"],
+        # the 12! content alone holds 479,001,600 words
+        ["classes", "--relation", "exotic-knuth", "--max-len", "12", "--extended",
+         "--cap", "10"],
+        # 10! = 3,628,800 words exceed the default cap
+        ["classes", "--relation", "exotic-knuth", "--max-len", "10", "--extended"],
+    ],
+)
+def test_oversized_images_and_contents_are_refused_before_any_work(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "wordbialg.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert proc.returncode == cli.EXIT_RESOURCE_CAP and not proc.stdout
+    assert "exceeds cap" in proc.stderr and "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_largest_content_skips_the_finished_ones():
+    assert scans.largest_content(3, {}) == 6 and scans.largest_content(0, {}) == 1
+    assert scans.largest_content(3, {(1, 1, 1): {}}) == 3
+    assert scans.largest_content(3, dict.fromkeys(packed_contents(3))) == 0
 
 
 def test_capped_class_exits_before_listing_it():

@@ -579,3 +579,52 @@ def test_whole_coefficients_come_back_as_int():
     assert _stored_exactly(expansion.terms.values())
     halves = schur_q_expand(schur_q((2, 1)).scale(Fraction(1, 2)))
     assert halves.terms == {(2, 1): Fraction(1, 2)}
+
+
+def _refinements(alpha):
+    """Every refinement of ``alpha``: the cut sets containing its own."""
+    n = sum(alpha)
+    base = comp_to_set(alpha)
+    free = sorted(set(range(1, n)) - base)
+    return [
+        comp_from_set(n, base | set(extra))
+        for k in range(len(free) + 1)
+        for extra in itertools.combinations(free, k)
+    ]
+
+
+def _refinement_sum(coeffs, signed):
+    """``sum c * (+-1)^(l(beta) - l(alpha)) * X_beta`` over the refinements
+    ``beta`` of each ``alpha``, as an all-Fraction dict without zeros."""
+    out = {}
+    for alpha, c in coeffs.items():
+        for beta in _refinements(alpha):
+            sign = -1 if signed and (len(beta) - len(alpha)) & 1 else 1
+            out[beta] = out.get(beta, Fraction(0)) + sign * c
+    return {b: c for b, c in out.items() if c}
+
+
+dense_terms_st = st.integers(0, 8).flatmap(
+    lambda d: st.dictionaries(
+        st.integers(0, d).flatmap(lambda n: st.sampled_from(list(compositions(n)))),
+        scalars_st,
+        max_size=3 << d,
+    ).map(lambda terms: (d, terms))
+)
+
+
+@given(dense_terms_st)
+@settings(max_examples=80, deadline=None)
+def test_fundamental_changes_match_the_refinement_sum(case):
+    degree, terms = case
+    f = QSym(degree, terms)
+    fundamental = to_fundamental(f)
+    want = _refinement_sum(f.terms, signed=True)
+    assert fundamental == want and _stored_exactly(fundamental.values())
+    assert _agrees(from_fundamental(terms, degree), _refinement_sum(terms, signed=False))
+    assert _agrees(from_fundamental(fundamental, degree), _oracle(f.terms.items(), degree))
+    transposed = {comp_transpose(a): c for a, c in want.items()}
+    assert _agrees(omega_L(f), _refinement_sum(transposed, signed=False))
+    for alpha in list(terms)[:3]:
+        assert _agrees(fundamental_L(alpha, degree), _refinement_sum({alpha: 1}, False))
+    assert _agrees(homogeneous_h(degree), _refinement_sum({(degree,) if degree else (): 1}, False))

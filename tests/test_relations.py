@@ -327,6 +327,43 @@ def test_run_fibers():
         assert len(union) == sum(math.comb(bound, len(r)) for r in reduced)
 
 
+def _per_run_fibers(reduced, bound):
+    """The run fibers built one run at a time: each word of the fiber of
+    ``r`` grows by every length of its next run that leaves one letter for
+    each later run; the union is sorted shortlex."""
+    out = []
+    for r in reduced:
+        words = [()]
+        for i, a in enumerate(r):
+            room = bound - len(r) + i + 1
+            longer = []
+            for w in words:
+                w += (a,)
+                while len(w) <= room:
+                    longer.append(w)
+                    w += (a,)
+            words = longer
+        out += words
+    return sorted(out, key=lambda w: (len(w), w))
+
+
+reduced_sets_st = st.sets(
+    st.lists(st.integers(1, 4), max_size=10).map(lambda w: _reduce(tuple(w))),
+    max_size=12,
+)
+
+
+@given(reduced_sets_st, st.integers(0, 10))
+@example(set(), 0)
+@example({()}, 0)
+@example({(), (1,), (3,)}, 4)
+@example({(1, 2, 1, 3)}, 3)  # longer than the bound: no words
+@example({(2,), (1, 2), (2, 1, 2)}, 0)
+@settings(max_examples=150, deadline=None)
+def test_fibers_match_per_run_builder(reduced, bound):
+    assert _fibers(reduced, bound) == _per_run_fibers(reduced, bound)
+
+
 def test_knuth_generator_instance():
     inst = close(builtin_relation("knuth"), 3, 3)
     assert inst.related((1, 3, 2), (3, 1, 2))
