@@ -347,47 +347,28 @@ def duality_pairing_check(max_degree: int = 4, max_anchor: int = 3) -> dict:
     basis_set = set(basis)
     witness = None
     checked = 0
-
-    # <shifted_shuffle(a (x) b), c> == <a (x) b, alphabet_coproduct(c)>
-    split: dict[tuple[Anchored, Anchored], dict[Anchored, int]] = {}
-    for c in basis:
-        for key, coeff in alphabet_coproduct(c).items():
-            split.setdefault(key, {})[c] = coeff
-    for a in basis:
-        for b in basis:
-            if len(a.word) + len(b.word) > max_degree or a.anchor + b.anchor > max_anchor:
+    # <product(a (x) b), c> == <a (x) b, coproduct(c)> for the pairs that fit:
+    # shifted shuffle against alphabet split, concatenation against cuts
+    specs = (
+        (shifted_shuffle, alphabet_coproduct,
+         lambda a, b: a.anchor + b.anchor <= max_anchor),
+        (concat_product, deconcat_coproduct, lambda a, b: True),
+    )
+    for product, coproduct, fits in specs:
+        adjoint: dict[tuple[Anchored, Anchored], dict[Anchored, int]] = {}
+        for c in basis:
+            for key, coeff in coproduct(c).items():
+                adjoint.setdefault(key, {})[c] = coeff
+        for a, b in itertools.product(basis, repeat=2):
+            if len(a.word) + len(b.word) > max_degree or not fits(a, b):
                 continue
             checked += 1
-            lhs = {
-                k: c for k, c in shifted_shuffle(a, b).items() if k in basis_set
-            }
-            rhs = split.get((a, b), {})
-            if lhs != rhs:
+            lhs = {k: x for k, x in product(a, b).items() if k in basis_set}
+            if lhs != adjoint.get((a, b), {}):
                 witness = repr((a, b))
                 break
         if witness:
             break
-
-    # <deconcat_coproduct(a), b (x) c> == <a, concat_product(b (x) c)>
-    if witness is None:
-        cuts: dict[tuple[Anchored, Anchored], dict[Anchored, int]] = {}
-        for a in basis:
-            for key, coeff in deconcat_coproduct(a).items():
-                cuts.setdefault(key, {})[a] = coeff
-        for b in basis:
-            for c in basis:
-                if len(b.word) + len(c.word) > max_degree:
-                    continue
-                checked += 1
-                lhs = {
-                    k: x for k, x in concat_product(b, c).items() if k in basis_set
-                }
-                rhs = cuts.get((b, c), {})
-                if lhs != rhs:
-                    witness = repr((b, c))
-                    break
-            if witness:
-                break
 
     return {
         "axiom": "duality-pairing",

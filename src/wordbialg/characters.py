@@ -19,15 +19,15 @@ when letters ``i`` and ``i + 1`` break a kind's comparison):
   if none) and ``l`` its last ``b``-violation (0 if none); a monomial
   coefficient is the product over the blocks.
 
-So the image of a word depends on one statistic: the violation mask, the
-peak mask, or the pair of violation masks.  Words are binned by length
-and statistic, and each length's histogram is expanded into monomial
-coefficients indexed by cut mask (:func:`image_of_histogram`): one
-subset-sum (zeta) transform for a fundamental (the transform between the
-M and F bases, :func:`qsym._subset_transform`), the transform read at the
-thickened cut set and scaled by ``2^l`` for a peak function, the block
-product for a pair of masks.  A violation mask is read off a word in one
-pass of comparisons.  Words, classes, linear combinations and the
+So the image of a word depends on one statistic (:func:`_statistic`): the
+violation mask, the peak mask, or the pair of violation masks.  Words are
+binned by length and statistic, and each length's histogram is expanded
+into monomial coefficients indexed by cut mask (:func:`image_of_histogram`):
+one subset-sum (zeta) transform for a fundamental (the transform between
+the M and F bases, :func:`qsym._subset_transform`), the expansion of
+:func:`qsym.peak_K` (:func:`qsym._peak_expand`) for a peak function, the
+block product for a pair of masks.  A violation mask is read off a word in
+one pass of comparisons.  Words, classes, linear combinations and the
 scans all go through that kernel.  Class images are truncated by degree;
 their correctness rests on the relation engine's headroom stability
 certificate.
@@ -41,7 +41,7 @@ from itertools import compress, repeat, tee
 from typing import Iterable
 
 from .lincomb import LinComb
-from .qsym import QSym, _compositions_of, _subset_transform, omega_L
+from .qsym import QSym, _compositions_of, _peak_expand, _subset_transform, omega_L
 from .words import (
     Anchored,
     Composition,
@@ -108,19 +108,6 @@ _PEAK_FORMS = {
 }
 
 
-def _peak_mask(w: Word, char: tuple[str, str]) -> int:
-    """Cut mask of the peak composition indexing the closed form."""
-    kind, starts = _PEAK_FORMS[char]
-    return _peak_of_violation(_violation_mask(w, kind), len(w), starts)
-
-
-def _peak_of_violation(v: int, n: int, starts: bool) -> int:
-    """The peak mask of a word of length ``n`` with violation mask ``v``."""
-    if starts:
-        return v & ~(v << 1) & ~1
-    return (v << 1) & ~v & ((1 << max(n - 1, 0)) - 1)
-
-
 def _violation_mask(w: Word, kind: str) -> int:
     """The violation set of a basic kind as a bit mask: position ``i`` is
     bit ``i - 1``, the bit order of :func:`_compositions_of`, read off one
@@ -132,13 +119,18 @@ def _violation_mask(w: Word, kind: str) -> int:
 
 def _statistic(w: Word, char: Character):
     """What the image of a word depends on: its violation mask for a basic
-    kind, its peak mask for a peak convolution, and the pair of its
-    factors' violation masks for any other convolution."""
+    kind, the cut mask of the peak composition indexing the closed form for
+    a peak convolution, and the pair of its factors' violation masks for
+    any other convolution."""
     if isinstance(char, str):
         return _violation_mask(w, char)
-    if char in _PEAK_FORMS:
-        return _peak_mask(w, char)
-    return (_violation_mask(w, char[0]), _violation_mask(w, char[1]))
+    if char not in _PEAK_FORMS:
+        return (_violation_mask(w, char[0]), _violation_mask(w, char[1]))
+    kind, starts = _PEAK_FORMS[char]
+    v = _violation_mask(w, kind)
+    if starts:
+        return v & ~(v << 1) & ~1
+    return (v << 1) & ~v & ((1 << max(len(w) - 1, 0)) - 1)
 
 
 def _block_products(v1: int, v2: int, n: int) -> list[int]:
@@ -177,14 +169,11 @@ def image_of_histogram(
     ``(statistic, weight)`` pairs, the weight of the words with that
     :func:`_statistic`.
 
-    A closed form expands the histogram with one zeta transform ``z``.  A
-    fundamental ``L_V`` is the sum of ``M_S`` over ``S`` containing ``V``,
-    so ``z`` is the answer; a peak function ``K_P`` is ``2^l(S)`` times the
-    sum of ``M_S`` over ``S`` whose cut set, thickened by one, contains
-    ``P``, so the coefficient at ``S`` is ``2^l(S) * z[(S | S << 1) & full]``.
-    Any other pair adds up the block products of its pairs of masks."""
-    size = 1 << max(n - 1, 0)
-    values = [0] * size
+    A closed form expands the histogram as a table by mask: ``L_V`` is the
+    sum of ``M_S`` over ``S`` containing ``V``, so one zeta transform is the
+    answer, and :func:`qsym._peak_expand` expands ``K_P``.  Any other pair
+    adds up the block products of its pairs of masks."""
+    values = [0] * (1 << max(n - 1, 0))
     if not (isinstance(char, str) or char in _PEAK_FORMS):
         for (v1, v2), c in hist:
             for s, x in enumerate(_block_products(v1, v2, n)):
@@ -192,14 +181,10 @@ def image_of_histogram(
         return values
     for m, c in hist:
         values[m] += c
+    if char in _PEAK_FORMS:
+        return _peak_expand(values, n)
     _subset_transform(values)
-    if isinstance(char, str):
-        return values
-    full = size - 1
-    return [
-        ((2 << s.bit_count()) if n else 1) * values[(s | s << 1) & full]
-        for s in range(size)
-    ]
+    return values
 
 
 def _image_terms(

@@ -118,12 +118,11 @@ def emit(payload: dict, fmt: str, runtime: float | None = None) -> None:
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True, default=_jsonable))
     elif fmt == "csv":
-        rows = payload.get("rows", [])
-        if rows:
-            header = list(rows[0])
-            print(",".join(header))
-            for row in rows:
-                print(",".join(str(row[k]) for k in header))
+        rows = payload["rows"]
+        header = list(rows[0])
+        print(",".join(header))
+        for row in rows:
+            print(",".join(str(row[k]) for k in header))
     else:
         _emit_text(payload)
         if runtime is not None:
@@ -222,6 +221,20 @@ def _codable(pres: relations.RelationPresentation, max_len: int) -> bool:
     return True
 
 
+def _contents_fit(todo, cap: int) -> bool:
+    """Whether the largest content still to run, over ``(length, done)``
+    pairs, fits ``cap`` words (a worker holds one content's words); if not,
+    says why on stderr, so a scan refuses before its first length."""
+    largest = max(scans.largest_content(n, done) for n, done in todo)
+    if largest > cap:
+        _fail(
+            f"content of {largest} words exceeds cap {cap}; "
+            "raise --cap or shrink bounds"
+        )
+        return False
+    return True
+
+
 def cmd_classes(args) -> int:
     pres = args.relation
     lengths = list(range(args.max_len + 1))
@@ -250,13 +263,8 @@ def cmd_classes(args) -> int:
             )
             for n in lengths
         ]
-        # a worker holds one content's words: weigh the largest still to run
-        largest = max(scans.largest_content(n, c.done) for n, c in zip(lengths, caches))
-        if largest > args.cap:
-            return _fail(
-                f"content of {largest} words exceeds cap {args.cap}; "
-                "raise --cap or shrink bounds"
-            )
+        if not _contents_fit(((n, c.done) for n, c in zip(lengths, caches)), args.cap):
+            return EXIT_RESOURCE_CAP
         for n, cache in zip(lengths, caches):
             classes, words = scans.packed_class_count(pres.name, n, args.jobs, cache)
             per_length.append(
@@ -442,10 +450,14 @@ def cmd_conjectures(args) -> int:
             "max_len": args.max_len,
         }
         cache = ContentCache(args.cache_dir, signature)
+        lengths = range(args.max_len + 1)
+        # only the longest length is cached: the shorter ones are quick
+        todo = ((n, cache.done if n == args.max_len else {}) for n in lengths)
+        if not _contents_fit(todo, args.cap):
+            return EXIT_RESOURCE_CAP
         reports = []
         rows: list[dict] = []
-        for n in range(args.max_len + 1):
-            # only the longest length is cached: the shorter ones are quick
+        for n in lengths:
             rep = scans.positivity_scan_homogeneous(
                 "exotic-knuth", n, ("gt", "le"), bases, args.jobs,
                 cache if n == args.max_len else None,
@@ -644,13 +656,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    missing = None
+    error = None
     if args.command == "psi" and not (args.word or args.class_of):
-        missing = "psi needs --word or --class-of"
+        error = "psi needs --word or --class-of"
     elif args.command == "check" and args.relation is None:
-        missing = "check needs --relation"
-    if missing:
-        return _fail(f"{parser.prog}: error: {missing}", EXIT_USAGE)
+        error = "check needs --relation"
+    elif args.format == "csv" and not (
+        args.command == "classes"
+        or args.command == "conjectures" and args.which.startswith("exotic-")
+    ):
+        error = (
+            "--format csv lists rows only for classes and "
+            "conjectures --which exotic-sym|exotic-schur-positive"
+        )
+    if error:
+        return _fail(f"{parser.prog}: error: {error}", EXIT_USAGE)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -11,9 +11,9 @@ lexicographic order, so the least code of a class is its least word.
   :func:`rewrite.compile_neighbors` also reads and merges every window
   length into one lookup per window start.  A rewrite of a homogeneous
   presentation changes a word only inside its window, so it is an xor.
-- :func:`guard_compare` reads a character's statistic (its violation mask,
-  peak mask or pair of violation masks) off a code: one subtraction with
-  the guard bits set compares every pair of adjacent letters at once.
+- :func:`guard_compare` compares every pair of adjacent letters of a code
+  at once, one subtraction with the guard bits set; the guard pattern it
+  leaves fixes a character's statistic, which :mod:`characters` reads.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, NamedTuple
 
-from .characters import _PEAK_FORMS, _peak_of_violation
 from .relations import RelationPresentation
 from .rewrite import _ANYWHERE, _WHOLE, _rewrite_tables
 from .words import Word
@@ -110,28 +109,20 @@ def compile_coded_rewrites(pres: RelationPresentation, length: int) -> CodedRewr
     return CodedRewrites(length, tuple(windows))
 
 
-def guard_compare(length: int, character) -> tuple[Callable, Callable]:
-    """``(guards, statistic)`` for a character: ``guards(code)`` compares
-    every adjacent pair of lanes at once and leaves one guard bit per pair
-    and comparison, and ``statistic(guards(code))`` is the word's
-    :func:`characters._statistic`, its masks in the bit order of
-    :func:`qsym._compositions_of`.
+def guard_compare(length: int, kinds) -> Callable[[int], int]:
+    """``guards(code)`` for a character built from the basic ``kinds``: one
+    guard bit per adjacent pair of lanes and comparison, so that the guard
+    pattern of a word fixes its :func:`characters._statistic`.
 
     Lane ``k`` of a code holds letter ``length - 1 - k``.  With the guard
     bit set in every lane, ``(x >> LANE | G) - (x & low)`` subtracts each
     letter from the one before it without borrowing across lanes, and a
     lane keeps its guard bit exactly when the earlier letter is at least the
-    later one; the operands swapped test at most.  A pair whose factors
-    need both tests keeps the at-least test's guard bits one place lower."""
-    if isinstance(character, str):
-        kinds = (character,)
-    elif character in _PEAK_FORMS:
-        kinds = (_PEAK_FORMS[character][0],)
-    else:
-        kinds = character
+    later one; the operands swapped test at most, which ``le`` and ``gt``
+    read (so each peak form reads one test).  Kinds that need both tests
+    keep the at-least test's guard bits one place lower."""
     pairs = max(length - 1, 0)
-    top = LANE - 1
-    guard = sum(1 << (LANE * k + top) for k in range(pairs))
+    guard = sum(1 << (LANE * k + LANE - 1) for k in range(pairs))
     low = (1 << LANE * pairs) - 1
 
     def at_most(x: int) -> int:  # guard bit where the earlier letter is at most
@@ -140,32 +131,7 @@ def guard_compare(length: int, character) -> tuple[Callable, Callable]:
     def at_least(x: int) -> int:  # guard bit where the earlier letter is at least
         return ((x >> LANE | guard) - (x & low)) & guard
 
-    split = len({kind in ("le", "gt") for kind in kinds}) == 2
-
-    def both(x: int) -> int:
-        return at_most(x) | at_least(x) >> 1
-
-    if split:
-        guards = both
-    else:
-        guards = at_most if kinds[0] in ("le", "gt") else at_least
-
-    def violations(raw: int, kind: str) -> int:
-        bit = top - 1 if split and kind in ("ge", "lt") else top
-        v = 0
-        for k in range(pairs):
-            if raw >> (LANE * k + bit) & 1:
-                v |= 1 << (pairs - 1 - k)
-        if kind in ("le", "ge"):  # descents and ascents: the tests' complements
-            v ^= (1 << pairs) - 1
-        return v
-
-    if isinstance(character, str):
-        return guards, lambda raw: violations(raw, character)
-    if character in _PEAK_FORMS:
-        kind, starts = _PEAK_FORMS[character]
-        return guards, lambda raw: _peak_of_violation(
-            violations(raw, kind), length, starts
-        )
-    first, second = character
-    return guards, lambda raw: (violations(raw, first), violations(raw, second))
+    tests = {kind in ("le", "gt") for kind in kinds}  # True: the at-most test
+    if len(tests) == 2:
+        return lambda x: at_most(x) | at_least(x) >> 1
+    return at_most if True in tests else at_least

@@ -9,7 +9,8 @@ Fundamental, peak, and the symmetric bases (monomial, Schur, Schur-Q) are
 conversion layers.  Every change between the monomial and fundamental
 bases, and the character kernel's expansion, is one subset transform per
 degree over a table by cut mask (:func:`_subset_transform`): ``d 2^d``
-for degree ``d``, not one term per refinement.
+for degree ``d``, not one term per refinement; a peak function reads it at
+the thickened cut sets (:func:`_peak_expand`).
 
 Multiplication is the overlapping shuffle of compositions, which agrees
 with multiplying the underlying power series.  The Schur and Schur-Q
@@ -35,7 +36,6 @@ from .words import (
     Composition,
     Partition,
     comp_sort,
-    comp_to_set,
     comp_transpose,
     compositions,
     is_peak_composition,
@@ -205,6 +205,24 @@ def _subset_transform(values: list, op=operator.add) -> None:
         step = span
 
 
+def _cut_mask(alpha: Composition) -> int:
+    """Cut ``i`` of a composition as bit ``i - 1``: its index in
+    :func:`_compositions_of`."""
+    return sum(1 << (t - 1) for t in itertools.accumulate(alpha[:-1]))
+
+
+def _peak_expand(values: list, n: int) -> list:
+    """Monomial coefficients by cut mask of ``sum c_P K_P`` from the table
+    of ``c_P`` by mask, zeta-transformed in place: ``K_P`` sums ``2^l(S)
+    M_S`` over ``S`` whose cut set, thickened by one, contains ``P``."""
+    _subset_transform(values)
+    full = len(values) - 1
+    return [
+        ((2 << s.bit_count()) if n else 1) * values[(s | s << 1) & full]
+        for s in range(len(values))
+    ]
+
+
 def _change_basis(terms, op) -> list:
     """``(composition, coefficient)`` pairs moved between the F and M bases,
     zeros included: each size's coefficients as one table by cut mask,
@@ -214,7 +232,7 @@ def _change_basis(terms, op) -> list:
         n = sum(alpha)
         if n not in tables:
             tables[n] = [0] * (1 << max(n - 1, 0))
-        tables[n][sum(1 << (t - 1) for t in itertools.accumulate(alpha[:-1]))] += c
+        tables[n][_cut_mask(alpha)] += c
     out: list = []
     for n, table in tables.items():
         _subset_transform(table, op)
@@ -240,19 +258,6 @@ def fundamental_L(alpha: Composition, degree: int | None = None) -> QSym:
     return from_fundamental(f.terms, f.degree)
 
 
-@lru_cache(maxsize=None)
-def _peak_terms(alpha: Composition) -> tuple[tuple[Composition, int], ...]:
-    n = sum(alpha)
-    cuts = comp_to_set(alpha)
-    out = []
-    for beta in compositions(n):
-        spread = comp_to_set(beta)
-        spread = spread | {i + 1 for i in spread}
-        if cuts <= spread:
-            out.append((beta, 2 ** len(beta)))
-    return tuple(out)
-
-
 def peak_K(alpha: Composition, degree: int | None = None) -> QSym:
     """Peak function: ``sum 2^{l(beta)} M_beta`` over ``beta`` whose cut set,
     thickened by one, covers the cut set of ``alpha``."""
@@ -264,7 +269,9 @@ def peak_K(alpha: Composition, degree: int | None = None) -> QSym:
         degree = n
     if n > degree:
         raise ValueError(f"|{alpha}| exceeds truncation degree {degree}")
-    return QSym(degree, _peak_terms(alpha))
+    values = [0] * (1 << max(n - 1, 0))
+    values[_cut_mask(alpha)] = 1
+    return QSym(degree, zip(_compositions_of(n), _peak_expand(values, n)))
 
 
 @lru_cache(maxsize=None)

@@ -48,7 +48,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .rewrite import (
     _fibers,
@@ -417,6 +417,30 @@ def _components(
             if ri != rj:
                 parent[rj] = ri
     return words, index, [_find(parent, i) for i in range(len(words))]
+
+
+def class_roots(
+    pres: RelationPresentation, alphabet: int, limit: int, cap: int = DEFAULT_CAP
+) -> Callable[[Word], int]:
+    """The class of each word of length at most ``limit`` over
+    ``[alphabet]`` as its component root in the union-find of ``close``,
+    without listing the universe: with ``a ~ aa`` a word answers through its
+    run reduction.  Raises ``ResourceCapError`` before listing any word when
+    the union-find would list more than ``cap`` words."""
+    runs = _has_runs(pres)
+    # 1 empty word, then alphabet * (alphabet - 1)^(m - 1) reduced words of length m
+    size = (
+        1 + alphabet * universe_size(alphabet - 1, limit - 1)
+        if runs and limit
+        else universe_size(alphabet, limit)
+    )
+    if size > cap:
+        raise ResourceCapError(
+            f"union-find of {size} words exceeds cap {cap}; raise --cap or shrink bounds"
+        )
+    _, index, roots = _components(pres, alphabet, limit)
+    key = _reduce if runs else tuple
+    return lambda w: roots[index[key(w)]]
 
 
 def _check_cap(alphabet: int, limit: int, cap: int) -> None:

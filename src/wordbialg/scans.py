@@ -23,10 +23,10 @@ tables of :func:`coded.compile_coded_rewrites` followed by an xor.
 Integer order is word order, so each component's least code is its
 lexicographically least word, the representative.
 
-Per class, the scan reads the character's statistic (violation mask, peak
-mask, or pair of violation masks) straight off the codes (one guard-bit
-subtraction compares all adjacent letters at once), bins the class into a
-histogram of statistics, and expands the histogram into monomial
+Per class, the scan counts the guard patterns of the codes (one guard-bit
+subtraction compares all adjacent letters at once), reads the character's
+statistic off one decoded member per pattern (a pattern fixes it), bins
+the class into a histogram of statistics, and expands it into monomial
 coefficients by cut mask with the characters kernel
 (:func:`characters.image_of_histogram`), for every one of the sixteen
 characters.  Symmetry is constancy on sorting fibers; Schur and Schur-Q
@@ -43,7 +43,7 @@ import os
 from collections import Counter
 from typing import Iterator, Sequence
 
-from .characters import format_character, image_of_histogram
+from .characters import _statistic, format_character, image_of_histogram
 from .qsym import _compositions_of, _triangular_solve
 from .coded import (
     LANE,
@@ -54,7 +54,7 @@ from .coded import (
     encode_word,
     guard_compare,
 )
-from .relations import DEFAULT_CAP, builtin_relation, close, weak_variant
+from .relations import DEFAULT_CAP, builtin_relation, class_roots, weak_variant
 from .words import (
     Composition,
     Partition,
@@ -144,12 +144,11 @@ class ScanTables:
     positivity of class images in one basis or several.
 
     Classes come as word codes.  The verdict depends only on the class's
-    histogram of character statistics, which is read off the codes: one
+    histogram of character statistics, which is counted off the codes: one
     guard-bit subtraction compares every pair of adjacent lanes at once,
-    and each distinct guard pattern is turned into a violation mask, peak
-    mask or pair of violation masks once.  Verdicts are memoised on the
-    sorted histogram, so the expansion and the solve run once per distinct
-    histogram, not once per class."""
+    and a pattern fixes the statistic, read off one decoded member per
+    pattern.  Verdicts are memoised on the sorted histogram, so the
+    expansion and the solve run once per distinct histogram."""
 
     def __init__(self, length: int, character, bases: tuple[str, ...]):
         self.bases = tuple(bases)
@@ -167,7 +166,8 @@ class ScanTables:
             lam: next(m for m in masks if comps[m] == lam)
             for lam, masks in self.fibers.items()
         }
-        self._guards, self._statistic = guard_compare(length, character)
+        kinds = (character,) if isinstance(character, str) else character
+        self._guards = guard_compare(length, kinds)
         self._stats: dict = {}  # guard pattern -> statistic
         self._memo: dict[tuple, tuple[bool, dict]] = {}  # histogram -> verdict
 
@@ -175,12 +175,16 @@ class ScanTables:
         """Aggregate one class, given as word codes, and decide symmetry
         plus positivity in each basis; an image outside a basis span is not
         positive there.  ``positive`` maps each basis to its verdict."""
-        stats = self._stats
+        guards, stats = self._guards, self._stats
+        counts = Counter(map(guards, members))
+        if not counts.keys() <= stats.keys():
+            # a guard pattern fixes the statistic: read it off one member
+            for raw, x in dict(zip(map(guards, members), members)).items():
+                if raw not in stats:
+                    stats[raw] = _statistic(decode_word(x, self.length), self.character)
         hist: dict = {}
-        for raw, c in Counter(map(self._guards, members)).items():
-            m = stats.get(raw)
-            if m is None:
-                m = stats[raw] = self._statistic(raw)
+        for raw, c in counts.items():
+            m = stats[raw]
             hist[m] = hist.get(m, 0) + c
         key = tuple(sorted(hist.items()))
         decided = self._memo.get(key)
@@ -379,12 +383,15 @@ def doubling_check(
     doublings: ``v ~weak w`` against ``v^r v ~ w^r w``.
 
     Returns the list of disagreeing pairs (empty means the bounded search
-    found no counterexample).  Raises ``ResourceCapError`` when a closure's
-    universe exceeds ``cap``."""
+    found no counterexample).  Each side answers through the component roots
+    of its union-find (:func:`relations.class_roots`), which runs on the
+    run-reduced words for relations with ``a ~ aa``.  Raises
+    ``ResourceCapError`` when a union-find would list more than ``cap``
+    words."""
     base = builtin_relation(base_name)
-    # the larger universe first, so an oversized request fails before any work
-    doubled_inst = close(base, alphabet, 2 * max_len, headroom, cap)
-    weak_inst = close(weak_variant(base), alphabet, max_len, headroom, cap)
+    # the larger union-find first, so an oversized request fails before any work
+    doubled = class_roots(base, alphabet, 2 * max_len + headroom, cap)
+    weak = class_roots(weak_variant(base), alphabet, max_len + headroom, cap)
     words = [w for w in all_words(alphabet, max_len)]
     mismatches = []
     checked = 0
@@ -393,8 +400,8 @@ def doubling_check(
             if set(v) != set(w):
                 continue
             checked += 1
-            lhs = weak_inst.related(v, w)
-            rhs = doubled_inst.related(v[::-1] + v, w[::-1] + w)
+            lhs = weak(v) == weak(w)
+            rhs = doubled(v[::-1] + v) == doubled(w[::-1] + w)
             if lhs != rhs:
                 mismatches.append(
                     {

@@ -2,9 +2,8 @@
 
 Conventions used throughout the package:
 
-- A *word* is a tuple of positive integers, possibly empty.  Positions are
-  1-indexed in the index-set functions (descents, peaks, valleys) so that
-  e.g. ``descents((3, 1, 2)) == {1}``.
+- A *word* is a tuple of positive integers, possibly empty.  Positions in
+  index sets are 1-indexed, so that e.g. ``comp_to_set((1, 2)) == {1}``.
 - An *anchored word* pairs a word with an alphabet bound (its "anchor"),
   at least as large as every letter.
 - A *composition* is a tuple of positive integers summing to its size; a
@@ -86,33 +85,6 @@ def shift(w: Word, m: int) -> Word:
     if w and min(w) + m < 1:
         raise ValueError(f"shift by {m} makes a letter of {w} nonpositive")
     return tuple(a + m for a in w)
-
-
-def descents(w: Word) -> set[int]:
-    """``{i in [n-1] : w_i > w_{i+1}}`` (positions 1-indexed)."""
-    return {i for i in range(1, len(w)) if w[i - 1] > w[i]}
-
-
-def weak_descents(w: Word) -> set[int]:
-    return {i for i in range(1, len(w)) if w[i - 1] >= w[i]}
-
-
-def ascents(w: Word) -> set[int]:
-    return {i for i in range(1, len(w)) if w[i - 1] < w[i]}
-
-
-def weak_ascents(w: Word) -> set[int]:
-    return {i for i in range(1, len(w)) if w[i - 1] <= w[i]}
-
-
-def peaks(w: Word) -> set[int]:
-    """``{i in [2, n-1] : w_{i-1} <= w_i > w_{i+1}}``."""
-    return {i for i in range(2, len(w)) if w[i - 2] <= w[i - 1] > w[i]}
-
-
-def valleys(w: Word) -> set[int]:
-    """``{i in [2, n-1] : w_{i-1} >= w_i < w_{i+1}}``."""
-    return {i for i in range(2, len(w)) if w[i - 2] >= w[i - 1] < w[i]}
 
 
 def all_words(alphabet: int, max_len: int) -> Iterator[Word]:
@@ -398,14 +370,3 @@ def grassmannian_permutation(lam: Partition) -> Permutation:
     n = lam[0] + p
     tail = tuple(sorted(set(range(1, n + 1)) - set(head)))
     return check_permutation(head + tail)
-
-
-def all_reduced_words(pi: Permutation) -> list[Word]:
-    """Every reduced word of ``pi``, by peeling the last-acting letter."""
-    if not descent_letters(pi):
-        return [()]
-    out = []
-    for a in descent_letters(pi):
-        for w in all_reduced_words(swap_values(pi, a)):
-            out.append(w + (a,))
-    return out

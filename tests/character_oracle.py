@@ -6,9 +6,12 @@ letters compared), in exact rationals and one word at a time.  Nothing
 here reads a violation mask, so the library's mask kernel
 (``wordbialg.characters``) is checked against an independent path.
 ``comp_flat`` is the composition map that relates the peak characters of
-a word to those of its reverse; ``descent_composition`` (the fundamental
-index of a word) and ``strict_partitions`` (the Schur-Q indices) are the
-word and partition helpers the tests share.
+a word to those of its reverse; ``peak_terms`` lists the monomial terms of
+a peak function one composition at a time.  ``descent_composition`` (the
+fundamental index of a word), the index sets (``descents``, ``ascents``,
+their weak forms, ``peaks`` and ``valleys``), ``all_reduced_words`` and
+``strict_partitions`` (the Schur-Q indices) are the word, permutation and
+partition helpers the tests share.
 """
 
 from fractions import Fraction
@@ -16,7 +19,15 @@ from functools import lru_cache
 
 from wordbialg.lincomb import LinComb
 from wordbialg.qsym import QSym
-from wordbialg.words import Anchored, compositions, is_peak_composition, partitions
+from wordbialg.words import (
+    Anchored,
+    comp_to_set,
+    compositions,
+    descent_letters,
+    is_peak_composition,
+    partitions,
+    swap_values,
+)
 
 KINDS = ("le", "ge", "lt", "gt")
 ALL_CHARACTERS = list(KINDS) + [(a, b) for a in KINDS for b in KINDS]
@@ -136,6 +147,59 @@ def comp_flat(alpha):
     rev[0] += 1
     rev[-1] -= 1
     return tuple(p for p in rev if p > 0)
+
+
+@lru_cache(maxsize=None)
+def peak_terms(alpha):
+    """The monomial terms of the peak function ``K_alpha``: ``2^l(beta)`` at
+    every ``beta`` whose cut set, thickened by one, contains ``alpha``'s."""
+    n = sum(alpha)
+    cuts = comp_to_set(alpha)
+    out = []
+    for beta in compositions(n):
+        spread = comp_to_set(beta)
+        spread = spread | {i + 1 for i in spread}
+        if cuts <= spread:
+            out.append((beta, 2 ** len(beta)))
+    return tuple(out)
+
+
+def descents(w):
+    """``{i in [n-1] : w_i > w_{i+1}}`` (positions 1-indexed)."""
+    return {i for i in range(1, len(w)) if w[i - 1] > w[i]}
+
+
+def weak_descents(w):
+    return {i for i in range(1, len(w)) if w[i - 1] >= w[i]}
+
+
+def ascents(w):
+    return {i for i in range(1, len(w)) if w[i - 1] < w[i]}
+
+
+def weak_ascents(w):
+    return {i for i in range(1, len(w)) if w[i - 1] <= w[i]}
+
+
+def peaks(w):
+    """``{i in [2, n-1] : w_{i-1} <= w_i > w_{i+1}}``."""
+    return {i for i in range(2, len(w)) if w[i - 2] <= w[i - 1] > w[i]}
+
+
+def valleys(w):
+    """``{i in [2, n-1] : w_{i-1} >= w_i < w_{i+1}}``."""
+    return {i for i in range(2, len(w)) if w[i - 2] >= w[i - 1] < w[i]}
+
+
+def all_reduced_words(pi):
+    """Every reduced word of ``pi``, by peeling the last-acting letter."""
+    if not descent_letters(pi):
+        return [()]
+    out = []
+    for a in descent_letters(pi):
+        for w in all_reduced_words(swap_values(pi, a)):
+            out.append(w + (a,))
+    return out
 
 
 def descent_composition(w):

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from character_oracle import comp_flat, descent_composition
+from character_oracle import comp_flat, descent_composition, peaks, valleys
 from wordbialg.bialgebra import (
     duality_pairing_check,
     shuffle,
@@ -69,10 +69,8 @@ from wordbialg.words import (
     is_increasing_tableau,
     packed_words,
     partitions,
-    peaks,
     rsk_insert,
     tableau_shape,
-    valleys,
 )
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wordbialg import bialgebra
 from wordbialg.bialgebra import (
     alphabet_coproduct,
     alphabet_counit,
@@ -220,6 +221,32 @@ def test_duality_pairing():
     # and on the empty-word side
     e = anchored((), 1)
     assert alphabet_coproduct(e).coeff((Anchored((), 0), Anchored((), 1))) == 1
+
+
+@pytest.mark.parametrize(
+    "name, checked, pair",
+    [
+        ("shifted_shuffle", 5, (Anchored((), 0), Anchored((1, 1, 1), 1))),
+        ("alphabet_coproduct", 5, (Anchored((), 0), Anchored((1, 1, 1), 1))),
+        ("concat_product", 607, (Anchored((), 1), Anchored((1, 1, 1), 1))),
+        ("deconcat_coproduct", 607, (Anchored((), 1), Anchored((1, 1, 1), 1))),
+    ],
+)
+def test_duality_pairing_names_the_first_failing_pair(monkeypatch, name, checked, pair):
+    # doubling one map on words of total length 3 or more breaks its adjunction
+    # first at the pair above; the shuffle half runs before the concatenation half
+    right = getattr(bialgebra, name)
+
+    def broken(*args):
+        out = right(*args)
+        if sum(len(x.word) for x in args) < 3:
+            return out
+        return LinComb({k: 2 * c for k, c in out.items()})
+
+    monkeypatch.setattr(bialgebra, name, broken)
+    report = duality_pairing_check(4, 3)
+    assert (report["status"], report["checked"]) == ("fail", checked)
+    assert report["witness"] == repr(pair)
 
 
 def test_basis_sizes():

@@ -15,12 +15,17 @@ from wordbialg.bialgebra import (
 )
 from character_oracle import (
     ALL_CHARACTERS,
+    all_reduced_words,
+    ascents,
     character_coefficient,
     character_on_lincomb,
     character_poly,
     descent_composition,
+    descents,
     oracle_image,
     oracle_sum,
+    weak_ascents,
+    weak_descents,
 )
 from wordbialg.characters import (
     BASIC_KINDS,
@@ -52,15 +57,10 @@ from wordbialg.qsym import (
 )
 from wordbialg.relations import bfs_class, builtin_relation
 from wordbialg.words import (
-    all_reduced_words,
     anchored,
-    ascents,
     comp_from_set,
-    descents,
     eval_hecke_word,
     permutation_length,
-    weak_ascents,
-    weak_descents,
 )
 
 # The peak or valley set indexing each peak convolution's image: the

@@ -205,6 +205,12 @@ def test_psi_requires_input():
         ["conjectures", "--which", "nothing"],
         ["no-such-command"],
         [],
+        # csv lists rows, and these answers have none
+        ["check", "--relation", "knuth", "--max-len", "3", "--format", "csv"],
+        ["psi", "--word", "312", "--format", "csv"],
+        ["verify", "--suite", "identities", "--format", "csv"],
+        ["conjectures", "--which", "weak-hecke", "--max-len", "3", "--format", "csv"],
+        ["conjectures", "--which", "buch-samuel", "--max-len", "3", "--format", "csv"],
     ],
 )
 def test_input_errors_exit_with_the_usage_code(argv):
@@ -244,7 +250,7 @@ def test_malformed_relation_files_exit_with_the_usage_code(tmp_path, spec):
         # the Hecke class of 1213 grows without bound in the length
         ["psi", "--class-of", "1213", "--relation", "hecke", "--degree", "40",
          "--cap", "5000"],
-        # the doubled words of length 18 need 5,230,176,601 universe words
+        # the doubled union-find lists 3,145,726 run-reduced words of length <= 20
         ["conjectures", "--which", "weak-hecke", "--alphabet", "3", "--max-len", "9"],
     ],
 )
@@ -267,6 +273,8 @@ def test_capped_requests_exit_3(argv):
          "--cap", "10"],
         # 10! = 3,628,800 words exceed the default cap
         ["classes", "--relation", "exotic-knuth", "--max-len", "10", "--extended"],
+        ["conjectures", "--which", "exotic-sym", "--max-len", "10", "--extended",
+         "--cap", "10"],
     ],
 )
 def test_oversized_images_and_contents_are_refused_before_any_work(argv):

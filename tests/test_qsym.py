@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from character_oracle import strict_partitions
+from character_oracle import peak_terms, strict_partitions
 from wordbialg.lincomb import parse_scalar
 from wordbialg.qsym import (
     QSym,
@@ -44,6 +44,7 @@ from wordbialg.words import (
     comp_to_set,
     comp_transpose,
     compositions,
+    is_peak_composition,
     partitions,
 )
 
@@ -109,6 +110,22 @@ def test_fundamental_examples():
     assert peak_K((4,)) == QSym(4, {a: 2 ** len(a) for a in compositions(4)})
     with pytest.raises(ValueError):
         peak_K((1, 2))
+
+
+@given(
+    st.integers(0, 10).flatmap(
+        lambda n: st.sampled_from(
+            [a for a in compositions(n) if is_peak_composition(a)]
+        )
+    ),
+    st.integers(0, 2),
+)
+def test_peak_K_matches_the_composition_enumeration(alpha, headroom):
+    n = sum(alpha)
+    f = peak_K(alpha, n + headroom)
+    assert f.degree == n + headroom
+    assert list(f.terms.items()) == list(peak_terms(alpha))
+    assert _stored_exactly(f.terms.values())
 
 
 @given(qsym_st)

@@ -72,6 +72,26 @@ def test_universe_cap():
         bfs_class(pres, (1, 2, 1), 7, cap=len(members) - 1)
 
 
+@pytest.mark.parametrize(
+    "name, alphabet, limit, size",
+    [
+        ("hecke", 3, 4, 46),  # () and 3 * 2^(m-1) run-reduced words of each m
+        ("hecke", 1, 3, 2),
+        ("hecke", 2, 0, 1),
+        ("hecke", 1, 0, 1),
+        ("knuth", 3, 4, 121),  # no a ~ aa: the whole universe
+    ],
+)
+def test_class_roots_weigh_the_union_find_and_match_close(name, alphabet, limit, size):
+    pres = builtin_relation(name)
+    with pytest.raises(ResourceCapError):
+        relations.class_roots(pres, alphabet, limit, cap=size - 1)
+    root = relations.class_roots(pres, alphabet, limit, cap=size)
+    inst = close(pres, alphabet, limit, headroom=0)
+    for v, w in itertools.combinations(inst.words, 2):
+        assert (root(v) == root(w)) == inst.related(v, w), (v, w)
+
+
 def test_certificates_obey_the_cap_on_the_wider_universe():
     # the instance's universe (1,093 words) fits; the certificates' one
     # length wider (3,280 words) does not

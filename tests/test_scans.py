@@ -6,11 +6,16 @@ from hypothesis import strategies as st
 
 from character_oracle import ALL_CHARACTERS, oracle_sum
 from wordbialg import scans
-from wordbialg.characters import _peak_mask, class_image, format_character
+from wordbialg.characters import (
+    _statistic,
+    class_image,
+    format_character,
+)
 from wordbialg.coded import (
     compile_coded_rewrites,
     decode_word,
     encode_word,
+    guard_compare,
 )
 from wordbialg.qsym import is_symmetric, schur_positive, schur_q_positive
 from wordbialg.relations import bfs_class, builtin_relation, close
@@ -370,7 +375,7 @@ def test_scan_over_two_bases_bins_each_class_once(monkeypatch):
             5,
         )
         histograms.add(
-            tuple(sorted(Counter(_peak_mask(w, peak) for w in members).items()))
+            tuple(sorted(Counter(_statistic(w, peak) for w in members).items()))
         )
         for basis in ("s", "Q"):
             single = scans.ScanTables(5, peak, (basis,)).class_verdict(
@@ -419,6 +424,27 @@ def test_shared_tables_memo_matches_generic_path(data, relation, rng):
                     "positive": {b: generic[members, b]["positive"] for b in bases},
                 }, (char, bases, members)
             assert len(tables._memo) <= len(classes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 7).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from((1, 2, 3, 15)), min_size=n, max_size=n),
+            min_size=1,
+            max_size=40,
+        )
+    )
+)
+def test_a_guard_pattern_fixes_the_statistic(words):
+    # the scans read the statistic off one member per guard pattern
+    n = len(words[0])
+    for char in ALL_CHARACTERS:
+        guards = guard_compare(n, (char,) if isinstance(char, str) else char)
+        seen = {}
+        for w in map(tuple, words):
+            stat = _statistic(w, char)
+            assert seen.setdefault(guards(encode_word(w)), stat) == stat, (char, w)
 
 
 @given(st.lists(st.integers(0, 15), max_size=9))

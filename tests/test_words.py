@@ -4,10 +4,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from character_oracle import comp_flat, descent_composition, strict_partitions
+from character_oracle import (
+    all_reduced_words,
+    comp_flat,
+    descent_composition,
+    descents,
+    peaks,
+    strict_partitions,
+    valleys,
+)
 from wordbialg.words import (
     Anchored,
-    all_reduced_words,
     anchored,
     bounded_multiply,
     comp_complement,
@@ -18,7 +25,6 @@ from wordbialg.words import (
     comp_transpose,
     compositions,
     descent_letters,
-    descents,
     eval_hecke_word,
     flatten,
     format_word,
@@ -31,14 +37,12 @@ from wordbialg.words import (
     packed_words,
     parse_word,
     partitions,
-    peaks,
     permutation_length,
     restrict,
     rsk_insert,
     shift,
     swap_values,
     tableau_shape,
-    valleys,
 )
 
 
