@@ -20,7 +20,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from wordbialg.cli import ContentCache
+from wordbialg.cli import ContentCache, classes_cache
 from wordbialg.scans import packed_class_count, positivity_scan_homogeneous
 
 RELATION = "exotic-knuth"
@@ -29,8 +29,7 @@ CHARACTER = ("gt", "le")
 
 def count_stage(length: int, jobs: int, cache_dir: str | None) -> tuple[int, int]:
     """(packed classes, packed words) at one length."""
-    signature = {"command": "classes", "relation": RELATION, "length": length}
-    cache = ContentCache(cache_dir, signature)
+    cache = classes_cache(cache_dir, RELATION, length)
     return packed_class_count(RELATION, length, jobs, cache)
 
 

@@ -204,42 +204,46 @@ class ContentCache:
 # --- subcommands ------------------------------------------------------------
 
 
-def _fail(message: str, code: int = EXIT_RESOURCE_CAP) -> int:
-    """Refuse with one line on stderr; returns the exit code."""
-    print(message, file=sys.stderr)
-    return code
+class Refusal(Exception):
+    """A command refused: ``main`` prints the message as one stderr line and
+    exits with ``code``, as it does for a ``relations.ResourceCapError``."""
+
+    def __init__(self, message: str, code: int = EXIT_RESOURCE_CAP):
+        super().__init__(message)
+        self.code = code
 
 
-def _codable(pres: relations.RelationPresentation, max_len: int) -> bool:
-    """Whether the content-sliced scans reach ``max_len``; if not, says why
-    on stderr, so a command refuses before its first length."""
+def classes_cache(cache_dir: str | None, relation: str, length: int) -> ContentCache:
+    """The per-content class counts of one length, as ``classes`` caches them."""
+    signature = {"command": "classes", "relation": relation, "length": length}
+    return ContentCache(cache_dir, signature)
+
+
+def _open_scan(pres: relations.RelationPresentation, max_len: int, cap: int, cache) -> list:
+    """The caches (``cache(n)``, or None) of a content-sliced scan of the
+    lengths up to ``max_len``, refused before its first length: exit 4 when
+    the coded lanes do not reach ``max_len``, before any cache directory is
+    made, and exit 3 when the largest content still to run holds more than
+    ``cap`` words (a worker holds one content's words)."""
     try:
         check_codable(pres, max_len)
     except ValueError as err:
-        print(f"--max-len {max_len}: {err}", file=sys.stderr)
-        return False
-    return True
-
-
-def _contents_fit(todo, cap: int) -> bool:
-    """Whether the largest content still to run, over ``(length, done)``
-    pairs, fits ``cap`` words (a worker holds one content's words); if not,
-    says why on stderr, so a scan refuses before its first length."""
-    largest = max(scans.largest_content(n, done) for n, done in todo)
+        raise Refusal(f"--max-len {max_len}: {err}", EXIT_USAGE) from None
+    caches = [cache(n) for n in range(max_len + 1)]
+    largest = max(
+        scans.largest_content(n, c.done if c else {}) for n, c in enumerate(caches)
+    )
     if largest > cap:
-        _fail(
-            f"content of {largest} words exceeds cap {cap}; "
-            "raise --cap or shrink bounds"
+        raise Refusal(
+            f"content of {largest} words exceeds cap {cap}; raise --cap or shrink bounds"
         )
-        return False
-    return True
+    return caches
 
 
 def cmd_classes(args) -> int:
     pres = args.relation
-    lengths = list(range(args.max_len + 1))
     if args.max_len > EXTENDED_CLASS_LIMIT and not args.extended:
-        return _fail(
+        raise Refusal(
             f"lengths above {EXTENDED_CLASS_LIMIT} need --extended (minutes-scale run)"
         )
     t0 = time.time()
@@ -253,37 +257,31 @@ def cmd_classes(args) -> int:
         and pres.name in relations.BUILTIN_NAMES
         and pres == relations.builtin_relation(pres.name)
     ):
-        if not _codable(pres, args.max_len):
-            return EXIT_USAGE
         bounds = {"alphabet": args.max_len, "max_len": args.max_len}
-        caches = [
-            ContentCache(
-                args.cache_dir if n > EXTENDED_CLASS_LIMIT else None,
-                {"command": "classes", "relation": pres.name, "length": n},
-            )
-            for n in lengths
-        ]
-        if not _contents_fit(((n, c.done) for n, c in zip(lengths, caches)), args.cap):
-            return EXIT_RESOURCE_CAP
-        for n, cache in zip(lengths, caches):
+        caches = _open_scan(
+            pres,
+            args.max_len,
+            args.cap,
+            lambda n: classes_cache(
+                args.cache_dir if n > EXTENDED_CLASS_LIMIT else None, pres.name, n
+            ),
+        )
+        for n, cache in enumerate(caches):
             classes, words = scans.packed_class_count(pres.name, n, args.jobs, cache)
             per_length.append(
                 {"length": n, "packed_words": words, "classes": classes}
             )
     else:
         alphabet = args.max_len if args.alphabet is None else args.alphabet
-        try:
-            inst = relations.close(
-                pres, alphabet, args.max_len, args.headroom, cap=args.cap
-            )
-        except relations.ResourceCapError as err:
-            return _fail(str(err))
+        inst = relations.close(
+            pres, alphabet, args.max_len, args.headroom, cap=args.cap
+        )
         bounds = {
             "alphabet": alphabet,
             "max_len": args.max_len,
             "headroom": inst.headroom,
         }
-        for n in lengths:
+        for n in range(args.max_len + 1):
             classes = inst.packed_classes(n)
             words = sum(1 for w in inst.words if len(w) == n and is_packed(w))
             per_length.append(
@@ -312,15 +310,10 @@ def cmd_classes(args) -> int:
 def cmd_check(args) -> int:
     pres = args.relation
     t0 = time.time()
-    try:
-        inst = relations.close(
-            pres, args.alphabet, args.max_len, args.headroom, cap=args.cap
-        )
-        # both certificates close the universe one length wider
-        stability = relations.headroom_stability(inst, cap=args.cap)
-        ftype = relations.is_finite_type_bounded(inst, cap=args.cap)
-    except relations.ResourceCapError as err:
-        return _fail(str(err))
+    inst = relations.close(pres, args.alphabet, args.max_len, args.headroom, cap=args.cap)
+    # both certificates close the universe one length wider
+    stability = relations.headroom_stability(inst, cap=args.cap)
+    ftype = relations.is_finite_type_bounded(inst, cap=args.cap)
     alg = relations.check_algebraic(inst)
     uni = relations.check_uniformly_algebraic(inst)
     palg = relations.check_p_algebraic(inst, prime=args.prime)
@@ -349,38 +342,37 @@ def cmd_psi(args) -> int:
         seed = args.class_of
         pres = args.relation
         degree = len(seed) + 2 if args.degree is None else args.degree
-        headroom = args.headroom if args.headroom is not None else (
-            0 if pres.homogeneous else 2
-        )
+        headroom = args.headroom
+        if headroom is None:
+            headroom = relations.default_headroom(pres)
         limit = degree + headroom
         if len(seed) > limit:
-            return _fail(
+            raise Refusal(
                 f"--class-of word is longer than --degree plus --headroom ({limit})",
                 EXIT_USAGE,
             )
         lengths = [len(seed)] if pres.homogeneous else range(len(set(seed)), degree + 1)
-    else:
+    elif args.word:
         w = args.word
         degree = len(w) if args.degree is None else args.degree
         lengths = [len(w)]
+    else:
+        raise Refusal("wordbialg: error: psi needs --word or --class-of", EXIT_USAGE)
     # the image holds 2^(n-1) coefficients per length n <= degree it meets
     size = 0
     for n in itertools.takewhile(degree.__ge__, lengths):
         size += 1 << max(n - 1, 0)
         if size > args.cap:
-            return _fail(
+            raise Refusal(
                 f"image exceeds cap {args.cap} coefficients within degree "
                 f"{degree}; raise --cap or lower --degree"
             )
     if args.class_of:
-        try:
-            members = relations.bfs_class(pres, seed, limit, cap=args.cap)
-            stable = relations.bfs_class(pres, seed, limit + 1, cap=args.cap)
-        except relations.ResourceCapError as err:
-            return _fail(str(err))
+        members = relations.bfs_class(pres, seed, limit, cap=args.cap)
+        stable = relations.bfs_class(pres, seed, limit + 1, cap=args.cap)
         sliced = [w for w in stable if len(w) <= degree]
         if sliced != [w for w in members if len(w) <= degree]:
-            return _fail("unstable truncation: raise --headroom", EXIT_PROPERTY_FAILURE)
+            raise Refusal("unstable truncation: raise --headroom", EXIT_PROPERTY_FAILURE)
         image = characters.class_image(members, char, degree)
         source = {
             "class_of": format_word(seed),
@@ -421,79 +413,67 @@ def cmd_psi(args) -> int:
 
 def cmd_conjectures(args) -> int:
     t0 = time.time()
+    want_csv = args.format == "csv"
     if args.which in ("weak-hecke", "buch-samuel"):
-        base = "hecke" if args.which == "weak-hecke" else "k-knuth"
-        try:
-            report = scans.doubling_check(
-                base, args.alphabet, args.max_len, cap=args.cap
+        if want_csv:
+            raise Refusal(
+                "wordbialg: error: --format csv lists rows only for "
+                "conjectures --which exotic-sym|exotic-schur-positive",
+                EXIT_USAGE,
             )
-        except relations.ResourceCapError as err:
-            return _fail(str(err))
+        base = "hecke" if args.which == "weak-hecke" else "k-knuth"
+        report = scans.doubling_check(base, args.alphabet, args.max_len, cap=args.cap)
         report["which"] = args.which
         emit(report, args.format, time.time() - t0)
-        if report["mismatches"]:
-            return EXIT_PROPERTY_FAILURE
-        return EXIT_OK
-    if args.which in ("exotic-sym", "exotic-schur-positive"):
-        if args.max_len > EXTENDED_CLASS_LIMIT and not args.extended:
-            return _fail(f"lengths above {EXTENDED_CLASS_LIMIT} need --extended")
-        if not _codable(relations.builtin_relation("exotic-knuth"), args.max_len):
-            return EXIT_USAGE
-        want_csv = args.format == "csv"
-        bases = ("s", "Q") if want_csv else (
-            ("Q",) if args.which == "exotic-sym" else ("s",)
+        return EXIT_PROPERTY_FAILURE if report["mismatches"] else EXIT_OK
+    if args.max_len > EXTENDED_CLASS_LIMIT and not args.extended:
+        raise Refusal(f"lengths above {EXTENDED_CLASS_LIMIT} need --extended")
+    bases = ("s", "Q") if want_csv else (
+        ("Q",) if args.which == "exotic-sym" else ("s",)
+    )
+    signature = {
+        "command": "conjectures",
+        "which": args.which,
+        "bases": list(bases),
+        "max_len": args.max_len,
+    }
+    # only the longest length is cached: the shorter ones are quick
+    caches = _open_scan(
+        relations.builtin_relation("exotic-knuth"),
+        args.max_len,
+        args.cap,
+        lambda n: ContentCache(args.cache_dir, signature) if n == args.max_len else None,
+    )
+    reports = []
+    rows: list[dict] = []
+    for n, cache in enumerate(caches):
+        rep = scans.positivity_scan_homogeneous(
+            "exotic-knuth", n, ("gt", "le"), bases, args.jobs, cache, detail=want_csv
         )
-        signature = {
-            "command": "conjectures",
-            "which": args.which,
-            "bases": list(bases),
-            "max_len": args.max_len,
-        }
-        cache = ContentCache(args.cache_dir, signature)
-        lengths = range(args.max_len + 1)
-        # only the longest length is cached: the shorter ones are quick
-        todo = ((n, cache.done if n == args.max_len else {}) for n in lengths)
-        if not _contents_fit(todo, args.cap):
-            return EXIT_RESOURCE_CAP
-        reports = []
-        rows: list[dict] = []
-        for n in lengths:
-            rep = scans.positivity_scan_homogeneous(
-                "exotic-knuth", n, ("gt", "le"), bases, args.jobs,
-                cache if n == args.max_len else None,
-                detail=want_csv,
-            )
-            if want_csv:
-                for v in rep.pop("classes", []):
-                    rows.append(
-                        {
-                            "class_repr": v["representative"],
-                            "class_size": v["size"],
-                            "degree": n,
-                            "symmetric": v["symmetric"],
-                            "schur_positive": v["positive"].get("s"),
-                            "schurQ_positive": v["positive"].get("Q"),
-                        }
-                    )
-            reports.append(rep)
-        payload = {
-            "which": args.which,
-            "per_length": reports,
-            "all_symmetric": all(not r["non_symmetric"] for r in reports),
-        }
-        if args.which == "exotic-schur-positive":
-            payload["all_schur_positive"] = all(
-                not r["non_positive"] for r in reports
-            )
         if want_csv:
-            payload["rows"] = sorted(
-                rows, key=lambda r: (r["degree"], r["class_repr"])
-            )
-        emit(payload, args.format, time.time() - t0)
-        if payload["all_symmetric"] is False:
-            return EXIT_PROPERTY_FAILURE
-        return EXIT_OK
-    raise SystemExit(f"unknown conjecture target {args.which!r}")
+            for v in rep.pop("classes", []):
+                rows.append(
+                    {
+                        "class_repr": v["representative"],
+                        "class_size": v["size"],
+                        "degree": n,
+                        "symmetric": v["symmetric"],
+                        "schur_positive": v["positive"].get("s"),
+                        "schurQ_positive": v["positive"].get("Q"),
+                    }
+                )
+        reports.append(rep)
+    payload = {
+        "which": args.which,
+        "per_length": reports,
+        "all_symmetric": all(not r["non_symmetric"] for r in reports),
+    }
+    if args.which == "exotic-schur-positive":
+        payload["all_schur_positive"] = all(not r["non_positive"] for r in reports)
+    if want_csv:
+        payload["rows"] = sorted(rows, key=lambda r: (r["degree"], r["class_repr"]))
+    emit(payload, args.format, time.time() - t0)
+    return EXIT_PROPERTY_FAILURE if payload["all_symmetric"] is False else EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -528,7 +508,7 @@ def cmd_verify(args) -> int:
                 frozenset(v) for v in fibers.values()
             }
             note({"axiom": axiom, "status": "pass" if ok else "fail"})
-    elif args.suite == "identities":
+    else:  # identities
         for n in range(1, 7):
             ok = characters.nsym_generator_image(n, "le") == qsym.homogeneous_h(n)
             note({"axiom": f"h-image-{n}", "status": "pass" if ok else "fail"})
@@ -538,8 +518,6 @@ def cmd_verify(args) -> int:
             fam = characters.grassmannian_stable_family(lam, sum(lam) + 2)
             ok = fam["J"].homogeneous(sum(lam)) == qsym.schur(lam, sum(lam))
             note({"axiom": f"stable-bottom-{lam}", "status": "pass" if ok else "fail"})
-    else:
-        raise SystemExit(f"unknown suite {args.suite!r}")
 
     payload = {
         "suite": args.suite,
@@ -586,6 +564,56 @@ def _at_least(low: int):
     return _input(parse)
 
 
+# each option's spec; a command lists the options its ``cmd_*`` reads, with
+# the fields it sets differently
+_OPTIONS = {
+    "--relation": {"type": _input(resolve_relation)},
+    "--alphabet": {"type": _at_least(1), "default": 3},
+    "--max-len": {"type": _at_least(0), "default": 6},
+    "--headroom": {"type": _at_least(0)},
+    "--cap": {"type": _at_least(1), "default": relations.DEFAULT_CAP},
+    "--degree": {"type": _at_least(0)},
+    "--jobs": {"type": _at_least(1), "default": 1},
+    "--cache-dir": {},
+    "--extended": {"action": "store_true"},
+    "--prime": {"type": _at_least(2)},
+    "--word": {"type": _input(parse_word)},
+    "--class-of": {"type": _input(parse_word)},
+    "--character": {"type": _input(characters.parse_character), "default": "le"},
+    "--which": {
+        "required": True,
+        "choices": ("weak-hecke", "buch-samuel", "exotic-sym", "exotic-schur-positive"),
+    },
+    "--suite": {"required": True, "choices": ("axioms", "duality", "oracles", "identities")},
+    "--format": {"choices": ("json", "text"), "default": "text"},
+}
+_ROWS = {"choices": ("json", "text", "csv")}  # --format of the commands with rows
+
+_COMMANDS = {
+    "classes": (cmd_classes, "packed-word class counts per length", {
+        "--relation": {"default": "exotic-knuth"}, "--alphabet": {"default": None},
+        "--max-len": {}, "--headroom": {}, "--cap": {}, "--jobs": {},
+        "--cache-dir": {}, "--extended": {}, "--format": _ROWS,
+    }),
+    "check": (cmd_check, "classify a relation at bounded scale", {
+        "--relation": {"required": True}, "--alphabet": {}, "--max-len": {},
+        "--headroom": {}, "--cap": {}, "--prime": {}, "--format": {},
+    }),
+    "psi": (cmd_psi, "morphism image of a word or class", {
+        "--relation": {"default": "knuth"}, "--headroom": {}, "--cap": {},
+        "--degree": {}, "--word": {}, "--class-of": {}, "--character": {},
+        "--format": {},
+    }),
+    "conjectures": (cmd_conjectures, "bounded conjecture searches", {
+        "--which": {}, "--alphabet": {}, "--max-len": {}, "--cap": {}, "--jobs": {},
+        "--cache-dir": {}, "--extended": {}, "--format": _ROWS,
+    }),
+    "verify": (cmd_verify, "run a registered verification suite", {
+        "--suite": {}, "--format": {},
+    }),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="wordbialg",
@@ -593,87 +621,22 @@ def build_parser() -> argparse.ArgumentParser:
         "quasi-symmetric images (exact arithmetic)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, relation_default=None):
-        p.add_argument(
-            "--relation", type=_input(resolve_relation), default=relation_default
-        )
-        p.add_argument("--alphabet", type=_at_least(1), default=3)
-        p.add_argument("--max-len", type=_at_least(0), default=6)
-        p.add_argument("--headroom", type=_at_least(0), default=None)
-        p.add_argument("--cap", type=_at_least(1), default=relations.DEFAULT_CAP)
-        p.add_argument("--degree", type=_at_least(0), default=None)
-        p.add_argument("--jobs", type=_at_least(1), default=1)
-        p.add_argument("--cache-dir", default=None)
-        p.add_argument("--extended", action="store_true")
-        p.add_argument(
-            "--format", choices=("json", "text", "csv"), default="text"
-        )
-
-    p = sub.add_parser("classes", help="packed-word class counts per length")
-    common(p, relation_default="exotic-knuth")
-    p.set_defaults(func=cmd_classes, alphabet=None)
-
-    p = sub.add_parser("check", help="classify a relation at bounded scale")
-    common(p)
-    p.add_argument("--prime", type=_at_least(2), default=None)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("psi", help="morphism image of a word or class")
-    common(p, relation_default="knuth")
-    p.add_argument("--word", type=_input(parse_word), default=None)
-    p.add_argument("--class-of", type=_input(parse_word), default=None)
-    p.add_argument(
-        "--character", type=_input(characters.parse_character), default="le"
-    )
-    p.set_defaults(func=cmd_psi)
-
-    p = sub.add_parser("conjectures", help="bounded conjecture searches")
-    common(p)
-    p.add_argument(
-        "--which",
-        required=True,
-        choices=(
-            "weak-hecke",
-            "buch-samuel",
-            "exotic-sym",
-            "exotic-schur-positive",
-        ),
-    )
-    p.set_defaults(func=cmd_conjectures)
-
-    p = sub.add_parser("verify", help="run a registered verification suite")
-    common(p)
-    p.add_argument(
-        "--suite",
-        required=True,
-        choices=("axioms", "duality", "oracles", "identities"),
-    )
-    p.set_defaults(func=cmd_verify)
+    for name, (func, summary, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, fields in options.items():
+            p.add_argument(flag, **{**_OPTIONS[flag], **fields})
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    error = None
-    if args.command == "psi" and not (args.word or args.class_of):
-        error = "psi needs --word or --class-of"
-    elif args.command == "check" and args.relation is None:
-        error = "check needs --relation"
-    elif args.format == "csv" and not (
-        args.command == "classes"
-        or args.command == "conjectures" and args.which.startswith("exotic-")
-    ):
-        error = (
-            "--format csv lists rows only for classes and "
-            "conjectures --which exotic-sym|exotic-schur-positive"
-        )
-    if error:
-        return _fail(f"{parser.prog}: error: {error}", EXIT_USAGE)
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()
+    except (Refusal, relations.ResourceCapError) as err:
+        print(err, file=sys.stderr)
+        return getattr(err, "code", EXIT_RESOURCE_CAP)
     except BrokenPipeError:
         # the reader is gone; send what is still buffered to devnull, so
         # the interpreter's last flush raises nothing either

@@ -250,12 +250,23 @@ def builtin_relation(name: str) -> RelationPresentation:
 # --- bounded closure -------------------------------------------------------
 
 
-def universe_size(alphabet: int, limit: int) -> int:
+def universe_size(alphabet: int, limit: int, cap: int = DEFAULT_CAP) -> int | None:
+    """The number of words of length at most ``limit`` over ``[alphabet]``,
+    or ``None`` when the bit lengths already show that ``alphabet ** limit``
+    is past ``cap``, so a huge bound computes no huge integer."""
     if alphabet == 0:
         return 1
     if alphabet == 1:
         return limit + 1
+    if limit * (alphabet.bit_length() - 1) > cap.bit_length():
+        return None
     return (alphabet ** (limit + 1) - 1) // (alphabet - 1)
+
+
+def default_headroom(pres: RelationPresentation) -> int:
+    """The headroom a closure takes unless told otherwise: none for a
+    homogeneous presentation, 2 for one whose rewrites change lengths."""
+    return 0 if pres.homogeneous else 2
 
 
 @dataclass
@@ -348,9 +359,11 @@ def close(
     ``a ~ aa``, over the run-reduced words, each word taking the class of
     its run reduction."""
     if headroom is None:
-        headroom = 0 if pres.homogeneous else 2
+        headroom = default_headroom(pres)
     limit = max_len + headroom
-    _check_cap(alphabet, limit, cap)
+    _check_cap("universe", universe_size(alphabet, limit, cap), cap)
+    # the rewrite tables and the classifiers list every pair of letters
+    _check_cap("alphabet", alphabet * alphabet, cap, "letter pairs")
     universe = tuple(all_words(alphabet, limit))
     words, index, roots = _components(pres, alphabet, limit, universe)
     if words is universe:  # no ``a ~ aa``: the union-find ran on the universe
@@ -429,25 +442,24 @@ def class_roots(
     the union-find would list more than ``cap`` words."""
     runs = _has_runs(pres)
     # 1 empty word, then alphabet * (alphabet - 1)^(m - 1) reduced words of length m
-    size = (
-        1 + alphabet * universe_size(alphabet - 1, limit - 1)
-        if runs and limit
-        else universe_size(alphabet, limit)
-    )
-    if size > cap:
-        raise ResourceCapError(
-            f"union-find of {size} words exceeds cap {cap}; raise --cap or shrink bounds"
-        )
+    if runs and limit:
+        rest = universe_size(alphabet - 1, limit - 1, cap)
+        size = None if rest is None else 1 + alphabet * rest
+    else:
+        size = universe_size(alphabet, limit, cap)
+    _check_cap("union-find", size, cap)
     _, index, roots = _components(pres, alphabet, limit)
     key = _reduce if runs else tuple
     return lambda w: roots[index[key(w)]]
 
 
-def _check_cap(alphabet: int, limit: int, cap: int) -> None:
-    size = universe_size(alphabet, limit)
-    if size > cap:
+def _check_cap(what: str, size: int | None, cap: int, unit: str = "words") -> None:
+    """Raise ``ResourceCapError`` for a size past ``cap`` (``None``: known
+    to be past it, uncounted)."""
+    if size is None or size > cap:
+        count = f"more than {cap}" if size is None else size
         raise ResourceCapError(
-            f"universe of {size} words exceeds cap {cap}; raise --cap or shrink bounds"
+            f"{what} of {count} {unit} exceeds cap {cap}; raise --cap or shrink bounds"
         )
 
 
@@ -507,7 +519,7 @@ def _wider_facts(inst: RelationInstance, cap: int) -> tuple[int, int]:
     bound.  A component meets a bound when one of its words does, the run
     reduction included.  Computed once per instance, with the cap checked
     on every call."""
-    _check_cap(inst.alphabet, inst.limit + 1, cap)
+    _check_cap("universe", universe_size(inst.alphabet, inst.limit + 1, cap), cap)
     if inst._wider is None:
         words, _, roots = _components(
             inst.presentation, inst.alphabet, inst.limit + 1

@@ -54,7 +54,15 @@ from .coded import (
     encode_word,
     guard_compare,
 )
-from .relations import DEFAULT_CAP, builtin_relation, class_roots, weak_variant
+from .relations import (
+    DEFAULT_CAP,
+    _check_cap,
+    builtin_relation,
+    class_roots,
+    default_headroom,
+    universe_size,
+    weak_variant,
+)
 from .words import (
     Composition,
     Partition,
@@ -376,7 +384,6 @@ def doubling_check(
     base_name: str,
     alphabet: int,
     max_len: int,
-    headroom: int = 2,
     cap: int = DEFAULT_CAP,
 ) -> dict:
     """Compare the weak variant of a relation with equivalence of reversed
@@ -386,22 +393,27 @@ def doubling_check(
     found no counterexample).  Each side answers through the component roots
     of its union-find (:func:`relations.class_roots`), which runs on the
     run-reduced words for relations with ``a ~ aa``.  Raises
-    ``ResourceCapError`` when a union-find would list more than ``cap``
-    words."""
+    ``ResourceCapError`` when the words of length at most ``max_len`` or a
+    union-find would number more than ``cap``."""
     base = builtin_relation(base_name)
-    # the larger union-find first, so an oversized request fails before any work
+    headroom = default_headroom(base)
+    # the pairs' words, then the larger union-find, so an oversized request
+    # fails before any work
+    _check_cap("universe", universe_size(alphabet, max_len, cap), cap)
     doubled = class_roots(base, alphabet, 2 * max_len + headroom, cap)
     weak = class_roots(weak_variant(base), alphabet, max_len + headroom, cap)
-    words = [w for w in all_words(alphabet, max_len)]
+    words = list(all_words(alphabet, max_len))
+    # each word's letter set and its class on either side
+    keys = [(frozenset(w), weak(w), doubled(w[::-1] + w)) for w in words]
     mismatches = []
     checked = 0
-    for i, v in enumerate(words):
-        for w in words[i + 1 :]:
-            if set(v) != set(w):
+    for i, (v, (letters, weak_v, doubled_v)) in enumerate(zip(words, keys)):
+        for w, (letters_w, weak_w, doubled_w) in zip(words[i + 1 :], keys[i + 1 :]):
+            if letters != letters_w:
                 continue
             checked += 1
-            lhs = weak(v) == weak(w)
-            rhs = doubled(v[::-1] + v) == doubled(w[::-1] + w)
+            lhs = weak_v == weak_w
+            rhs = doubled_v == doubled_w
             if lhs != rhs:
                 mismatches.append(
                     {

@@ -1,22 +1,29 @@
+import argparse
+import contextlib
 import importlib.util
+import io
 import json
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wordbialg import cli, relations, scans
 from wordbialg.cli import ContentCache, main, resolve_relation
 from wordbialg.scans import packed_contents
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "wordbialg.cli", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
     return proc
 
@@ -211,6 +218,11 @@ def test_psi_requires_input():
         ["verify", "--suite", "identities", "--format", "csv"],
         ["conjectures", "--which", "weak-hecke", "--max-len", "3", "--format", "csv"],
         ["conjectures", "--which", "buch-samuel", "--max-len", "3", "--format", "csv"],
+        # options the command does not read
+        ["verify", "--suite", "axioms", "--max-len", "9"],
+        ["conjectures", "--which", "exotic-sym", "--relation", "knuth"],
+        ["check", "--relation", "knuth", "--jobs", "2"],
+        ["psi", "--word", "312", "--cache-dir", "x"],
     ],
 )
 def test_input_errors_exit_with_the_usage_code(argv):
@@ -252,13 +264,23 @@ def test_malformed_relation_files_exit_with_the_usage_code(tmp_path, spec):
          "--cap", "5000"],
         # the doubled union-find lists 3,145,726 run-reduced words of length <= 20
         ["conjectures", "--which", "weak-hecke", "--alphabet", "3", "--max-len", "9"],
+        # huge bounds: the universe is weighed without computing its size
+        ["check", "--relation", "knuth", "--max-len", "5000"],
+        ["check", "--relation", "knuth", "--max-len", "10000000"],
+        ["check", "--relation", "knuth", "--max-len", "100000000"],
+        ["classes", "--relation", "hecke", "--extended", "--max-len", "100000"],
+        ["conjectures", "--which", "weak-hecke", "--max-len", "100000000"],
+        ["conjectures", "--which", "weak-hecke", "--alphabet", "1", "--max-len", "100000000"],
+        # a universe of one word, but a billion letters to pair in the tables
+        ["check", "--relation", "knuth", "--alphabet", "1000000000", "--max-len", "0"],
     ],
 )
 def test_capped_requests_exit_3(argv):
-    proc = run_cli(*argv)
+    proc = run_cli(*argv, timeout=5)
     assert proc.returncode == cli.EXIT_RESOURCE_CAP
     assert "exceeds cap" in proc.stderr and "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1 and not proc.stdout
+    assert len(proc.stderr) < 200
 
 
 @pytest.mark.parametrize(
@@ -583,3 +605,145 @@ def test_classify_builtins_script_matches_the_library():
             relations.check_p_algebraic(inst)["status"] == "pass",
             relations.is_finite_type_bounded(inst)["stable"],
         ], pres.name
+
+
+def test_reproduce_extended_counts_share_the_classes_cache(tmp_path, monkeypatch, capsys):
+    # the script's count stage resumes from the rows `classes --extended` wrote
+    opened = []
+
+    def count(name, length, jobs=1, cache=None):
+        opened.append(cache.path)
+        return 0, 0
+
+    script = _load_script("reproduce_extended")
+    monkeypatch.setattr(scans, "packed_class_count", count)
+    monkeypatch.setattr(script, "packed_class_count", count)
+    args = ["classes", "--max-len", "8", "--extended", "--cache-dir", str(tmp_path)]
+    assert main(args) == 0
+    script.count_stage(8, 1, str(tmp_path))
+    assert opened[-2] == opened[-1] and Path(opened[-1]).parent == tmp_path
+
+
+def _commands():
+    """Each subcommand's parser, by name."""
+    (action,) = [
+        a for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+def _options(parser):
+    return [a for a in parser._actions if a.option_strings and a.dest != "help"]
+
+
+def test_the_commands_declare_34_options():
+    counts = {name: len(_options(p)) for name, p in _commands().items()}
+    assert counts == {"classes": 9, "check": 7, "psi": 8, "conjectures": 8, "verify": 2}
+
+
+class _Reads:
+    """Parsed options that note which of them a command reads."""
+
+    def __init__(self, values):
+        self.values, self.read = values, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return self.values[name]
+
+
+@pytest.mark.parametrize(
+    "runs",
+    [
+        # one run per branch of the command, refusals included
+        [
+            ["classes", "--max-len", "3"],
+            ["classes", "--relation", "k-knuth", "--max-len", "2"],
+            ["classes", "--max-len", "8"],
+            ["classes", "--max-len", "8", "--extended", "--cap", "10"],
+        ],
+        [["check", "--relation", "knuth", "--alphabet", "2", "--max-len", "2"]],
+        [["psi", "--word", "12"], ["psi", "--class-of", "12", "--relation", "hecke"]],
+        [
+            ["conjectures", "--which", "weak-hecke", "--max-len", "2"],
+            ["conjectures", "--which", "exotic-sym", "--max-len", "2"],
+            ["conjectures", "--which", "exotic-sym", "--max-len", "8"],
+        ],
+        [["verify", "--suite", "identities"]],
+    ],
+)
+def test_each_command_declares_the_options_it_reads(runs, capsys):
+    parser = cli.build_parser()
+    read = set()
+    for argv in runs:
+        args = _Reads(vars(parser.parse_args(argv)))
+        with contextlib.suppress(cli.Refusal):
+            args.func(args)
+        read |= args.read
+    assert read - {"func"} == {a.dest for a in _options(_commands()[runs[0][0]])}
+
+
+# each option's (valid, invalid) values: one in eight draws is invalid
+_INTEGERS = (("0", "1", "2", "3", str(10**9)), ("-1", "x", "1.5"))
+_WORDS = (("312", "1212", "21"), ("", "0", "1a"))
+_VALUES = {
+    "relation": (("knuth", "hecke", "k-knuth", "exotic-knuth", "coxeter-gap2"), ("none",)),
+    "word": _WORDS,
+    "class_of": _WORDS,
+    "character": (("le", "gt-le", "lt-ge"), ("xx",)),
+    "cache_dir": (("CACHE",), ("CACHE",)),
+    # no pool wider than the CPUs, no cap above the default
+    "jobs": (("1", str(min(2, scans._usable_cpus()))), ("0", "-1", "x")),
+    "cap": (("1", "3", "1000", str(relations.DEFAULT_CAP)), ("0", "-1", "x")),
+}
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with a draw of its own options: required ones always,
+    the others at random."""
+    name, parser = draw(st.sampled_from(sorted(_commands().items())))
+    argv = [name]
+    for action in _options(parser):
+        if not (action.required or draw(st.booleans())):
+            continue
+        argv.append(action.option_strings[0])
+        if action.nargs != 0:
+            good, bad = (
+                (action.choices, ("none",)) if action.choices
+                else _VALUES.get(action.dest, _INTEGERS)
+            )
+            argv.append(draw(st.sampled_from(bad if draw(st.integers(0, 7)) == 7 else good)))
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_argv())
+@example(argv=["check", "--relation", "knuth", "--alphabet", str(10**9),
+               "--max-len", "0", "--headroom", "0"])
+@example(argv=["conjectures", "--which", "weak-hecke", "--alphabet", "1",
+               "--max-len", str(10**9)])
+@example(argv=["psi", "--class-of", "1212", "--relation", "hecke", "--degree", str(10**9)])
+def test_random_argv_exits_with_a_documented_code(argv, tmp_path_factory):
+    argv = [str(tmp_path_factory.getbasetemp() / "cache") if a == "CACHE" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as stop:  # argparse's usage errors
+            code = stop.code
+    assert time.perf_counter() - t0 < 5, argv
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    if code in (3, 4):
+        assert err.getvalue().count("\n") == 1 and not out.getvalue(), argv
+
+
+def test_readme_cli_examples_run(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    examples = re.findall(r"`wordbialg ([a-z]+ --[^`]*)`", section)
+    assert len(examples) >= 4
+    for line in examples:
+        assert main(line.split()) == 0, line

@@ -300,6 +300,7 @@ def test_reversed_peak_scan_matches_generic_scan():
 def test_weak_hecke_doubling_theorem():
     report = doubling_check("hecke", 3, 3)
     assert report["mismatches"] == []
+    assert report["bounds"] == {"alphabet": 3, "max_len": 3, "headroom": 2}
     assert report["checked_pairs"] > 0
 
 
