@@ -25,7 +25,6 @@ import time
 from collections import defaultdict
 
 from . import bialgebra, characters, qsym, relations, scans
-from .coded import check_codable
 from .words import (
     all_words,
     eval_hecke_word,
@@ -222,20 +221,20 @@ def classes_cache(cache_dir: str | None, relation: str, length: int) -> ContentC
 def _open_scan(pres: relations.RelationPresentation, max_len: int, cap: int, cache) -> list:
     """The caches (``cache(n)``, or None) of a content-sliced scan of the
     lengths up to ``max_len``, refused before its first length: exit 4 when
-    the coded lanes do not reach ``max_len``, before any cache directory is
-    made, and exit 3 when the largest content still to run holds more than
-    ``cap`` words (a worker holds one content's words)."""
+    the level fill does not run ``max_len``, before any cache directory is
+    made, and exit 3 when it would hold more than ``cap`` ranks
+    (:func:`scans.fill_weight`)."""
     try:
-        check_codable(pres, max_len)
+        scans.check_level_fill(pres, max_len)
     except ValueError as err:
         raise Refusal(f"--max-len {max_len}: {err}", EXIT_USAGE) from None
     caches = [cache(n) for n in range(max_len + 1)]
-    largest = max(
-        scans.largest_content(n, c.done if c else {}) for n, c in enumerate(caches)
+    weight = max(
+        scans.fill_weight(n, c.done if c else {}) for n, c in enumerate(caches)
     )
-    if largest > cap:
+    if weight > cap:
         raise Refusal(
-            f"content of {largest} words exceeds cap {cap}; raise --cap or shrink bounds"
+            f"level fill of {weight} ranks exceeds cap {cap}; raise --cap or shrink bounds"
         )
     return caches
 
@@ -251,12 +250,8 @@ def cmd_classes(args) -> int:
     # packed words of length n use the letters 1..n, so an alphabet of
     # max_len letters holds every packed word the listing counts
     # homogeneous built-ins, named or as {"builtin": ...} files, split by content
-    if (
-        pres.homogeneous
-        and pres.content_preserving
-        and pres.name in relations.BUILTIN_NAMES
-        and pres == relations.builtin_relation(pres.name)
-    ):
+    named = pres.name in relations.BUILTIN_NAMES
+    if named and pres.homogeneous and pres == relations.builtin_relation(pres.name):
         bounds = {"alphabet": args.max_len, "max_len": args.max_len}
         caches = _open_scan(
             pres,

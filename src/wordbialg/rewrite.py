@@ -5,8 +5,8 @@ rewrite, and one step compiler for words and for the ``a ~ aa`` quotient.
 presentation both ways, as a rewrite ``a -> b`` of a window, in one table
 per (where the window may sit: anywhere, as a prefix, or as the whole
 word; window length; length change).  :func:`compile_neighbors` applies
-every table through one lookup per window; the integer-coded scans merge
-the same tables into one xor-delta lookup per window start (:mod:`coded`).
+every table through one lookup per window; the content scans' level fill
+(:mod:`scans`) reads its start windows off the same tables.
 
 Every presentation with a Coxeter part contains ``a ~ aa``, and there the
 search runs on the quotient by it.  A word is related to its run
@@ -53,10 +53,12 @@ def _order_preserving_injections(domain: int, alphabet: int) -> list[dict[int, i
 
 
 def _explicit_pairs(
-    pres: RelationPresentation, alphabet: int
+    pres: RelationPresentation, alphabet: int, limit: int
 ) -> set[tuple[Word, Word]]:
     pairs: set[tuple[Word, Word]] = set()
     for v, w in pres.generators:
+        if max(len(v), len(w)) > limit:
+            continue  # a side longer than every word never fires
         if pres.uniform:
             top = word_max(v)
             for phi in _order_preserving_injections(top, alphabet):
@@ -71,11 +73,12 @@ def _explicit_pairs(
 
 
 def _window_pairs(
-    pres: RelationPresentation, alphabet: int
+    pres: RelationPresentation, alphabet: int, limit: int
 ) -> Iterator[tuple[int, Word, Word]]:
     """``(where, v, w)`` for every generating pair ``v ~ w`` of the
     presentation itself (not of its union members) on letters up to
-    ``alphabet``; the Coxeter kind's ``a ~ aa`` is not among them."""
+    ``alphabet``, explicit pairs only if both sides fit words of ``limit``
+    letters; the Coxeter kind's ``a ~ aa`` is not among them."""
     letter_pairs = list(itertools.combinations(range(1, alphabet + 1), 2))
     if pres.coxeter is not None:
         for a, b in letter_pairs:
@@ -83,7 +86,7 @@ def _window_pairs(
             if order is not None:
                 yield _ANYWHERE, _alternating(a, b, order), _alternating(b, a, order)
     where = _ANYWHERE if pres.context_rewrites else _WHOLE
-    for v, w in _explicit_pairs(pres, alphabet):
+    for v, w in _explicit_pairs(pres, alphabet, limit):
         yield where, v, w
     if pres.initial_swap:
         for a, b in letter_pairs:
@@ -98,14 +101,14 @@ def _parts(pres: RelationPresentation) -> Iterator[RelationPresentation]:
 
 
 def _rewrite_tables(
-    pres: RelationPresentation, alphabet: int
+    pres: RelationPresentation, alphabet: int, limit: int
 ) -> dict[tuple[int, int, int], dict[Word, set[Word]]]:
-    """Every generating pair of every part, read both ways, as a window
-    rewrite ``a -> b``, in one table per (where the window may sit, window
-    length, length change)."""
+    """Every generating pair of every part that words of at most ``limit``
+    letters can use, read both ways, as a window rewrite ``a -> b``, in one
+    table per (where the window may sit, window length, length change)."""
     groups: dict[tuple[int, int, int], dict[Word, set[Word]]] = {}
     for part in _parts(pres):
-        for where, v, w in _window_pairs(part, alphabet):
+        for where, v, w in _window_pairs(part, alphabet, limit):
             for a, b in ((v, w), (w, v)):
                 table = groups.setdefault((where, len(a), len(b) - len(a)), {})
                 table.setdefault(a, set()).add(b)
@@ -218,7 +221,7 @@ def compile_neighbors(
     extend = (0, 1) if runs and not one_way else (0,)
     # (where, len(red(a)), need) -> red(a) -> (α, red(b), window end - β, α + β)
     groups: dict[tuple[int, int, int], dict[Word, list]] = {}
-    for (where, piece, grow), table in _rewrite_tables(pres, alphabet).items():
+    for (where, piece, grow), table in _rewrite_tables(pres, alphabet, limit).items():
         for a, bs in table.items():
             ra = red(a)
             if not ra:

@@ -2,146 +2,318 @@
 
 Homogeneous, content-preserving relations (Knuth, exotic Knuth,
 commutation) never mix letter multisets, so their packed classes split by
-content: each composition of the length is an independent flood-fill over
-the distinct rearrangements of its multiset.  That slicing is what makes
-the length-8/9 runs tractable and embarrassingly parallel; workers handle
-whole contents and the parent merges in sorted content order, so output
-is deterministic for any worker count.  A content's result is one row,
-the unit a resumable run caches: a resumed run hands the scan its cache,
-whose rows are folded in with the fresh ones, and each fresh row is
-recorded there as it comes.
-
-The flood fill works on integer-coded words (:mod:`coded`: one 5-bit lane
-per letter, first letter most significant, so letters and lengths up to
-15).  A content's codes are listed by halves: each arrangement of the
-first half of its letters is coded once, and each distinct multiset of
-letters it leaves has its arrangements coded once, so a block of codes is
-one head code or-ed onto a list of tail codes.  The codes come in
-increasing order and are never listed whole; the visited set holds codes,
-and a one-step rewrite is one lookup per window start in the merged window
-tables of :func:`coded.compile_coded_rewrites` followed by an xor.
-Integer order is word order, so each component's least code is its
-lexicographically least word, the representative.
-
-Per class, the scan counts the guard patterns of the codes (one guard-bit
-subtraction compares all adjacent letters at once), reads the character's
-statistic off one decoded member per pattern (a pattern fixes it), bins
-the class into a histogram of statistics, and expands it into monomial
-coefficients by cut mask with the characters kernel
-(:func:`characters.image_of_histogram`), for every one of the sixteen
-characters.  Symmetry is constancy on sorting fibers; Schur and Schur-Q
-positivity come from the exact triangular solve in :mod:`qsym`, fed the
-coefficient at one partition per fiber.  Classes share few histograms
-(152 among the 6,465 exotic classes of length 8), so the verdict is
-memoised on the sorted histogram.
+content.  Workers handle whole contents and the parent merges in sorted
+content order, so output is deterministic for any worker count.  A
+content's result is one row, the unit a resumable run caches and resumes.
+A content's classes come from the classes one length down
+(:class:`LevelFill`), and a class comes as its histogram of a character's
+statistic, which the characters kernel expands by cut mask
+(:func:`characters.image_of_histogram`).  Symmetry is constancy on sorting
+fibers; Schur and Schur-Q positivity come from the exact triangular solve
+in :mod:`qsym`.  Classes share few histograms (152 among the 6,465 exotic
+classes of length 8), so the verdict is memoised on the histogram.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
+import functools
 import os
+from array import array
 from collections import Counter
-from typing import Iterator, Sequence
+from math import comb, factorial
+from typing import Iterator, NamedTuple
 
 from .characters import _statistic, format_character, image_of_histogram
 from .qsym import _compositions_of, _triangular_solve
-from .coded import (
-    LANE,
-    CodedRewrites,
-    check_codable,
-    compile_coded_rewrites,
-    decode_word,
-    encode_word,
-    guard_compare,
-)
 from .relations import (
     DEFAULT_CAP,
+    RelationPresentation,
     _check_cap,
+    _find,
     builtin_relation,
     class_roots,
     default_headroom,
     universe_size,
     weak_variant,
 )
+from .rewrite import _parts, _rewrite_tables
 from .words import (
     Composition,
     Partition,
-    _arrangements,
+    Word,
     all_words,
     comp_sort,
     compositions,
     format_word,
+    is_packed,
     multiset_permutations,
 )
+
+MAX_LENGTH = 15  # longer packed words number over 10^13: refused outright
 
 
 def packed_contents(length: int) -> list[Composition]:
     """Letter multisets of packed words of a length, largest classes first."""
-    out = sorted(
-        compositions(length),
-        key=lambda c: (-_multinomial(c), c),
-    )
-    return out
+    return sorted(compositions(length), key=lambda c: (-_multinomial(c), c))
 
 
-def largest_content(length: int, done) -> int:
-    """The most words of a packed content of the length not in ``done``
-    (0 if there is none): what one worker of a content scan holds."""
-    return next((_multinomial(c) for c in packed_contents(length) if c not in done), 0)
+def fill_weight(length: int, done) -> int:
+    """The ranks the level fill holds to run the length's packed contents not
+    in ``done``: one per packed word one length down (0 if none is left)."""
+    if length == 0 or all(c in done for c in compositions(length)):
+        return 0
+    return sum(map(_multinomial, compositions(length - 1)))
 
 
 def _multinomial(content: Composition) -> int:
-    from math import factorial
-
     num = factorial(sum(content))
     for c in content:
         num //= factorial(c)
     return num
 
 
-def content_components(
-    content: Composition, rewrites: CodedRewrites
-) -> Iterator[list[int]]:
-    """Connected components of the rewrite graph on one content class, as
-    lists of word codes (:func:`coded.encode_word`), each headed by its
-    least code.
+def check_level_fill(pres: RelationPresentation, length: int) -> None:
+    """Raise ``ValueError`` unless the level fill finds the presentation's
+    packed classes at the length: generators uniform on packed words that
+    rewrite in any context, and a length at most ``MAX_LENGTH``."""
+    if not (pres.homogeneous and pres.content_preserving):
+        raise ValueError(f"{pres.name} does not split by content")
+    if any(
+        part.initial_swap
+        or part.generators and not (part.context_rewrites and part.uniform)
+        or not all(is_packed(v) for v, _ in part.generators)
+        for part in _parts(pres)
+    ):
+        raise ValueError(f"{pres.name} has rules other than uniform ones on packed words")
+    if length > MAX_LENGTH:
+        raise ValueError(f"the level fill runs lengths up to {MAX_LENGTH}, not {length}")
 
-    The codes come in increasing order, by halves: each arrangement of the
-    first half of the letters is coded once and joined to the codes of the
-    arrangements of the letters it leaves, coded once per distinct leftover.
-    A block of codes the enumeration has passed is dropped from the visited
-    set: its components are closed, so no later search can reach it."""
-    n = rewrites.length
-    if sum(content) != n:
-        raise ValueError(f"content {content} is not of length {n}")
-    windows = rewrites.windows
-    letters = list(range(1, len(content) + 1))
-    half = n // 2
-    width = LANE * (n - half)
-    tails: dict[tuple[int, ...], list[int]] = {}
-    seen: set[int] = set()
-    for head, left in _arrangements(letters, tuple(content), half):
-        codes = tails.get(left)
-        if codes is None:
-            rest = [a for a, c in zip(letters, left) for _ in range(c)]
-            codes = tails[left] = list(map(encode_word, multiset_permutations(rest)))
-        block = list(map((encode_word(head) << width).__or__, codes))
-        for start in block:
-            if start in seen:
+
+# --- the level fill ----------------------------------------------------------
+
+
+def _comparison_code(w: Word) -> int:
+    """One base-3 digit per adjacent pair of letters, the first pair most
+    significant: 0 for a rise, 1 for equal letters, 2 for a descent."""
+    code = 0
+    for x, y in zip(w, w[1:]):
+        code = 3 * code + (x >= y) + (x > y)
+    return code
+
+
+def _code_word(code: int, length: int) -> Word:
+    """A word of integers whose comparison code is ``code``."""
+    w = [0] * length
+    for i in range(length - 1, 0, -1):
+        code, digit = divmod(code, 3)
+        w[i - 1] = w[i] - 1 + digit
+    return tuple(w)
+
+
+class ContentClass(NamedTuple):
+    """A class: its least word, its size (also its ``len``) and, from a fill
+    with codes, its words per comparison code or per ``key[code]``."""
+
+    least: Word
+    size: int
+    hist: Counter | None
+
+    def __len__(self) -> int:
+        return self.size
+
+
+class _Level(NamedTuple):  # the classes of a packed content, by word rank
+    labels: array  # the class of each word; classes in order of least word
+    codes: array | None  # the comparison code of each word
+    least: list[Word]  # the least word of each class
+    sizes: list[int]  # the words of each class
+
+
+class LevelFill:
+    """The packed classes of a presentation that :func:`check_level_fill`
+    admits, length by length, with no word listed.
+
+    ``levels`` holds, per packed content of the lengths below ``length``
+    (:meth:`grow`), the class label and the comparison code (one base-3
+    digit per adjacent pair of letters) of each word at its lexicographic
+    rank.  A word of content ``c`` is a first letter ``a`` and a tail of
+    content ``c - a``.  The windows after ``a`` rewrite the tail alone, so
+    the words ``a t`` with ``t`` in one class of tails form a block, and
+    with uniform rewrites that class is the packed tail's one length down.
+    A start window ``u -> v`` maps the words beginning with ``u``, in order,
+    onto those beginning with ``v``: the two ranges of tail labels, zipped,
+    give the blocks it joins.  Their offsets are running sums of
+    multinomials on a walk of the trie of windows.  Below the narrowest
+    window every word is a class, and those levels are listed."""
+
+    def __init__(self, pres: RelationPresentation, codes: bool):
+        check_level_fill(pres, 0)
+        self.pres = pres
+        self.codes = codes
+        self.key = None  # the histogram key of each code (None: the code)
+        self.length = 0
+        self.levels: dict[Composition, _Level] = {}
+        self._trie: dict = {}  # letter -> [subtrie, moves of the window]
+        self._narrowest = 2
+
+    def grow(self, length: int) -> None:
+        """Build every level below ``length``, with the windows of words of
+        ``length`` letters."""
+        check_level_fill(self.pres, length)
+        if length <= self.length:
+            return
+        self._trie = {}
+        widths = set()
+        for table in _rewrite_tables(self.pres, length, length).values():
+            for u, vs in table.items():
+                node = self._trie
+                for x in u[:-1]:
+                    node = node.setdefault(x, [{}, None])[0]
+                # each move once, from its lesser window
+                node.setdefault(u[-1], [{}, None])[1] = sorted(v for v in vs if v > u)
+                widths.add(len(u))
+        self._narrowest = max(2, min(widths, default=length + 1))  # 1 letter: no move
+        for m in range(self.length, length):
+            for content in compositions(m):
+                self.levels[content] = self._level(content)
+        self.length = length
+
+    def keyed(self, key) -> LevelFill:
+        """This fill, levels shared, with histograms keyed by ``key[code]``."""
+        view = copy.copy(self)
+        view.key = key
+        return view
+
+    def classes(self, content: Composition) -> Iterator[ContentClass]:
+        """The classes of one packed content of at most ``length`` letters,
+        in the order of their least words."""
+        if sum(content) > self.length:
+            raise ValueError(f"content {content} is longer than {self.length}")
+        level = self.levels.get(content)
+        if level is None and sum(content) < self._narrowest:
+            level = self._level(content)
+        if level is None:  # a content one length up: its words range by range
+            tails, label, least, sizes = self._join(content)
+            ranges = self._ranges(content, tails, label) if self.codes else ()
+        else:
+            least, sizes, ranges = level.least, level.sizes, [(level.labels, level.codes)]
+        hists = [None] * len(least)
+        if self.codes:
+            pairs: Counter = Counter()  # (class, key) -> words
+            for labels, codes in ranges:
+                keys = codes if self.key is None else map(self.key.__getitem__, codes)
+                pairs.update(zip(labels, keys))
+            hists = [Counter() for _ in least]
+            for (k, x), count in pairs.items():
+                hists[k][x] = count
+        return map(ContentClass, least, sizes, hists)
+
+    def _level(self, content: Composition) -> _Level:
+        """The level of one packed content."""
+        if sum(content) < self._narrowest:  # no window fits: a class per word
+            letters = [a for a, c in enumerate(content, 1) for _ in range(c)]
+            words = list(multiset_permutations(letters))
+            codes = array("i", map(_comparison_code, words)) if self.codes else None
+            return _Level(array("i", range(len(words))), codes, words, [1] * len(words))
+        tails, label, least, sizes = self._join(content)
+        labels = array("i")
+        codes = array("i") if self.codes else None
+        for word_labels, word_codes in self._ranges(content, tails, label):
+            labels.extend(word_labels)
+            if codes is not None:
+                codes.extend(word_codes)
+        return _Level(labels, codes, least, sizes)
+
+    def _join(self, content: Composition) -> tuple[list, list, list, list]:
+        """``(tails, class of each block, least word and size of each
+        class)``; ``tails`` holds per first letter its tails' level, their
+        letters as the content's (None: the same) and their first block."""
+        tails, blocks = [], 0
+        for a, count in enumerate(content, 1):
+            tail = content[: a - 1] + (count - 1,) * (count > 1) + content[a:]
+            letters = None if count > 1 else (0, *range(1, a), *range(a + 1, len(content) + 1))
+            tails.append((a, self.levels[tail], letters, blocks))
+            blocks += len(tails[-1][1].least)
+        parent = list(range(blocks))
+        for a, i, b, j, size in self._start_moves(content):
+            _, left, _, base_a = tails[a - 1]
+            _, right, _, base_b = tails[b - 1]
+            for x, y in set(zip(left.labels[i : i + size], right.labels[j : j + size])):
+                x, y = _find(parent, base_a + x), _find(parent, base_b + y)
+                if x != y:  # a class's root is its least block
+                    parent[max(x, y)] = min(x, y)
+        # classes numbered in block order, the order of their least words
+        label: list[int] = []
+        least: list[Word] = []
+        sizes: list[int] = []
+        for a, level, letters, base in tails:
+            for t, (w, size) in enumerate(zip(level.least, level.sizes), base):
+                root = _find(parent, t)
+                if root == t:
+                    label.append(len(least))
+                    least.append((a, *(w if letters is None else map(letters.__getitem__, w))))
+                    sizes.append(size)
+                else:
+                    label.append(label[root])
+                    sizes[label[root]] += size
+        return tails, label, least, sizes
+
+    def _ranges(self, content: Composition, tails: list, label: list) -> Iterator:
+        """``(labels, codes)`` of the content's words, a range of ranks at a
+        time: per first letter ``a`` and, with codes, per next letter ``b``,
+        whose comparison digit with ``a`` leads the tails' codes."""
+        n = sum(content)
+        total = _multinomial(content)
+        for a, level, _, base in tails:
+            own = label[base : base + len(level.least)].__getitem__
+            if not self.codes:
+                yield map(own, level.labels), None
                 continue
-            component = [start]
-            seen.add(start)
-            for x in component:
-                for shift, mask, deltas in windows:
-                    moves = deltas(x >> shift & mask)
-                    if moves:
-                        for d in moves:
-                            y = x ^ d
-                            if y not in seen:
-                                seen.add(y)
-                                component.append(y)
-            yield component
-        seen.difference_update(block)
+            start, tails_of_a = 0, total * content[a - 1] // n
+            for b, r in enumerate(content, 1):
+                r -= b == a
+                if r:
+                    end = start + tails_of_a * r // (n - 1)
+                    codes = level.codes[start:end]
+                    if a >= b:
+                        codes = map((((a > b) + 1) * 3 ** (n - 2)).__add__, codes)
+                    yield map(own, level.labels[start:end]), codes
+                    start = end
+
+    def _start_moves(self, content: Composition) -> list[tuple[int, int, int, int, int]]:
+        """``(a, i, b, j, size)`` for each start rewrite ``u -> v`` of the
+        content's words: the ``size`` words beginning with ``u`` are the
+        tails of first letter ``a`` from rank ``i`` on, and they map in
+        order onto the tails of first letter ``b`` from rank ``j`` on."""
+        found: dict[Word, tuple] = {}  # window -> (tail rank, words, moves)
+        rem = list(content)
+
+        def walk(node: dict, prefix: Word, offset: int, size: int, m: int, first: int):
+            for b, r in enumerate(rem, 1):
+                if r:
+                    sub = size * r // m
+                    if b in node:  # the words from offset on begin with prefix b
+                        child, vs = node[b]
+                        key, first = prefix + (b,), first if prefix else offset
+                        if vs is not None:
+                            found[key] = (offset - first, sub, vs)
+                        if child:
+                            rem[b - 1] = r - 1
+                            walk(child, key, offset, sub, m - 1, first)
+                            rem[b - 1] = r
+                    offset += sub
+
+        walk(self._trie, (), 0, _multinomial(content), sum(content), 0)
+        moves = ((u, v, i, size) for u, (i, size, vs) in found.items() for v in vs)
+        return [(u[0], i, v[0], found[v][0], size) for u, v, i, size in moves]
+
+
+def content_components(content: Composition, fill: LevelFill) -> Iterator[ContentClass]:
+    """The classes of one packed content, in the order of their least words
+    (a generator: the fill runs when the first class is asked for)."""
+    yield from fill.classes(content)
 
 
 # --- class verdicts ---------------------------------------------------------
@@ -151,12 +323,10 @@ class ScanTables:
     """The sorting fibers of one length, for deciding symmetry and
     positivity of class images in one basis or several.
 
-    Classes come as word codes.  The verdict depends only on the class's
-    histogram of character statistics, which is counted off the codes: one
-    guard-bit subtraction compares every pair of adjacent lanes at once,
-    and a pattern fixes the statistic, read off one decoded member per
-    pattern.  Verdicts are memoised on the sorted histogram, so the
-    expansion and the solve run once per distinct histogram."""
+    A class comes as its words per statistic of the character (from a fill
+    keyed by ``statistics``, the statistic of each comparison code).  The
+    verdict depends only on that histogram, so it is memoised on the sorted
+    histogram: the expansion and the solve run once per histogram."""
 
     def __init__(self, length: int, character, bases: tuple[str, ...]):
         self.bases = tuple(bases)
@@ -174,33 +344,21 @@ class ScanTables:
             lam: next(m for m in masks if comps[m] == lam)
             for lam, masks in self.fibers.items()
         }
-        kinds = (character,) if isinstance(character, str) else character
-        self._guards = guard_compare(length, kinds)
-        self._stats: dict = {}  # guard pattern -> statistic
+        codes = range(3 ** max(length - 1, 0))  # the statistic of each code
+        self.statistics = [_statistic(_code_word(c, length), character) for c in codes]
         self._memo: dict[tuple, tuple[bool, dict]] = {}  # histogram -> verdict
 
-    def class_verdict(self, members: Sequence[int]) -> dict:
-        """Aggregate one class, given as word codes, and decide symmetry
-        plus positivity in each basis; an image outside a basis span is not
-        positive there.  ``positive`` maps each basis to its verdict."""
-        guards, stats = self._guards, self._stats
-        counts = Counter(map(guards, members))
-        if not counts.keys() <= stats.keys():
-            # a guard pattern fixes the statistic: read it off one member
-            for raw, x in dict(zip(map(guards, members), members)).items():
-                if raw not in stats:
-                    stats[raw] = _statistic(decode_word(x, self.length), self.character)
-        hist: dict = {}
-        for raw, c in counts.items():
-            m = stats[raw]
-            hist[m] = hist.get(m, 0) + c
-        key = tuple(sorted(hist.items()))
+    def class_verdict(self, members: ContentClass) -> dict:
+        """Decide symmetry plus positivity in each basis of one class's
+        image; an image outside a basis span is not positive there.
+        ``positive`` maps each basis to its verdict."""
+        key = tuple(sorted(members.hist.items()))
         decided = self._memo.get(key)
         if decided is None:
             coeffs = image_of_histogram(key, self.character, self.length)
             decided = self._memo[key] = self._decide(coeffs)
         symmetric, positive = decided
-        return dict(size=len(members), symmetric=symmetric, positive=dict(positive))
+        return dict(size=members.size, symmetric=symmetric, positive=dict(positive))
 
     def _decide(self, coeffs: list) -> tuple[bool, dict[str, bool | None]]:
         """Symmetry, and positivity per basis, of the monomial coefficients
@@ -226,39 +384,38 @@ class ScanTables:
 _WORKER: dict = {}
 
 
+@functools.lru_cache(maxsize=1)
+def _level_fill(builtin_name: str, codes: bool) -> LevelFill:
+    """One level fill kept at a time: a later length grows it, and pool
+    workers forked after it grew share it."""
+    return LevelFill(builtin_relation(builtin_name), codes)
+
+
 def _init_worker(builtin_name: str, length: int, scan_args) -> None:
-    _WORKER["rewrites"] = compile_coded_rewrites(builtin_relation(builtin_name), length)
+    fill = _level_fill(builtin_name, scan_args is not None)
+    fill.grow(length)
     if scan_args:
         character, bases, detail = scan_args
-        _WORKER["tables"] = ScanTables(length, character, bases)
-        _WORKER["detail"] = detail
+        tables = ScanTables(length, character, bases)
+        fill = fill.keyed(tables.statistics)
     else:
-        _WORKER["tables"] = None
-        _WORKER["detail"] = False
+        tables, detail = None, False
+    _WORKER.update(fill=fill, tables=tables, detail=detail)
 
 
 def _count_content(content: Composition) -> tuple[Composition, dict]:
-    classes = words = 0
-    for component in content_components(content, _WORKER["rewrites"]):
-        classes += 1
-        words += len(component)
-    return content, {"classes": classes, "words": words}
+    sizes = list(map(len, content_components(content, _WORKER["fill"])))
+    return content, {"classes": len(sizes), "words": sum(sizes)}
 
 
 def _scan_content(content: Composition) -> tuple[Composition, dict]:
-    rewrites = _WORKER["rewrites"]
     tables: ScanTables = _WORKER["tables"]
     detail: bool = _WORKER["detail"]
     out = []
-    for component in content_components(content, rewrites):
-        verdict = tables.class_verdict(component)
-        failing = not verdict["symmetric"] or not all(
-            verdict["positive"].values()
-        )
-        if failing or detail:
-            verdict["representative"] = format_word(
-                decode_word(component[0], rewrites.length)
-            )
+    for members in content_components(content, _WORKER["fill"]):
+        verdict = tables.class_verdict(members)
+        if detail or not (verdict["symmetric"] and all(verdict["positive"].values())):
+            verdict["representative"] = format_word(members.least)
         out.append(verdict)
     return content, {"verdicts": out}
 
@@ -290,17 +447,20 @@ def _rows(
     """The row of every packed content of the length: first the rows that
     ``cache.done`` holds, then ``task(content)``'s for the other contents,
     computed in one process or on a clamped fork pool and each recorded
-    with ``cache.record`` as it comes."""
-    check_codable(builtin_relation(builtin_name), length)
+    with ``cache.record`` as it comes (:func:`check_level_fill` first)."""
+    check_level_fill(builtin_relation(builtin_name), length)
     done = {} if cache is None else cache.done
     yield from done.values()
     contents = [c for c in packed_contents(length) if c not in done]
+    if not contents:
+        return
     jobs = _worker_count(jobs, len(contents))
     with contextlib.ExitStack() as stack:
         if jobs == 1:
             _init_worker(builtin_name, length, scan_args)
             fresh = map(task, contents)
-        else:
+        else:  # the levels grow here, once, and the forked workers share them
+            _level_fill(builtin_name, scan_args is not None).grow(length)
             pool = stack.enter_context(_pool(builtin_name, length, scan_args, jobs))
             fresh = pool.imap_unordered(task, contents)
         for content, row in fresh:
@@ -312,13 +472,11 @@ def _rows(
 def packed_class_count(
     builtin_name: str, length: int, jobs: int = 1, cache=None
 ) -> tuple[int, int]:
-    """(number of packed classes, number of packed words) at one length.
-
-    Only valid for homogeneous, content-preserving built-ins.  ``cache``
-    resumes a run: any object with ``done``, the rows of the contents
-    already counted by content, and ``record(content, row)``, which is
-    handed each fresh row ``{"classes", "words"}`` (``cli.ContentCache``
-    is one)."""
+    """(number of packed classes, number of packed words) at one length,
+    for the built-ins :func:`check_level_fill` admits.  ``cache`` resumes a
+    run: any object with ``done``, the rows of the contents already counted
+    by content, and ``record(content, row)``, which is handed each fresh
+    row ``{"classes", "words"}`` (``cli.ContentCache`` is one)."""
     classes = words = 0
     for row in _rows(builtin_name, length, None, _count_content, jobs, cache):
         classes += row["classes"]
@@ -343,35 +501,24 @@ def positivity_scan_homogeneous(
     ``cache`` resumes a run as in :func:`packed_class_count`; its rows are
     ``{"verdicts"}``, one content's verdicts each."""
     bases = (basis,) if isinstance(basis, str) else tuple(basis)
-    totals = {"classes": 0, "symmetric": 0, "positive": 0}
-    non_symmetric: list[str] = []
-    non_positive: list[str] = []
+    report = {"relation": builtin_name, "character": format_character(character),
+              "basis": "+".join(bases), "length": length, "total_classes": 0,
+              "symmetric": 0, "positive": 0, "non_symmetric": [], "non_positive": []}
     details: list[dict] = []
     scan_args = (character, bases, detail)
     for row in _rows(builtin_name, length, scan_args, _scan_content, jobs, cache):
         for v in row["verdicts"]:
-            totals["classes"] += 1
-            if v["symmetric"]:
-                totals["symmetric"] += 1
-                if all(v["positive"].values()):
-                    totals["positive"] += 1
-                else:
-                    non_positive.append(v["representative"])
-            else:
-                non_symmetric.append(v["representative"])
+            positive = v["symmetric"] and all(v["positive"].values())
+            report["total_classes"] += 1
+            report["symmetric"] += v["symmetric"]
+            report["positive"] += positive
+            if not positive:
+                failed = "non_positive" if v["symmetric"] else "non_symmetric"
+                report[failed].append(v["representative"])
             if detail:
                 details.append(v)
-    report = {
-        "relation": builtin_name,
-        "character": format_character(character),
-        "basis": "+".join(bases),
-        "length": length,
-        "total_classes": totals["classes"],
-        "symmetric": totals["symmetric"],
-        "positive": totals["positive"],
-        "non_symmetric": sorted(non_symmetric),
-        "non_positive": sorted(non_positive),
-    }
+    report["non_symmetric"].sort()
+    report["non_positive"].sort()
     if detail:
         report["classes"] = sorted(details, key=lambda v: v["representative"])
     return report
@@ -392,36 +539,35 @@ def doubling_check(
     Returns the list of disagreeing pairs (empty means the bounded search
     found no counterexample).  Each side answers through the component roots
     of its union-find (:func:`relations.class_roots`), which runs on the
-    run-reduced words for relations with ``a ~ aa``.  Raises
-    ``ResourceCapError`` when the words of length at most ``max_len`` or a
-    union-find would number more than ``cap``."""
+    run-reduced words for relations with ``a ~ aa``; the pairs are those of
+    one letter set.  Raises ``ResourceCapError`` when the words of length at
+    most ``max_len``, their pairs or a union-find would pass ``cap``."""
     base = builtin_relation(base_name)
     headroom = default_headroom(base)
-    # the pairs' words, then the larger union-find, so an oversized request
-    # fails before any work
+    # the pairs' words, the pairs of each letter set, then the larger
+    # union-find, so an oversized request fails before the search
     _check_cap("universe", universe_size(alphabet, max_len, cap), cap)
+    words = list(all_words(alphabet, max_len))
+    groups: dict[frozenset, list[int]] = {}
+    for i, w in enumerate(words):
+        groups.setdefault(frozenset(w), []).append(i)
+    checked = sum(comb(len(group), 2) for group in groups.values())
+    _check_cap("pairing", checked, cap, "word pairs")
     doubled = class_roots(base, alphabet, 2 * max_len + headroom, cap)
     weak = class_roots(weak_variant(base), alphabet, max_len + headroom, cap)
-    words = list(all_words(alphabet, max_len))
-    # each word's letter set and its class on either side
-    keys = [(frozenset(w), weak(w), doubled(w[::-1] + w)) for w in words]
-    mismatches = []
-    checked = 0
-    for i, (v, (letters, weak_v, doubled_v)) in enumerate(zip(words, keys)):
-        for w, (letters_w, weak_w, doubled_w) in zip(words[i + 1 :], keys[i + 1 :]):
-            if letters != letters_w:
-                continue
-            checked += 1
-            lhs = weak_v == weak_w
-            rhs = doubled_v == doubled_w
-            if lhs != rhs:
-                mismatches.append(
-                    {
-                        "pair": (format_word(v), format_word(w)),
-                        "weak": lhs,
-                        "doubled": rhs,
-                    }
-                )
+    # each word's class on either side
+    keys = [(weak(w), doubled(w[::-1] + w)) for w in words]
+    found = []  # (i, j, weak, doubled) for the pairs that disagree
+    for group in groups.values():
+        for p, i in enumerate(group):
+            for j in group[p + 1 :]:
+                lhs, rhs = (keys[i][0] == keys[j][0]), (keys[i][1] == keys[j][1])
+                if lhs != rhs:
+                    found.append((i, j, lhs, rhs))
+    mismatches = [
+        {"pair": (format_word(words[i]), format_word(words[j])), "weak": lhs, "doubled": rhs}
+        for i, j, lhs, rhs in sorted(found)
+    ]
     return {
         "relation": base_name,
         "bounds": {"alphabet": alphabet, "max_len": max_len, "headroom": headroom},

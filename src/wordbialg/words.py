@@ -97,24 +97,15 @@ def multiset_permutations(items: Iterable[int]) -> Iterator[tuple[int, ...]]:
     """Distinct permutations of a multiset, in lexicographic order."""
     w = sorted(items)
     letters = sorted(set(w))
-    counts = tuple(w.count(a) for a in letters)
-    return (word for word, _ in _arrangements(letters, counts, len(w)))
-
-
-def _arrangements(
-    letters: list[int], counts: tuple[int, ...], k: int
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """``(word, counts left)`` for every word of ``k`` letters drawn from
-    ``counts`` (``counts[i]`` copies of ``letters[i]``), lexicographic."""
-    out = [((), counts)]
-    for _ in range(k):
+    out = [((), tuple(w.count(a) for a in letters))]  # (prefix, counts left)
+    for _ in w:
         out = [
             (word + (a,), left[:i] + (left[i] - 1,) + left[i + 1 :])
             for word, left in out
             for i, a in enumerate(letters)
             if left[i]
         ]
-    return out
+    return (word for word, _ in out)
 
 
 def packed_words(length: int) -> Iterator[Word]:

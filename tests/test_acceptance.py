@@ -1,11 +1,12 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line (run with ``-v -s`` to watch them stream).
 
-Criteria 1b and 2 are minutes-scale reproduction runs and carry the
+Criteria 1b, 2 and 2b are minutes-scale reproduction runs and carry the
 ``extended`` marker, deselected by default; run them with
 ``pytest -m extended tests/test_acceptance.py``.
 """
 
+import hashlib
 import itertools
 import multiprocessing
 import random
@@ -52,9 +53,8 @@ from wordbialg.relations import (
     is_finite_type_bounded,
     is_homogeneous_observed,
 )
-from wordbialg.coded import compile_coded_rewrites, decode_word
+from flood_oracle import compile_coded_rewrites, decode_word, flood_components
 from wordbialg.scans import (
-    content_components,
     doubling_check,
     packed_class_count,
     packed_contents,
@@ -158,6 +158,39 @@ def test_criterion_2_exceptional_scan():
     )
 
 
+# criterion 2b: d_10 and the 204 exceptional length-10 classes
+
+# sha256 of the 204 representatives, sorted and joined by spaces
+EXCEPTIONS_10_SHA256 = "0e9684beef586d8931b6c0e0dcdf5dfd2e45291f0874252f7eca250c95e6806a"
+
+
+@pytest.mark.extended
+def test_criterion_2b_length_10():
+    t0 = time.monotonic()
+    jobs = min(8, multiprocessing.cpu_count())
+    d10, w10 = packed_class_count("exotic-knuth", 10, jobs=jobs)
+    rep = positivity_scan_homogeneous(
+        "exotic-knuth", 10, ("gt", "le"), "Q", jobs=jobs
+    )
+    elapsed = time.monotonic() - t0
+    exceptions = rep["non_positive"]
+    digest = hashlib.sha256(" ".join(exceptions).encode()).hexdigest()
+    ok = (
+        (d10, w10) == (117000, 102247563)
+        and rep["total_classes"] == rep["symmetric"] == 117000
+        and len(exceptions) == 204
+        and digest == EXCEPTIONS_10_SHA256
+        # theta(s_lambda) is Schur-Q-positive, so no class of a permutation
+        and all(len(set(w)) < len(w) for w in exceptions)
+        and elapsed < 1800
+    )
+    report(
+        "2b (d10 = 117000, 204 exceptions at length 10)",
+        ok,
+        f"d10={d10}, {len(exceptions)} of {rep['total_classes']} in {elapsed:.0f}s",
+    )
+
+
 # criterion 3: the shuffle identity, coefficient-exact
 
 
@@ -195,7 +228,7 @@ def test_criterion_5_oracle_equivalences():
         rewrites = compile_coded_rewrites(knuth, n)
         components = {
             frozenset(decode_word(x, n) for x in c)
-            for c in content_components((1,) * n, rewrites)
+            for c in flood_components((1,) * n, rewrites)
         }
         fibers = defaultdict(set)
         for p in itertools.permutations(range(1, n + 1)):
@@ -268,7 +301,7 @@ def test_criterion_8_knuth_classes():
     for n in range(7):
         for content in packed_contents(n):
             rewrites = compile_coded_rewrites(builtin_relation("knuth"), n)
-            for component in content_components(content, rewrites):
+            for component in flood_components(content, rewrites):
                 members = [decode_word(x, n) for x in component]
                 image = class_image(members, "le", n)
                 ok &= is_symmetric(image)

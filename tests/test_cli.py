@@ -73,7 +73,7 @@ def test_classes_requires_extended_for_long_lengths():
     ],
 )
 def test_uncodable_length_refused_before_any_work(args):
-    # the coded lanes stop at 15: the refusal comes before length 0, not
+    # the level fill stops at 15: the refusal comes before length 0, not
     # after hours of work on the lengths below it
     t0 = time.perf_counter()
     proc = subprocess.run(
@@ -290,10 +290,10 @@ def test_capped_requests_exit_3(argv):
         ["psi", "--class-of", "1", "--relation", "hecke", "--degree", "40",
          "--cap", "1000"],
         ["psi", "--word", "1212121212121212121212121"],
-        # the 12! content alone holds 479,001,600 words
+        # the level fill of length 12 holds the 1,622,632,573 packed words of 11
         ["classes", "--relation", "exotic-knuth", "--max-len", "12", "--extended",
          "--cap", "10"],
-        # 10! = 3,628,800 words exceed the default cap
+        # the 7,087,261 packed words of length 9 exceed the default cap
         ["classes", "--relation", "exotic-knuth", "--max-len", "10", "--extended"],
         ["conjectures", "--which", "exotic-sym", "--max-len", "10", "--extended",
          "--cap", "10"],
@@ -311,10 +311,24 @@ def test_oversized_images_and_contents_are_refused_before_any_work(argv):
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
-def test_largest_content_skips_the_finished_ones():
-    assert scans.largest_content(3, {}) == 6 and scans.largest_content(0, {}) == 1
-    assert scans.largest_content(3, {(1, 1, 1): {}}) == 3
-    assert scans.largest_content(3, dict.fromkeys(packed_contents(3))) == 0
+def test_generators_longer_than_the_bound_are_not_listed():
+    # k-knuth's generators have three letters, so at --max-len 0 (words of
+    # at most two letters with the headroom) none of their injections into
+    # 300 letters is listed; listing them took minutes and gigabytes
+    proc = run_cli(
+        "classes", "--relation", "k-knuth", "--alphabet", "300", "--max-len", "0",
+        "--format", "json", timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["class_counts"] == [1]
+
+
+def test_fill_weight_skips_the_finished_lengths():
+    # one rank per packed word one length down: 11, 12 and 21 for length 3
+    assert scans.fill_weight(3, {}) == 3 and scans.fill_weight(0, {}) == 0
+    assert scans.fill_weight(9, {}) == 545_835 and scans.fill_weight(10, {}) == 7_087_261
+    assert scans.fill_weight(3, {(1, 1, 1): {}}) == 3
+    assert scans.fill_weight(3, dict.fromkeys(packed_contents(3))) == 0
 
 
 def test_capped_class_exits_before_listing_it():

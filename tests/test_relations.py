@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flood_oracle import compile_coded_rewrites, decode_word, flood_components
 from wordbialg import relations
 from wordbialg.relations import (
     BUILTIN_NAMES,
@@ -27,7 +28,6 @@ from wordbialg.relations import (
     universe_size,
     weak_variant,
 )
-from wordbialg.coded import compile_coded_rewrites, decode_word
 from wordbialg.rewrite import (
     _ANYWHERE,
     _WHOLE,
@@ -37,7 +37,6 @@ from wordbialg.rewrite import (
     _rewrite_tables,
     compile_neighbors,
 )
-from wordbialg.scans import content_components
 from wordbialg.words import (
     Word,
     all_words,
@@ -149,8 +148,8 @@ def _reference_neighbors(pres, alphabet, limit):
     """Every one-step rewrite of a word within ``limit``, by brute force:
     each window rewrite ``a -> b`` of the presentation's tables at every
     occurrence of ``a`` its anchor allows, plus, with a Coxeter part,
-    ``a ~ aa``."""
-    tables = _rewrite_tables(pres, alphabet)
+    ``a ~ aa``.  The tables hold every generator, however long."""
+    tables = _rewrite_tables(pres, alphabet, math.inf)
     runs = _has_runs(pres)
 
     def neighbors(w):
@@ -1073,7 +1072,7 @@ def test_bfs_close_and_content_components_agree(pairs, uniform, in_context, weak
         components = [
             tuple(sorted(decode_word(x, n) for x in component))
             for content in compositions(n)
-            for component in content_components(content, rewrites)
+            for component in flood_components(content, rewrites)
         ]
         assert sorted(components) == sorted(inst.packed_classes(n))
         for component in components:

@@ -11,15 +11,19 @@ from wordbialg.characters import (
     class_image,
     format_character,
 )
-from wordbialg.coded import (
+from flood_oracle import (
     compile_coded_rewrites,
     decode_word,
     encode_word,
-    guard_compare,
+    flood_components,
+    word_class,
 )
 from wordbialg.qsym import is_symmetric, schur_positive, schur_q_positive
 from wordbialg.relations import bfs_class, builtin_relation, close
 from wordbialg.scans import (
+    LevelFill,
+    _code_word,
+    _comparison_code,
     content_components,
     doubling_check,
     packed_class_count,
@@ -94,43 +98,21 @@ def test_packed_contents_cover_ordered_bell():
         assert total == bell[n]
 
 
+def _fill(relation, length, codes=True):
+    fill = LevelFill(builtin_relation(relation), codes)
+    fill.grow(length)
+    return fill
+
+
 def test_content_components_match_closure():
-    rewrites = compile_coded_rewrites(builtin_relation("knuth"), 4)
-    components = [
-        [decode_word(x, 4) for x in c]
-        for c in content_components((1, 1, 1, 1), rewrites)
-    ]
+    classes = list(content_components((1, 1, 1, 1), _fill("knuth", 4)))
     inst = close(builtin_relation("knuth"), 4, 4, headroom=0)
     import itertools
 
-    expected = {
-        frozenset(inst.class_of(p))
-        for p in itertools.permutations((1, 2, 3, 4))
-    }
-    assert {frozenset(c) for c in components} == expected
-
-
-def _per_word_components(content, rewrites):
-    """The flood fill with every word of the content coded on its own, in
-    increasing order: the brute-force oracle of ``content_components``."""
-    import itertools
-
-    letters = [a for a, c in enumerate(content, 1) for _ in range(c)]
-    starts = sorted(map(encode_word, set(itertools.permutations(letters))))
-    seen = set()
-    for start in starts:
-        if start in seen:
-            continue
-        component = [start]
-        seen.add(start)
-        for x in component:
-            for shift, mask, deltas in rewrites.windows:
-                for d in deltas(x >> shift & mask) or ():
-                    y = x ^ d
-                    if y not in seen:
-                        seen.add(y)
-                        component.append(y)
-        yield component
+    expected = sorted(
+        {inst.class_of(p) for p in itertools.permutations((1, 2, 3, 4))}
+    )
+    assert [(c.least, c.size) for c in classes] == [(c[0], len(c)) for c in expected]
 
 
 @settings(max_examples=40, deadline=None)
@@ -146,12 +128,13 @@ def test_content_components_match_per_word_fill(parts, relation):
             break
         content.append(c)
     n = sum(content)
+    got = list(content_components(tuple(content), _fill(relation, n)))
     rewrites = compile_coded_rewrites(builtin_relation(relation), n)
-    got = list(content_components(tuple(content), rewrites))
-    expected = list(_per_word_components(content, rewrites))
-    assert [c[0] for c in got] == [c[0] for c in expected]
-    assert all(c[0] == min(c) for c in got)
-    assert [set(c) for c in got] == [set(c) for c in expected]
+    expected = [
+        word_class(decode_word(x, n) for x in component)
+        for component in flood_components(tuple(content), rewrites)
+    ]
+    assert got == expected
 
 
 def test_known_class_counts():
@@ -279,9 +262,8 @@ def test_class_verdict_matches_generic_path(data, relation):
     members = sorted(set(members) | {tuple(w) for w in extra})
     for char in ALL_CHARACTERS:
         for basis in ("s", "Q"):
-            verdict = scans.ScanTables(n, char, (basis,)).class_verdict(
-                [encode_word(w) for w in members]
-            )
+            tables = scans.ScanTables(n, char, (basis,))
+            verdict = tables.class_verdict(word_class(members, tables.statistics))
             verdict["positive"] = verdict["positive"][basis]
             assert verdict == _generic_verdict(members, char, basis, n), (char, basis)
 
@@ -379,9 +361,8 @@ def test_scan_over_two_bases_bins_each_class_once(monkeypatch):
             tuple(sorted(Counter(_statistic(w, peak) for w in members).items()))
         )
         for basis in ("s", "Q"):
-            single = scans.ScanTables(5, peak, (basis,)).class_verdict(
-                [encode_word(w) for w in members]
-            )
+            tables = scans.ScanTables(5, peak, (basis,))
+            single = tables.class_verdict(word_class(members, tables.statistics))
             assert single["positive"] == {basis: row["positive"][basis]}
             assert single["symmetric"] == row["symmetric"]
     # one expansion per distinct peak-mask histogram, for both bases at once
@@ -419,7 +400,9 @@ def test_shared_tables_memo_matches_generic_path(data, relation, rng):
         for bases in (("s",), ("Q",), ("s", "Q")):
             tables = scans.ScanTables(n, char, bases)
             for members in feed:
-                verdict = tables.class_verdict([encode_word(w) for w in members])
+                verdict = tables.class_verdict(
+                    word_class(members, tables.statistics)
+                )
                 assert verdict == {
                     **generic[members, "s"],
                     "positive": {b: generic[members, b]["positive"] for b in bases},
@@ -437,32 +420,35 @@ def test_shared_tables_memo_matches_generic_path(data, relation, rng):
         )
     )
 )
-def test_a_guard_pattern_fixes_the_statistic(words):
-    # the scans read the statistic off one member per guard pattern
+def test_a_comparison_code_fixes_the_statistic(words):
+    # the scans read the statistic off one word per comparison code
     n = len(words[0])
     for char in ALL_CHARACTERS:
-        guards = guard_compare(n, (char,) if isinstance(char, str) else char)
-        seen = {}
         for w in map(tuple, words):
-            stat = _statistic(w, char)
-            assert seen.setdefault(guards(encode_word(w)), stat) == stat, (char, w)
+            code = _comparison_code(w)
+            assert _statistic(_code_word(code, n), char) == _statistic(w, char), (char, w)
 
 
 @given(st.lists(st.integers(0, 15), max_size=9))
 def test_word_codes_round_trip(w):
     assert decode_word(encode_word(w), len(w)) == tuple(w)
+    code = _comparison_code(w)
+    assert _comparison_code(_code_word(code, len(w))) == code
 
 
 def test_codes_order_words_and_head_their_components():
+    # the oracle's integer codes order words; the level fill yields each
+    # content's classes in the order of their least words
     words = [w for w in all_words(3, 4) if len(w) == 4]
     assert sorted(words, key=encode_word) == sorted(words)
-    rewrites = compile_coded_rewrites(builtin_relation("exotic-knuth"), 5)
+    pres = builtin_relation("exotic-knuth")
+    fill = _fill("exotic-knuth", 5)
     for content in packed_contents(5):
-        for component in content_components(content, rewrites):
-            assert component[0] == min(component)
-            assert decode_word(component[0], 5) == min(
-                decode_word(x, 5) for x in component
-            )
+        classes = list(content_components(content, fill))
+        assert [c.least for c in classes] == sorted(c.least for c in classes)
+        for c in classes:
+            members = bfs_class(pres, c.least, 5)
+            assert c.least == min(members) and c.size == len(members)
 
 
 def test_coded_lengths_past_the_lanes_are_refused():
@@ -475,4 +461,4 @@ def test_coded_lengths_past_the_lanes_are_refused():
     with pytest.raises(ValueError):
         compile_coded_rewrites(builtin_relation("hecke"), 4)
     with pytest.raises(ValueError):
-        list(content_components((1, 2), compile_coded_rewrites(exotic, 4)))
+        list(content_components((1, 2, 1, 1, 1), _fill("exotic-knuth", 4)))
