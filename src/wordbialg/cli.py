@@ -113,7 +113,7 @@ def _expect(ok: bool, what: str, got) -> None:
         raise ValueError(f"{what}, not {json.dumps(got)}")
 
 
-def emit(payload: dict, fmt: str, runtime: float | None = None) -> None:
+def emit(payload: dict, fmt: str, runtime: float) -> None:
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True, default=_jsonable))
     elif fmt == "csv":
@@ -124,8 +124,7 @@ def emit(payload: dict, fmt: str, runtime: float | None = None) -> None:
             print(",".join(str(row[k]) for k in header))
     else:
         _emit_text(payload)
-        if runtime is not None:
-            print(f"runtime: {runtime:.2f}s")
+        print(f"runtime: {runtime:.2f}s")
 
 
 def _jsonable(x):
@@ -333,7 +332,7 @@ def cmd_check(args) -> int:
 def cmd_psi(args) -> int:
     char = args.character
     t0 = time.time()
-    if args.class_of:
+    if args.class_of is not None:
         seed = args.class_of
         pres = args.relation
         degree = len(seed) + 2 if args.degree is None else args.degree
@@ -347,7 +346,7 @@ def cmd_psi(args) -> int:
                 EXIT_USAGE,
             )
         lengths = [len(seed)] if pres.homogeneous else range(len(set(seed)), degree + 1)
-    elif args.word:
+    elif args.word is not None:
         w = args.word
         degree = len(w) if args.degree is None else args.degree
         lengths = [len(w)]
@@ -362,7 +361,7 @@ def cmd_psi(args) -> int:
                 f"image exceeds cap {args.cap} coefficients within degree "
                 f"{degree}; raise --cap or lower --degree"
             )
-    if args.class_of:
+    if args.class_of is not None:
         members = relations.bfs_class(pres, seed, limit, cap=args.cap)
         stable = relations.bfs_class(pres, seed, limit + 1, cap=args.cap)
         sliced = [w for w in stable if len(w) <= degree]

@@ -62,9 +62,6 @@ class QSym:
     def coeff(self, alpha: Composition) -> int | Fraction:
         return self.terms.get(tuple(alpha), 0)
 
-    def truncate(self, degree: int) -> "QSym":
-        return QSym(min(degree, self.degree), self.terms)
-
     def homogeneous(self, d: int) -> "QSym":
         return QSym(self.degree, {a: c for a, c in self.terms.items() if sum(a) == d})
 

@@ -70,14 +70,13 @@ from .words import (
     word_max,
 )
 
-INFINITY = 0  # sentinel for an infinite pair order inside CoxeterM tables
-
 
 class ResourceCapError(RuntimeError):
     """Raised when a requested closure exceeds the configured universe cap."""
 
 
 DEFAULT_CAP = 2_000_000  # universe words a closure may hold unless told otherwise
+SAMPLE_CAP = 5_000_000  # condition (a) checks made exhaustively; past them, a sample
 
 
 @dataclass(frozen=True)
@@ -85,13 +84,23 @@ class CoxeterM:
     """Symmetric pair-order function m(i, j) with m(i, i) = 1.
 
     ``default`` applies to all pairs i != j without an override; the value
-    ``None`` (or the string "inf" in JSON) means infinite order.
+    ``None`` (or the string "inf" in JSON) means infinite order.  With a
+    ``gap``, every pair at |i - j| = gap braids (order 3) and every other
+    pair commutes.
     """
 
     default: int | None = 2
     overrides: tuple[tuple[int, int, int | None], ...] = ()
+    gap: int | None = None
 
     def __post_init__(self):
+        if self.gap is not None:
+            # value() then reads only the gap, so the other fields must
+            # keep their defaults
+            if (self.default, self.overrides) != (2, ()):
+                raise ValueError("a gap pair order takes only gap")
+            if self.gap < 1:
+                raise ValueError("gap must be positive")
         for i, j, m in self.overrides:
             if i == j:
                 raise ValueError("pair orders are only overridable for i != j")
@@ -103,6 +112,8 @@ class CoxeterM:
     def value(self, i: int, j: int) -> int | None:
         if i == j:
             return 1
+        if self.gap is not None:
+            return 3 if abs(i - j) == self.gap else 2
         key = (min(i, j), max(i, j))
         for a, b, m in self.overrides:
             if (min(a, b), max(a, b)) == key:
@@ -110,32 +121,9 @@ class CoxeterM:
         return self.default
 
 
-@dataclass(frozen=True)
-class GapCoxeterM(CoxeterM):
-    """Pair order determined by |i - j|: ``order`` at |i-j| = gap, else 2."""
-
-    gap: int = 1
-    order: int | None = 3
-
-    def __post_init__(self):
-        # value() reads only gap and order, so the inherited fields must
-        # keep their defaults
-        if (self.default, self.overrides) != (2, ()):
-            raise ValueError("a gap pair order takes only gap and order")
-        if self.gap < 1:
-            raise ValueError("gap must be positive")
-        if self.order is not None and self.order < 2:
-            raise ValueError(f"pair order {self.order} must be >= 2 or None")
-
-    def value(self, i: int, j: int) -> int | None:
-        if i == j:
-            return 1
-        return self.order if abs(i - j) == self.gap else 2
-
-
-def gap_braid_m(gap: int, order: int | None = 3) -> CoxeterM:
-    """m(i, i + gap) = order with all other pair orders 2, for every i."""
-    return GapCoxeterM(gap=gap, order=order)
+def gap_braid_m(gap: int) -> CoxeterM:
+    """m(i, i + gap) = 3 with all other pair orders 2, for every i."""
+    return CoxeterM(gap=gap)
 
 
 def universal_coxeter_m() -> CoxeterM:
@@ -289,9 +277,9 @@ class RelationInstance:
         for w, cid in zip(self.words, self.class_ids):
             members.setdefault(cid, []).append(w)
         self._members = {cid: tuple(ws) for cid, ws in members.items()}
-        # condition (a) of the algebraic check by (sample_cap, seed) and
-        # condition (b): the uniform and P-algebraic checks repeat them
-        self._congruence: dict[tuple[int, int], dict] = {}
+        # conditions (a) and (b) of the algebraic check: the uniform and
+        # P-algebraic checks repeat them
+        self._congruence: dict | None = None
         self._interval: dict | None = None
         # the certificates' class counts one length wider (_wider_facts)
         self._wider: tuple[int, int] | None = None
@@ -317,9 +305,6 @@ class RelationInstance:
         if full:
             return members
         return tuple(x for x in members if len(x) <= self.max_len)
-
-    def representative(self, w: Word) -> Word:
-        return self.class_of(w, full=True)[0]
 
     def iter_classes(self, full: bool = False) -> Iterator[tuple[Word, ...]]:
         """All classes meeting the reported slice, in representative order."""
@@ -467,7 +452,6 @@ def bfs_class(
     pres: RelationPresentation,
     seed: Word,
     max_len: int,
-    alphabet: int | None = None,
     cap: int = DEFAULT_CAP,
 ) -> tuple[Word, ...]:
     """The connected component of ``seed`` among words of length <= max_len,
@@ -483,11 +467,9 @@ def bfs_class(
     seed = tuple(seed)
     if len(seed) > max_len:
         raise ValueError(f"seed of length {len(seed)} exceeds max_len {max_len}")
-    if alphabet is None:
-        alphabet = word_max(seed)
     runs = _has_runs(pres)
     start = _reduce(seed) if runs else seed
-    neighbors = compile_neighbors(pres, alphabet, max_len)
+    neighbors = compile_neighbors(pres, word_max(seed), max_len)
 
     def size(w: Word) -> int:  # the words ``w`` stands for
         return math.comb(max_len, len(w)) if runs else 1
@@ -574,14 +556,12 @@ def _observed_pairs(inst: RelationInstance) -> Iterator[tuple[Word, Word]]:
             yield rep, w
 
 
-def check_algebraic(
-    inst: RelationInstance, sample_cap: int = 5_000_000, seed: int = 0
-) -> dict:
+def check_algebraic(inst: RelationInstance) -> dict:
     """Bounded check of the two closure conditions of an algebraic relation:
     (a) concatenation congruence, via one-sided contexts against class
     representatives; (b) interval restriction with down-shift.
     """
-    condition_a = _concatenation_congruence(inst, sample_cap, seed)
+    condition_a = _concatenation_congruence(inst)
     condition_b = _interval_restriction(inst)
     return {
         "property": "algebraic",
@@ -603,20 +583,17 @@ def _condition(
     }
 
 
-def _concatenation_congruence(
-    inst: RelationInstance, sample_cap: int, seed: int
-) -> dict:
-    """Condition (a), computed once per instance and (sample_cap, seed):
-    related pairs stay related under one-sided concatenation, checked
-    exhaustively or, past ``sample_cap`` checks, on a seeded sample."""
-    key = (sample_cap, seed)
-    if key in inst._congruence:
-        return inst._congruence[key]
+def _concatenation_congruence(inst: RelationInstance) -> dict:
+    """Condition (a), computed once per instance: related pairs stay
+    related under one-sided concatenation, checked exhaustively or, past
+    ``SAMPLE_CAP`` checks, on a sample seeded with 0."""
+    if inst._congruence is not None:
+        return inst._congruence
     contexts = [w for w in inst.words if len(w) <= inst.max_len]
     pairs = list(_observed_pairs(inst))
     total = 2 * len(pairs) * len(contexts)
-    rng = random.Random(seed)
-    sampled = total > sample_cap
+    rng = random.Random(0)
+    sampled = total > SAMPLE_CAP
     witness = None
     checked = 0
 
@@ -632,7 +609,7 @@ def _concatenation_congruence(
         return ok
 
     if sampled:
-        budget = sample_cap
+        budget = SAMPLE_CAP
         while budget > 0 and witness is None and pairs:
             rep, w = pairs[rng.randrange(len(pairs))]
             u = contexts[rng.randrange(len(contexts))]
@@ -655,13 +632,13 @@ def _concatenation_congruence(
             if witness:
                 break
 
-    inst._congruence[key] = _condition(
+    inst._congruence = _condition(
         "concatenation-congruence",
         checked,
         witness,
         "bounded-evidence" if sampled else "pass",
     )
-    return inst._congruence[key]
+    return inst._congruence
 
 
 def _interval_restriction(inst: RelationInstance) -> dict:
@@ -694,9 +671,9 @@ def _interval_restriction(inst: RelationInstance) -> dict:
     return inst._interval
 
 
-def check_uniformly_algebraic(inst: RelationInstance, **kwargs) -> dict:
+def check_uniformly_algebraic(inst: RelationInstance) -> dict:
     """Algebraic plus invariance under order-preserving letter injections."""
-    base = check_algebraic(inst, **kwargs)
+    base = check_algebraic(inst)
     witness = None
     checked = 0
     for rep, w in _observed_pairs(inst):

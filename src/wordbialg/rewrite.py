@@ -169,8 +169,10 @@ def _fibers(reduced: Iterable[Word], bound: int) -> list[Word]:
     ``bound >= 0``, in shortlex order.  The fiber of ``r`` is every word of
     length at most ``bound`` that reduces to ``r``, ``C(bound, len(r))``
     words, read off ``r`` by :func:`_run_gather`."""
-    bins: list[list[Word]] = [[] for _ in range(bound + 1)]
-    for k, rs in itertools.groupby(sorted(reduced, key=len), len):
+    reduced = sorted(reduced, key=len)
+    top = bound if reduced and reduced[-1] else 0  # the fiber of () is () alone
+    bins: list[list[Word]] = [[] for _ in range(top + 1)]
+    for k, rs in itertools.groupby(reduced, len):
         rs = list(rs)
         if k < 2:  # r * m, () at m = 0 only; a one-index gather gives a letter
             for m in range(k, bound + 1 if k else 1):

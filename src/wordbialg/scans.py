@@ -392,6 +392,8 @@ def _level_fill(builtin_name: str, codes: bool) -> LevelFill:
 
 
 def _init_worker(builtin_name: str, length: int, scan_args) -> None:
+    """Set ``_WORKER`` up for the tasks of one length, in this process:
+    pool workers forked afterwards inherit it."""
     fill = _level_fill(builtin_name, scan_args is not None)
     fill.grow(length)
     if scan_args:
@@ -433,12 +435,11 @@ def _worker_count(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, _usable_cpus(), tasks))
 
 
-def _pool(builtin_name: str, length: int, scan_args, jobs: int):
+def _pool(jobs: int):
+    """A fork pool of ``jobs`` workers, which inherit ``_WORKER`` as set."""
     import multiprocessing  # only pooled scans pay for importing it
 
-    return multiprocessing.get_context("fork").Pool(
-        jobs, initializer=_init_worker, initargs=(builtin_name, length, scan_args)
-    )
+    return multiprocessing.get_context("fork").Pool(jobs)
 
 
 def _rows(
@@ -455,13 +456,13 @@ def _rows(
     if not contents:
         return
     jobs = _worker_count(jobs, len(contents))
+    # the levels grow here, once, and forked workers share them
+    _init_worker(builtin_name, length, scan_args)
     with contextlib.ExitStack() as stack:
         if jobs == 1:
-            _init_worker(builtin_name, length, scan_args)
             fresh = map(task, contents)
-        else:  # the levels grow here, once, and the forked workers share them
-            _level_fill(builtin_name, scan_args is not None).grow(length)
-            pool = stack.enter_context(_pool(builtin_name, length, scan_args, jobs))
+        else:
+            pool = stack.enter_context(_pool(jobs))
             fresh = pool.imap_unordered(task, contents)
         for content, row in fresh:
             if cache is not None:

@@ -341,7 +341,7 @@ def test_hecke_word_enumeration():
     for d in range(1, 6):
         assert hecke_words(s1, d) == ((1,) * d,)
     # cross-check against the closure-based class of the one-letter word
-    members = bfs_class(builtin_relation("hecke"), (1,), 5, alphabet=1)
+    members = bfs_class(builtin_relation("hecke"), (1,), 5)
     assert set(members) == {(1,) * d for d in range(1, 6)}
 
 
@@ -377,7 +377,7 @@ def test_grothendieck_degreewise_vs_closure():
     # the dynamic enumeration agrees with a generic closure class, degree-wise
     pres = builtin_relation("hecke")
     pi = eval_hecke_word((1, 2), 2)
-    members = bfs_class(pres, (1, 2), 5, alphabet=2)
+    members = bfs_class(pres, (1, 2), 5)
     closure_image = class_image(members, "gt", 5)
     fam = grothendieck_family(pi, 5)
     assert fam["K"] == closure_image

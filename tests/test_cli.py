@@ -183,6 +183,21 @@ def test_psi_degree_zero_is_honoured(source, capsys):
     assert payload["monomial"] == {"degree": 0, "terms": []}
 
 
+@pytest.mark.parametrize(
+    "source",
+    [
+        ["--word", ""],
+        ["--class-of", "", "--relation", "knuth"],
+        ["--class-of", "", "--relation", "hecke"],
+    ],
+)
+def test_psi_of_the_empty_word_is_one(source, capsys):
+    assert main(["psi", *source, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["monomial"]["terms"] == [{"comp": [], "coeff": "1"}]
+    assert payload["schur"]["terms"] == [{"partition": [], "coeff": "1"}]
+
+
 def test_psi_requires_input():
     assert main(["psi", "--character", "le"]) == cli.EXIT_USAGE
 
@@ -700,7 +715,7 @@ def test_each_command_declares_the_options_it_reads(runs, capsys):
 
 # each option's (valid, invalid) values: one in eight draws is invalid
 _INTEGERS = (("0", "1", "2", "3", str(10**9)), ("-1", "x", "1.5"))
-_WORDS = (("312", "1212", "21"), ("", "0", "1a"))
+_WORDS = (("312", "1212", "21", ""), ("0", "1a"))
 _VALUES = {
     "relation": (("knuth", "hecke", "k-knuth", "exotic-knuth", "coxeter-gap2"), ("none",)),
     "word": _WORDS,
@@ -739,6 +754,7 @@ def _argv(draw):
 @example(argv=["conjectures", "--which", "weak-hecke", "--alphabet", "1",
                "--max-len", str(10**9)])
 @example(argv=["psi", "--class-of", "1212", "--relation", "hecke", "--degree", str(10**9)])
+@example(argv=["psi", "--class-of", "", "--relation", "hecke", "--headroom", str(10**9)])
 def test_random_argv_exits_with_a_documented_code(argv, tmp_path_factory):
     argv = [str(tmp_path_factory.getbasetemp() / "cache") if a == "CACHE" else a for a in argv]
     out, err = io.StringIO(), io.StringIO()

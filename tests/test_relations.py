@@ -428,8 +428,8 @@ def test_class_queries():
     inst = close(builtin_relation("knuth"), 3, 4)
     with pytest.raises(KeyError):
         inst.class_of((4,))
-    rep = inst.representative((3, 1, 2))
-    assert rep == min(inst.class_of((3, 1, 2)), key=lambda t: (len(t), t))
+    members = inst.class_of((3, 1, 2))
+    assert members == tuple(sorted(members, key=lambda t: (len(t), t)))
 
 
 def test_letter_set_homogeneous_classes():
@@ -643,8 +643,15 @@ def test_concatenation_congruence_runs_once_per_instance():
     assert calls == (
         congruence["checked"] + interval["checked"] + injections["checked"]
     )
-    # another sampling bound or seed is a different check
-    assert check_algebraic(inst, sample_cap=10, seed=1)["status"] == "bounded-evidence"
+
+
+def test_congruence_samples_past_the_cap(monkeypatch):
+    # past SAMPLE_CAP checks, condition (a) runs on a seeded sample, which
+    # is evidence only
+    monkeypatch.setattr(relations, "SAMPLE_CAP", 10)
+    cond = check_algebraic(close(builtin_relation("knuth"), 3, 5))["conditions"][0]
+    assert cond["status"] == "bounded-evidence"
+    assert cond["checked"] <= 10
 
 
 def test_whole_word_relation_fails_algebraic():
@@ -796,24 +803,26 @@ def test_coxeter_gap_one_is_hecke():
     assert slice_partition(a) == slice_partition(b)
 
 
-@pytest.mark.parametrize("order", [1, 0, -3])
-def test_gap_pair_order_below_two_is_refused(order):
-    # an order of 1 would relate (1,) and (2,), which no class search of
-    # a Coxeter presentation can reach
-    with pytest.raises(ValueError, match="must be >= 2"):
-        gap_braid_m(1, order=order)
-    assert gap_braid_m(1, order=None).value(1, 2) is None
-    with pytest.raises(ValueError, match="gap must be positive"):
-        gap_braid_m(0)
+def test_gap_below_one_is_refused():
+    for gap in (0, -3):
+        with pytest.raises(ValueError, match="gap must be positive"):
+            gap_braid_m(gap)
+
+
+@given(st.integers(1, 4), st.integers(1, 9), st.integers(1, 9))
+def test_gap_pair_order_braids_at_the_gap_and_commutes_elsewhere(gap, i, j):
+    expected = 1 if i == j else 3 if abs(i - j) == gap else 2
+    assert gap_braid_m(gap).value(i, j) == expected
 
 
 @pytest.mark.parametrize(
     "fields", [{"default": 5}, {"default": None}, {"overrides": ((1, 2, 7),)}]
 )
 def test_gap_pair_order_refuses_inherited_fields(fields):
-    # value() reads only gap and order: these would be silently ignored
-    with pytest.raises(ValueError, match="only gap and order"):
-        relations.GapCoxeterM(**fields)
+    # with a gap, value() reads neither default nor overrides: they would
+    # be silently ignored
+    with pytest.raises(ValueError, match="only gap"):
+        CoxeterM(gap=1, **fields)
 
 
 def test_universal_coxeter_is_repeat_collapse():
@@ -868,6 +877,12 @@ def test_bfs_class_rejects_a_seed_longer_than_its_bound(name):
     assert (1, 2, 1) in bfs_class(pres, (1, 2, 1), 3)
     with pytest.raises(ValueError):
         bfs_class(pres, (1, 2, 1, 2), 3)
+
+
+@pytest.mark.parametrize("name", ["knuth", "hecke", "k-knuth"])
+def test_empty_word_is_its_own_class_at_any_bound(name):
+    # the fiber of () is () alone, so a huge bound lists nothing more
+    assert bfs_class(builtin_relation(name), (), 10**9) == ((),)
 
 
 def test_weak_variant():

@@ -307,9 +307,8 @@ def test_scans_fork_the_clamped_pool(monkeypatch):
     sizes = []
 
     class InlinePool:
-        def __init__(self, builtin_name, length, scan_args, jobs):
+        def __init__(self, jobs):
             sizes.append(jobs)
-            scans._init_worker(builtin_name, length, scan_args)
 
         def __enter__(self):
             return self
