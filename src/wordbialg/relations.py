@@ -26,7 +26,10 @@ short words through longer ones; it generates each rewrite edge once, from
 its longer or larger end.  ``headroom_stability`` and
 ``is_finite_type_bounded`` run the same union-find one length wider and
 compare class counts.  All classifier verdicts are relative to the stated
-bounds.
+bounds.  Within them they are exact: each closure condition is checked on
+maps that generate its family (one-letter contexts for concatenation,
+three interval steps for restriction, the gap maps for order-preserving
+injections; see ``_closed_under``).
 
 Every presentation with a Coxeter part contains ``a ~ aa``, and there the
 search runs on the quotient by it: a word is related to its run reduction
@@ -45,7 +48,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
@@ -54,7 +56,6 @@ from .rewrite import (
     _fibers,
     _has_runs,
     _join,
-    _order_preserving_injections,
     _parts,
     _reduce,
     _reduced_words,
@@ -76,7 +77,6 @@ class ResourceCapError(RuntimeError):
 
 
 DEFAULT_CAP = 2_000_000  # universe words a closure may hold unless told otherwise
-SAMPLE_CAP = 5_000_000  # condition (a) checks made exhaustively; past them, a sample
 
 
 @dataclass(frozen=True)
@@ -347,7 +347,7 @@ def close(
         headroom = default_headroom(pres)
     limit = max_len + headroom
     _check_cap("universe", universe_size(alphabet, limit, cap), cap)
-    # the rewrite tables and the classifiers list every pair of letters
+    # the rewrite tables list every pair of letters
     _check_cap("alphabet", alphabet * alphabet, cap, "letter pairs")
     universe = tuple(all_words(alphabet, limit))
     words, index, roots = _components(pres, alphabet, limit, universe)
@@ -402,7 +402,7 @@ def _components(
         words = _reduced_words(alphabet, limit)
     else:
         words = tuple(all_words(alphabet, limit)) if universe is None else universe
-    steps = compile_neighbors(pres, alphabet, limit, True)
+    steps = compile_neighbors(pres, range(1, alphabet + 1), limit, True)
     index = dict(zip(words, itertools.count()))
     parent = list(range(len(words)))
     for i, w in enumerate(words):
@@ -458,7 +458,7 @@ def bfs_class(
     in shortlex order.
 
     Letters never leave the seed's letter set (word relations preserve
-    letter sets), so no alphabet bound beyond the seed's own is needed.
+    letter sets), so the rewrites are compiled over the seed's letters.
     With ``a ~ aa`` the search runs over run-reduced words from the seed's
     reduction and the class is the union of their run fibers.  Raises
     ``ValueError`` for a seed longer than ``max_len``, and
@@ -469,7 +469,7 @@ def bfs_class(
         raise ValueError(f"seed of length {len(seed)} exceeds max_len {max_len}")
     runs = _has_runs(pres)
     start = _reduce(seed) if runs else seed
-    neighbors = compile_neighbors(pres, word_max(seed), max_len)
+    neighbors = compile_neighbors(pres, sorted(set(seed)), max_len)
 
     def size(w: Word) -> int:  # the words ``w`` stands for
         return math.comb(max_len, len(w)) if runs else 1
@@ -543,17 +543,35 @@ def headroom_stability(inst: RelationInstance, cap: int = DEFAULT_CAP) -> dict:
 # --- classifiers -----------------------------------------------------------
 
 
-def _intervals(alphabet: int) -> list[tuple[int, int]]:
-    """All (m, n) with the letter interval {m+1, ..., n}."""
-    return [(m, n) for m in range(alphabet + 1) for n in range(m, alphabet + 1)]
-
-
 def _observed_pairs(inst: RelationInstance) -> Iterator[tuple[Word, Word]]:
     """Each reported-slice member paired with its class representative."""
     for members in inst.iter_classes():
         rep = members[0]
         for w in members[1:]:
             yield rep, w
+
+
+def _closed_under(
+    inst: RelationInstance, steps: Callable[[Word, Word], Iterable[tuple]]
+) -> tuple[int, tuple | None]:
+    """Whether the reported slice's partition is closed under the maps that
+    ``steps(rep, w)`` names, as ``(label, map)``, for each class
+    representative ``rep`` and other member ``w``: the checks made, and the
+    first failure ``((rep, w), label, (map(rep), map(w)))`` or ``None``.
+
+    A partition is closed under a monoid of maps when it is closed under its
+    generators, so each condition names generating steps.  A step depends
+    on the class only through what its members share: their letter set
+    (word relations preserve letter sets), or the representative being the
+    shortest member."""
+    checked = 0
+    for rep, w in _observed_pairs(inst):
+        for label, f in steps(rep, w):
+            images = f(rep), f(w)
+            checked += 1
+            if not inst.related(*images):
+                return checked, ((rep, w), label, images)
+    return checked, None
 
 
 def check_algebraic(inst: RelationInstance) -> dict:
@@ -565,136 +583,104 @@ def check_algebraic(inst: RelationInstance) -> dict:
     condition_b = _interval_restriction(inst)
     return {
         "property": "algebraic",
-        "status": "fail" if condition_b["status"] == "fail" else condition_a["status"],
+        "status": _status(condition_a, condition_b),
         "conditions": [condition_a, condition_b],
         "bounds": {"alphabet": inst.alphabet, "max_len": inst.max_len},
     }
 
 
-def _condition(
-    name: str, checked: int, witness: dict | None, status: str = "pass"
-) -> dict:
-    """One condition's report: ``status`` unless a witness fails it."""
+def _condition(name: str, checked: int, witness: dict | None) -> dict:
+    """One condition's report: it fails when it has a witness."""
     return {
         "condition": name,
-        "status": "fail" if witness else status,
+        "status": "fail" if witness else "pass",
         "checked": checked,
         **({"witness": witness} if witness else {}),
     }
 
 
+def _status(*reports: dict) -> str:
+    """``fail`` when any report fails, else ``pass``."""
+    return "fail" if any(r["status"] == "fail" for r in reports) else "pass"
+
+
 def _concatenation_congruence(inst: RelationInstance) -> dict:
     """Condition (a), computed once per instance: related pairs stay
-    related under one-sided concatenation, checked exhaustively or, past
-    ``SAMPLE_CAP`` checks, on a sample seeded with 0."""
-    if inst._congruence is not None:
-        return inst._congruence
-    contexts = [w for w in inst.words if len(w) <= inst.max_len]
-    pairs = list(_observed_pairs(inst))
-    total = 2 * len(pairs) * len(contexts)
-    rng = random.Random(0)
-    sampled = total > SAMPLE_CAP
-    witness = None
-    checked = 0
+    related under one-sided concatenation within the slice.
 
-    def congruent(v: Word, w: Word, u: Word) -> bool:
-        nonlocal checked
-        ok = True
-        if len(v + u) <= inst.max_len and len(w + u) <= inst.max_len:
-            checked += 1
-            ok = inst.related(v + u, w + u)
-        if ok and len(u + v) <= inst.max_len and len(u + w) <= inst.max_len:
-            checked += 1
-            ok = inst.related(u + v, u + w)
-        return ok
-
-    if sampled:
-        budget = SAMPLE_CAP
-        while budget > 0 and witness is None and pairs:
-            rep, w = pairs[rng.randrange(len(pairs))]
-            u = contexts[rng.randrange(len(contexts))]
-            if not congruent(rep, w, u):
-                witness = {"pair": (rep, w), "context": u}
-            budget -= 2
-    else:
-        # contexts are length-sorted, so those short enough to concatenate
-        # with a pair inside the slice form a prefix
-        fitting = [0] * (inst.max_len + 1)
-        for u in contexts:
-            fitting[len(u)] += 1
-        fitting = list(itertools.accumulate(fitting))
-        for rep, w in pairs:
-            room = inst.max_len - max(len(rep), len(w))
-            for u in itertools.islice(contexts, fitting[room]):
-                if not congruent(rep, w, u):
-                    witness = {"pair": (rep, w), "context": u}
-                    break
-            if witness:
-                break
-
-    inst._congruence = _condition(
-        "concatenation-congruence",
-        checked,
-        witness,
-        "bounded-evidence" if sampled else "pass",
-    )
+    The steps append or prepend one letter to a pair with room for it.  A
+    longer context follows one letter at a time: each intermediate pair
+    lies in one class, whose representative is its shortest member, so the
+    representative's extension fits when both words' extensions do."""
+    if inst._congruence is None:
+        maps = [
+            (u, f)
+            for u in ((a,) for a in range(1, inst.alphabet + 1))
+            for f in (lambda x, u=u: x + u, lambda x, u=u: u + x)
+        ]
+        checked, failure = _closed_under(
+            inst, lambda rep, w: maps if len(w) < inst.max_len else ()
+        )
+        witness = failure and dict(zip(("pair", "context"), failure))
+        inst._congruence = _condition("concatenation-congruence", checked, witness)
     return inst._congruence
+
+
+def _restriction(m: int, n: int) -> tuple:
+    """The restriction to the letter interval {m+1, ..., n} shifted down by
+    ``m``, as a labelled step of :func:`_closed_under`."""
+    return (m + 1, n), lambda x: tuple(a - m for a in x if m < a <= n)
 
 
 def _interval_restriction(inst: RelationInstance) -> dict:
     """Condition (b) of an algebraic relation, computed once per instance:
     restricting both words of a related pair to a letter interval and
-    shifting down keeps them related."""
-    if inst._interval is not None:
-        return inst._interval
-    witness = None
-    checked = 0
-    intervals = _intervals(inst.alphabet)
-    last_rep, rep_cuts = None, []
-    for rep, w in _observed_pairs(inst):
-        if rep is not last_rep:  # pairs come one class at a time
-            last_rep = rep
-            rep_cuts = [tuple(a - m for a in rep if m < a <= n) for m, n in intervals]
-        for (m, n), rv in zip(intervals, rep_cuts):
-            wv = tuple(a - m for a in w if m < a <= n)
-            checked += 1
-            if not inst.related(rv, wv):
-                witness = {
-                    "pair": (rep, w),
-                    "interval": (m + 1, n),
-                    "restrictions": (rv, wv),
-                }
-                break
-        if witness:
-            break
-    inst._interval = _condition("interval-restriction", checked, witness)
+    shifting down keeps them related.
+
+    For a class with least letter ``s`` and largest ``t`` the steps drop
+    ``t``; drop ``s`` and shift down by ``s``; and, when ``s >= 2``, shift
+    down by 1.  Every interval restriction is a sequence of these, each
+    chosen by the letter set of the class it reaches."""
+    if inst._interval is None:
+
+        def steps(rep: Word, w: Word) -> list:  # rep != w: rep has letters
+            s, t = min(rep), max(rep)
+            cuts = [(0, t - 1), (s, inst.alphabet)]
+            if s >= 2:
+                cuts.append((1, inst.alphabet))
+            return [_restriction(m, n) for m, n in cuts]
+
+        checked, failure = _closed_under(inst, steps)
+        witness = failure and dict(zip(("pair", "interval", "restrictions"), failure))
+        inst._interval = _condition("interval-restriction", checked, witness)
     return inst._interval
 
 
 def check_uniformly_algebraic(inst: RelationInstance) -> dict:
-    """Algebraic plus invariance under order-preserving letter injections."""
+    """Algebraic plus invariance under order-preserving letter injections.
+
+    For a class with largest letter ``t`` below the alphabet's, the steps
+    are the gap maps a -> a + [a >= k] of [t], for k = t, ..., 1: every
+    order-preserving injection is a sequence of them."""
     base = check_algebraic(inst)
-    witness = None
-    checked = 0
-    for rep, w in _observed_pairs(inst):
-        top = word_max(rep)
-        if word_max(w) != top:
-            witness = {"pair": (rep, w), "reason": "letter sets differ"}
-            break
-        for phi in _order_preserving_injections(top, inst.alphabet):
-            pv = tuple(phi[a] for a in rep)
-            pw = tuple(phi[a] for a in w)
-            checked += 1
-            if not inst.related(pv, pw):
-                witness = {"pair": (rep, w), "injection": phi, "images": (pv, pw)}
-                break
-        if witness:
-            break
+
+    @functools.cache
+    def gaps(top: int) -> list:  # none when no letter is free above ``top``
+        ks = range(top, 0, -1) if top < inst.alphabet else ()
+        phis = ({a: a + (a >= k) for a in range(1, top + 1)} for k in ks)
+        return [(phi, lambda x, phi=phi: tuple(map(phi.get, x))) for phi in phis]
+
+    pairs = _observed_pairs(inst)
+    mismatch = next(((v, w) for v, w in pairs if word_max(v) != word_max(w)), None)
+    if mismatch:
+        checked, witness = 0, {"pair": mismatch, "reason": "letter sets differ"}
+    else:
+        checked, failure = _closed_under(inst, lambda rep, w: gaps(word_max(rep)))
+        witness = failure and dict(zip(("pair", "injection", "images"), failure))
     injection_cond = _condition("order-preserving-injections", checked, witness)
-    status = "fail" if (base["status"] == "fail" or witness) else base["status"]
     return {
         "property": "uniformly-algebraic",
-        "status": status,
+        "status": _status(base, injection_cond),
         "conditions": base["conditions"] + [injection_cond],
         "bounds": base["bounds"],
     }
@@ -767,10 +753,9 @@ def check_p_algebraic(inst: RelationInstance, prime: int | None = None) -> dict:
 
     condition_a = _condition("destandardization-counts", checked, witness)
     condition_b = _interval_restriction(inst)
-    status = "fail" if (witness or condition_b["status"] == "fail") else "pass"
     return {
         "property": "p-algebraic",
-        "status": status,
+        "status": _status(condition_a, condition_b),
         "prime": prime,
         "conditions": [condition_a, condition_b],
         "bounds": {"alphabet": inst.alphabet, "max_len": inst.max_len},

@@ -27,9 +27,9 @@ import bisect
 import functools
 import itertools
 import operator
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .words import Word, shift, word_max
+from .words import Word, shift
 
 if TYPE_CHECKING:
     from .relations import RelationPresentation
@@ -45,51 +45,50 @@ def _alternating(a: int, b: int, length: int) -> Word:
     return tuple(a if i % 2 == 0 else b for i in range(length))
 
 
-def _order_preserving_injections(domain: int, alphabet: int) -> list[dict[int, int]]:
-    out = []
-    for image in itertools.combinations(range(1, alphabet + 1), domain):
-        out.append({i + 1: image[i] for i in range(domain)})
-    return out
-
-
 def _explicit_pairs(
-    pres: RelationPresentation, alphabet: int, limit: int
+    pres: RelationPresentation, letters: Sequence[int], limit: int
 ) -> set[tuple[Word, Word]]:
     pairs: set[tuple[Word, Word]] = set()
     for v, w in pres.generators:
         if max(len(v), len(w)) > limit:
             continue  # a side longer than every word never fires
         if pres.uniform:
-            top = word_max(v)
-            for phi in _order_preserving_injections(top, alphabet):
-                pairs.add((tuple(phi[a] for a in v), tuple(phi[a] for a in w)))
+            # the images under the order-preserving injections of [max(v)]:
+            # v's letters go in order to letters with no gap narrower, the
+            # gap below the least letter included
+            used = sorted(set(v))
+            gaps = [b - a for a, b in zip((0, *used), used)]
+            for image in itertools.combinations(letters, len(used)):
+                if all(q - p >= g for p, q, g in zip((0, *image), image, gaps)):
+                    phi = dict(zip(used, image)).get
+                    pairs.add((tuple(map(phi, v)), tuple(map(phi, w))))
         else:
             pairs.add((v, w))
         # close under down-shifts: a(v|m)b ~ a(w|m)b for 0 <= m < min(v)
         lo = min(v) if v else 1
         for k in range(1, lo):
             pairs.add((shift(v, -k), shift(w, -k)))
-    return {(v, w) for v, w in pairs if word_max(v) <= alphabet}
+    allowed = set(letters)
+    return {(v, w) for v, w in pairs if allowed.issuperset(v)}
 
 
 def _window_pairs(
-    pres: RelationPresentation, alphabet: int, limit: int
+    pres: RelationPresentation, letters: Sequence[int], limit: int
 ) -> Iterator[tuple[int, Word, Word]]:
     """``(where, v, w)`` for every generating pair ``v ~ w`` of the
-    presentation itself (not of its union members) on letters up to
-    ``alphabet``, explicit pairs only if both sides fit words of ``limit``
-    letters; the Coxeter kind's ``a ~ aa`` is not among them."""
-    letter_pairs = list(itertools.combinations(range(1, alphabet + 1), 2))
+    presentation itself (not of its union members) on the given letters,
+    explicit pairs only if both sides fit words of ``limit`` letters; the
+    Coxeter kind's ``a ~ aa`` is not among them."""
     if pres.coxeter is not None:
-        for a, b in letter_pairs:
+        for a, b in itertools.combinations(letters, 2):
             order = pres.coxeter.value(a, b)
             if order is not None:
                 yield _ANYWHERE, _alternating(a, b, order), _alternating(b, a, order)
     where = _ANYWHERE if pres.context_rewrites else _WHOLE
-    for v, w in _explicit_pairs(pres, alphabet, limit):
+    for v, w in _explicit_pairs(pres, letters, limit):
         yield where, v, w
     if pres.initial_swap:
-        for a, b in letter_pairs:
+        for a, b in itertools.combinations(letters, 2):
             yield _PREFIX, (a, b), (b, a)
 
 
@@ -101,14 +100,15 @@ def _parts(pres: RelationPresentation) -> Iterator[RelationPresentation]:
 
 
 def _rewrite_tables(
-    pres: RelationPresentation, alphabet: int, limit: int
+    pres: RelationPresentation, letters: Sequence[int], limit: int
 ) -> dict[tuple[int, int, int], dict[Word, set[Word]]]:
     """Every generating pair of every part that words of at most ``limit``
-    letters can use, read both ways, as a window rewrite ``a -> b``, in one
-    table per (where the window may sit, window length, length change)."""
+    letters, all among ``letters``, can use, read both ways, as a window
+    rewrite ``a -> b``, in one table per (where the window may sit, window
+    length, length change)."""
     groups: dict[tuple[int, int, int], dict[Word, set[Word]]] = {}
     for part in _parts(pres):
-        for where, v, w in _window_pairs(part, alphabet, limit):
+        for where, v, w in _window_pairs(part, letters, limit):
             for a, b in ((v, w), (w, v)):
                 table = groups.setdefault((where, len(a), len(b) - len(a)), {})
                 table.setdefault(a, set()).add(b)
@@ -191,10 +191,14 @@ def _fibers(reduced: Iterable[Word], bound: int) -> list[Word]:
 
 
 def compile_neighbors(
-    pres: RelationPresentation, alphabet: int, limit: int, one_way: bool = False
+    pres: RelationPresentation,
+    letters: Sequence[int],
+    limit: int,
+    one_way: bool = False,
 ) -> Callable[[Word], list[Word]]:
-    """Compile a presentation into a one-step rewrite generator: on words,
-    or, with ``a ~ aa`` (:func:`_has_runs`), on run-reduced words.
+    """Compile a presentation into a one-step rewrite generator: on words
+    over ``letters``, or, with ``a ~ aa`` (:func:`_has_runs`), on
+    run-reduced words over them.
 
     Each window rewrite ``a -> b`` of :func:`_rewrite_tables` fires at
     every occurrence of ``red(a)`` in the word ``r``, say ``r[j..j']``,
@@ -223,7 +227,7 @@ def compile_neighbors(
     extend = (0, 1) if runs and not one_way else (0,)
     # (where, len(red(a)), need) -> red(a) -> (α, red(b), window end - β, α + β)
     groups: dict[tuple[int, int, int], dict[Word, list]] = {}
-    for (where, piece, grow), table in _rewrite_tables(pres, alphabet, limit).items():
+    for (where, piece, grow), table in _rewrite_tables(pres, letters, limit).items():
         for a, bs in table.items():
             ra = red(a)
             if not ra:

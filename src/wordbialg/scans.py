@@ -166,7 +166,7 @@ class LevelFill:
             return
         self._trie = {}
         widths = set()
-        for table in _rewrite_tables(self.pres, length, length).values():
+        for table in _rewrite_tables(self.pres, range(1, length + 1), length).values():
             for u, vs in table.items():
                 node = self._trie
                 for x in u[:-1]:

@@ -85,13 +85,13 @@ def compile_coded_rewrites(pres: RelationPresentation, length: int) -> CodedRewr
     whole-word ones only when they span the word.  Packed words of
     ``length`` use letters up to ``length``."""
     check_codable(pres, length)
+    letters = range(1, length + 1)
     rewrites = [
         (where, a, bs)
-        for (where, _, _), table in _rewrite_tables(pres, length, length).items()
+        for (where, _, _), table in _rewrite_tables(pres, letters, length).items()
         for a, bs in table.items()
     ]
     top = max((len(a) for _, a, _ in rewrites), default=0)
-    letters = range(1, length + 1)
     windows = []
     for start in range(length):
         width = min(top, length - start)

@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -605,6 +606,49 @@ def test_classes_splits_by_content_for_builtins_only(tmp_path, capsys):
     assert closed["class_counts"] == named["class_counts"] == [1, 1, 3, 9, 33]
     assert commutation["bounds"]["headroom"] == 0
     assert commutation["class_counts"] == [1, 1, 2, 4, 8]
+
+
+def test_classes_closes_a_builtin_over_the_given_bounds(capsys):
+    # --alphabet or --headroom take the closure over those bounds, not the
+    # content-sliced scan, which holds neither
+    inst = relations.close(relations.builtin_relation("knuth"), 2, 4)
+    two_letters = [len(inst.packed_classes(n)) for n in range(5)]
+    assert two_letters == [1, 1, 3, 5, 8]
+    for flag, value, bounds, counts in (
+        ("--alphabet", "2", {"alphabet": 2, "max_len": 4, "headroom": 0}, two_letters),
+        ("--headroom", "1", {"alphabet": 4, "max_len": 4, "headroom": 1}, [1, 1, 3, 9, 33]),
+    ):
+        argv = ["classes", "--relation", "knuth", flag, value, "--max-len", "4"]
+        assert main([*argv, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["bounds"] == bounds and payload["class_counts"] == counts
+
+
+def _limit_address_space():
+    limit = 1_500_000_000
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("name", ["knuth", "hecke", "k-knuth", "exotic-knuth"])
+def test_class_of_far_apart_letters_compiles_only_the_seed_letters(name):
+    # the rewrites are compiled over the letters 1 and 100000 alone, not
+    # over every letter up to 100000, so the class answers in 1.5 GB
+    def psi(seed, **limits):
+        proc = subprocess.run(
+            [sys.executable, "-m", "wordbialg.cli", "psi", "--class-of", seed,
+             "--relation", name, "--format", "json"],
+            capture_output=True, text=True, timeout=60, **limits,
+        )
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        del payload["class_of"]
+        return payload
+
+    far = psi("1,100000", preexec_fn=_limit_address_space)
+    if name != "hecke":  # uniform relations see only the order of the letters
+        assert far == psi("12")
+    else:  # 1 and 100000 commute as 1 and 3 do
+        assert far == psi("13")
 
 
 def test_classify_builtins_script_matches_the_library():

@@ -112,7 +112,7 @@ def test_level_fill_refuses_lengths_past_its_bound():
 
 def test_windows_longer_than_the_bound_are_not_listed():
     knuth = builtin_relation("knuth")
-    assert _rewrite_tables(knuth, 100, 2) == {}
-    assert compile_neighbors(knuth, 100, 2)((2, 1)) == []
-    tables = _rewrite_tables(builtin_relation("exotic-knuth"), 5, 3)
+    assert _rewrite_tables(knuth, range(1, 101), 2) == {}
+    assert compile_neighbors(knuth, range(1, 101), 2)((2, 1)) == []
+    tables = _rewrite_tables(builtin_relation("exotic-knuth"), range(1, 6), 3)
     assert {piece for _, piece, _ in tables} == {3}

@@ -149,7 +149,7 @@ def _reference_neighbors(pres, alphabet, limit):
     each window rewrite ``a -> b`` of the presentation's tables at every
     occurrence of ``a`` its anchor allows, plus, with a Coxeter part,
     ``a ~ aa``.  The tables hold every generator, however long."""
-    tables = _rewrite_tables(pres, alphabet, math.inf)
+    tables = _rewrite_tables(pres, range(1, alphabet + 1), math.inf)
     runs = _has_runs(pres)
 
     def neighbors(w):
@@ -225,8 +225,8 @@ def test_compiled_neighbors_match_brute_force_windows(
     if weak:
         pres = weak_variant(pres)
     reference = _reference_neighbors(pres, alphabet, limit)
-    two_way = compile_neighbors(pres, alphabet, limit)
-    one_way = compile_neighbors(pres, alphabet, limit, True)
+    two_way = compile_neighbors(pres, range(1, alphabet + 1), limit)
+    one_way = compile_neighbors(pres, range(1, alphabet + 1), limit, True)
     for w in all_words(alphabet, limit):
         expected = set(reference(w))
         assert set(two_way(w)) == expected
@@ -286,6 +286,9 @@ def _shortlex(words):
 @example(CoxeterM(None), [((1, 2), (2, 1))], False, False, False, 2, 2)
 @example(CoxeterM(None), [], False, True, True, 2, 2)
 @example(CoxeterM(2), [((), ()), ((1, 2), (2, 1, 1))], False, True, False, 2, 2)
+# a BFS from 13 compiles over the letters 1 and 3 alone, which still hold
+# the uniform pair 13 ~ 31 itself, though no injection of [3] fits in them
+@example(CoxeterM(None), [((1, 3), (3, 1))], True, False, False, 3, 0)
 @given(
     _coxeter_m(3),
     st.lists(st.one_of(_letter_set_pairs(3), st.just(((), ()))), max_size=2),
@@ -645,15 +648,6 @@ def test_concatenation_congruence_runs_once_per_instance():
     )
 
 
-def test_congruence_samples_past_the_cap(monkeypatch):
-    # past SAMPLE_CAP checks, condition (a) runs on a seeded sample, which
-    # is evidence only
-    monkeypatch.setattr(relations, "SAMPLE_CAP", 10)
-    cond = check_algebraic(close(builtin_relation("knuth"), 3, 5))["conditions"][0]
-    assert cond["status"] == "bounded-evidence"
-    assert cond["checked"] <= 10
-
-
 def test_whole_word_relation_fails_algebraic():
     pres = explicit_relation(
         "whole-word", [((1, 2, 3), (3, 2, 1))], context_rewrites=False
@@ -666,24 +660,57 @@ def test_whole_word_relation_fails_algebraic():
     assert interval_cond["status"] == "fail"
 
 
+def _observed_pairs(inst):
+    """Each reported-slice member paired with its class's first member."""
+    for members in inst.iter_classes():
+        for w in members[1:]:
+            yield members[0], w
+
+
 def _congruence_over_all_contexts(inst):
     """Condition (a) by the plain double loop over every pair and context."""
     contexts = [u for u in inst.words if len(u) <= inst.max_len]
     checked = 0
-    for members in inst.iter_classes():
-        rep = members[0]
-        for w in members[1:]:
-            for u in contexts:
-                for left, right in ((rep + u, w + u), (u + rep, u + w)):
-                    if max(len(left), len(right)) > inst.max_len:
-                        continue
-                    checked += 1
-                    if not inst.related(left, right):
-                        return checked, {"pair": (rep, w), "context": u}
+    for rep, w in _observed_pairs(inst):
+        for u in contexts:
+            for left, right in ((rep + u, w + u), (u + rep, u + w)):
+                if max(len(left), len(right)) > inst.max_len:
+                    continue
+                checked += 1
+                if not inst.related(left, right):
+                    return checked, {"pair": (rep, w), "context": u}
     return checked, None
 
 
+def _restriction_over_every_interval(inst):
+    """Condition (b) by the plain loop over every pair and letter interval:
+    the first failing pair and interval {m+1, ..., n}, or None."""
+    for rep, w in _observed_pairs(inst):
+        for m in range(inst.alphabet + 1):
+            for n in range(m, inst.alphabet + 1):
+                rv, wv = (tuple(a - m for a in x if m < a <= n) for x in (rep, w))
+                if not inst.related(rv, wv):
+                    return (rep, w), (m + 1, n)
+    return None
+
+
+def _invariance_over_all_injections(inst):
+    """The uniform condition by the plain loop over every pair and every
+    order-preserving injection of [max(rep)] into the alphabet: the first
+    failing pair and injection's images, or None."""
+    for rep, w in _observed_pairs(inst):
+        top = max(rep, default=0)
+        if max(w, default=0) != top:
+            return (rep, w), None
+        for image in itertools.combinations(range(1, inst.alphabet + 1), top):
+            rv, wv = (tuple(image[a - 1] for a in x) for x in (rep, w))
+            if not inst.related(rv, wv):
+                return (rep, w), (rv, wv)
+    return None
+
+
 def test_congruence_skips_only_contexts_that_cannot_fit():
+    # one-letter contexts decide condition (a) as every context that fits does
     whole_word = explicit_relation(
         "whole-word", [((1, 2, 3), (3, 2, 1))], context_rewrites=False
     )
@@ -692,11 +719,60 @@ def test_congruence_skips_only_contexts_that_cannot_fit():
         close(builtin_relation("k-knuth"), 2, 5),
         close(whole_word, 3, 4, headroom=0),
     ]
+    statuses = []
     for inst in cases:
         cond = check_algebraic(inst)["conditions"][0]
-        checked, witness = _congruence_over_all_contexts(inst)
-        assert cond["checked"] == checked
-        assert cond.get("witness") == witness
+        _, witness = _congruence_over_all_contexts(inst)
+        assert cond["status"] == ("fail" if witness else "pass")
+        statuses.append(cond["status"])
+        if witness:
+            u = cond["witness"]["context"]
+            assert len(u) == 1 and cond["witness"]["pair"] in _observed_pairs(inst)
+    assert statuses == ["pass", "pass", "fail"]
+
+
+@settings(max_examples=150, deadline=None)
+# fails (a) and (b): a whole-word pair
+@example(None, [((1, 2, 3), (3, 2, 1))], False, False, False, 3, 4)
+# passes both, fails the injections: 12 ~ 21 alone
+@example(None, [((1, 2), (2, 1))], False, True, False, 3, 3)
+# a pair that is not packed: 13 ~ 31 and its images under injections of [3]
+@example(None, [((1, 3), (3, 1))], True, True, False, 4, 3)
+@example(CoxeterM(3), [((1, 2), (2, 1, 2))], False, True, True, 4, 3)
+# each fails the whole family through one kind of step only: shifting 23 ~ 32
+# down by 1; an injection through a gap below the largest letter; dropping
+# the largest letter of a whole-word pair
+@example(None, [((1, 1), (1, 1, 1)), ((2, 3), (3, 2))], True, True, False, 4, 2)
+@example(CoxeterM(3), [((1, 2), (2, 1))], False, True, True, 4, 4)
+@example(None, [((1, 1, 2), (1, 2))], True, False, False, 2, 3)
+@given(
+    st.none() | _coxeter_m(3),
+    st.lists(_letter_set_pairs(3), max_size=3),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.integers(2, 4),
+    st.integers(1, 4),
+)
+def test_closure_conditions_match_their_whole_families(
+    m, pairs, uniform, in_context, weak, alphabet, max_len
+):
+    # each condition checked on its generating steps reads as it does on
+    # every context, every letter interval and every injection
+    pres = explicit_relation("random", pairs, uniform, in_context)
+    if m is not None:
+        pres = relations.RelationPresentation(
+            "random", union_of=(coxeter_relation(m), pres)
+        )
+    if weak:
+        pres = weak_variant(pres)
+    inst = close(pres, alphabet, max_len)
+    report = check_uniformly_algebraic(inst)
+    congruence, interval, injections = (c["status"] for c in report["conditions"])
+    assert congruence == ("fail" if _congruence_over_all_contexts(inst)[1] else "pass")
+    assert interval == ("fail" if _restriction_over_every_interval(inst) else "pass")
+    assert injections == ("fail" if _invariance_over_all_injections(inst) else "pass")
+    assert report["status"] == ("pass" if {congruence, interval, injections} == {"pass"} else "fail")
 
 
 def test_trivial_relation_passes():
@@ -1038,8 +1114,8 @@ def test_weak_variant_is_an_initial_swap():
     weak = weak_variant(base)
     assert weak.union_of == (base,) and weak.initial_swap
     assert weak.homogeneous and weak.content_preserving
-    neighbors = compile_neighbors(weak, 3, 4)
-    base_neighbors = compile_neighbors(base, 3, 4)
+    neighbors = compile_neighbors(weak, range(1, 4), 4)
+    base_neighbors = compile_neighbors(base, range(1, 4), 4)
     for w in all_words(3, 4):
         swap = {(w[1], w[0]) + w[2:]} if len(w) >= 2 and w[0] != w[1] else set()
         assert set(neighbors(w)) == set(base_neighbors(w)) | swap
@@ -1049,13 +1125,15 @@ def test_window_anchors_and_length_limit():
     # a whole-word rewrite fires on the whole word only, an initial swap at
     # the start only, and no rewrite makes a word longer than the limit
     whole = explicit_relation("whole", [((1, 2, 3), (3, 2, 1))], context_rewrites=False)
-    neighbors = compile_neighbors(whole, 3, 4)
+    neighbors = compile_neighbors(whole, range(1, 4), 4)
     assert neighbors((1, 2, 3)) == [(3, 2, 1)]
     assert neighbors((1, 2, 3, 1)) == neighbors((2, 1, 2, 3)) == []
-    swap = compile_neighbors(weak_variant(explicit_relation("equality", [])), 3, 4)
+    swap = compile_neighbors(
+        weak_variant(explicit_relation("equality", [])), range(1, 4), 4
+    )
     assert swap((2, 1, 3)) == [(1, 2, 3)] and swap((1, 1, 3, 2)) == []
     inflate = explicit_relation("inflate", [((1,), (1, 1))])
-    assert compile_neighbors(inflate, 1, 2)((1, 1)) == [(1,)]
+    assert compile_neighbors(inflate, range(1, 2), 2)((1, 1)) == [(1,)]
     assert bfs_class(inflate, (1,), 3) == ((1,), (1, 1), (1, 1, 1))
 
 
