@@ -267,7 +267,14 @@ def cmd_classes(args) -> int:
             per_length.append(
                 {"length": n, "packed_words": words, "classes": classes}
             )
-    else:
+    else:  # one closure in one process, which keeps no cache
+        if args.jobs != 1 or args.cache_dir is not None:
+            flag = "--jobs" if args.jobs != 1 else "--cache-dir"
+            raise Refusal(
+                f"wordbialg: error: classes {flag} needs a built-in relation "
+                "split by content, without --alphabet or --headroom",
+                EXIT_USAGE,
+            )
         alphabet = args.max_len if args.alphabet is None else args.alphabet
         inst = relations.close(
             pres, alphabet, args.max_len, args.headroom, cap=args.cap

@@ -7,11 +7,11 @@ content order, so output is deterministic for any worker count.  A
 content's result is one row, the unit a resumable run caches and resumes.
 A content's classes come from the classes one length down
 (:class:`LevelFill`), and a class comes as its histogram of a character's
-statistic, which the characters kernel expands by cut mask
-(:func:`characters.image_of_histogram`).  Symmetry is constancy on sorting
-fibers; Schur and Schur-Q positivity come from the exact triangular solve
-in :mod:`qsym`.  Classes share few histograms (152 among the 6,465 exotic
-classes of length 8), so the verdict is memoised on the histogram.
+statistic, lane-packed in one int, which the characters kernel expands by
+cut mask (:func:`characters.image_of_histogram`).  Symmetry is constancy
+on sorting fibers; Schur and Schur-Q positivity come from the exact
+triangular solve in :mod:`qsym`.  Classes share few histograms (152 among
+the 6,465 exotic classes of length 8), so the verdict is memoised on them.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import copy
 import functools
 import os
 from array import array
-from collections import Counter
 from math import comb, factorial
 from typing import Iterator, NamedTuple
 
@@ -103,6 +102,12 @@ def _comparison_code(w: Word) -> int:
     return code
 
 
+def _lane_width(length: int) -> int:
+    """The bits of one lane of a histogram of words of ``length`` letters:
+    a packed content has at most ``length!`` words, so no lane carries."""
+    return factorial(length).bit_length()
+
+
 def _code_word(code: int, length: int) -> Word:
     """A word of integers whose comparison code is ``code``."""
     w = [0] * length
@@ -113,12 +118,12 @@ def _code_word(code: int, length: int) -> Word:
 
 
 class ContentClass(NamedTuple):
-    """A class: its least word, its size (also its ``len``) and, from a fill
-    with codes, its words per comparison code or per ``key[code]``."""
+    """A class: its least word, its size (also its ``len``) and, from a
+    keyed fill, its words with ``key[code] = i`` counted in lane ``i``."""
 
     least: Word
     size: int
-    hist: Counter | None
+    hist: int | None = None
 
     def __len__(self) -> int:
         return self.size
@@ -146,13 +151,16 @@ class LevelFill:
     onto those beginning with ``v``: the two ranges of tail labels, zipped,
     give the blocks it joins.  Their offsets are running sums of
     multinomials on a walk of the trie of windows.  Below the narrowest
-    window every word is a class, and those levels are listed."""
+    window every word is a class, and those levels are listed.  The code
+    of ``a t`` is the digit of ``a`` against the first letter ``b`` of ``t``
+    and the code of ``t``, so a keyed view (:meth:`keyed`) sums a block's
+    histogram from its tails', ``b`` by ``b``, visiting no word of its own."""
 
     def __init__(self, pres: RelationPresentation, codes: bool):
         check_level_fill(pres, 0)
         self.pres = pres
         self.codes = codes
-        self.key = None  # the histogram key of each code (None: the code)
+        self.key = None  # the histogram lane of each code (None: no histograms)
         self.length = 0
         self.levels: dict[Composition, _Level] = {}
         self._trie: dict = {}  # letter -> [subtrie, moves of the window]
@@ -180,35 +188,57 @@ class LevelFill:
                 self.levels[content] = self._level(content)
         self.length = length
 
-    def keyed(self, key) -> LevelFill:
-        """This fill, levels shared, with histograms keyed by ``key[code]``."""
+    def keyed(self, key, length: int) -> LevelFill:
+        """This fill, levels shared, giving each class of ``length`` letters
+        its histogram keyed by ``key[code]``, from the tails' histograms built
+        here for every content one length down (:meth:`_hists_of_tails`)."""
         view = copy.copy(self)
-        view.key = key
+        view.key, view.key_length, view.width = key, length, _lane_width(length)
+        view.span = view.width * (max(key) + 1)  # the bits of one histogram
+        lead = 3 ** (length - 2) if length > 1 else 0
+        view._digits = [  # per code of a tail, its word's histogram per digit
+            sum(1 << d * view.span + view.width * key[d * lead + code] for d in range(3))
+            for code in range(lead)
+        ]
+        view._tail_hists = {
+            c: view._hists_of_tails(c) for c in self.levels if sum(c) == length - 1
+        }
         return view
 
     def classes(self, content: Composition) -> Iterator[ContentClass]:
-        """The classes of one packed content of at most ``length`` letters,
-        in the order of their least words."""
-        if sum(content) > self.length:
-            raise ValueError(f"content {content} is longer than {self.length}")
-        level = self.levels.get(content)
-        if level is None and sum(content) < self._narrowest:
-            level = self._level(content)
-        if level is None:  # a content one length up: its words range by range
-            tails, label, least, sizes = self._join(content)
-            ranges = self._ranges(content, tails, label) if self.codes else ()
-        else:
-            least, sizes, ranges = level.least, level.sizes, [(level.labels, level.codes)]
-        hists = [None] * len(least)
-        if self.codes:
-            pairs: Counter = Counter()  # (class, key) -> words
-            for labels, codes in ranges:
-                keys = codes if self.key is None else map(self.key.__getitem__, codes)
-                pairs.update(zip(labels, keys))
-            hists = [Counter() for _ in least]
-            for (k, x), count in pairs.items():
-                hists[k][x] = count
+        """The classes of one packed content of at most ``length`` letters
+        (of the keyed length when keyed), in the order of their least words."""
+        n = sum(content)
+        if n > self.length or self.key is not None and n != self.key_length:
+            raise ValueError(f"the fill does not serve content {content}")
+        if n < 2:  # one word, with code 0
+            hist = None if self.key is None else 1 << self.width * self.key[0]
+            return iter([ContentClass((1,) * n, 1, hist)])
+        tails, label, least, sizes = self._join(content)
+        if self.key is None:
+            return map(ContentClass, least, sizes)
+        hists, span, mask = [0] * len(least), self.span, (1 << self.span) - 1
+        for a, tail, level, letters, base in tails:
+            # digit 2 for the tails' letters below a, 1 for a repeated a, else 0
+            k, rises, rows = len(tail), a - (letters is not None), self._tail_hists[tail]
+            for t, c in enumerate(label[base : base + len(level.least)]):
+                row = rows[t * k : t * k + k]
+                hists[c] += (sum(row[: a - 1]) >> 2 * span) + (sum(row[rises:]) & mask)
+                hists[c] += sum(row[a - 1 : rises]) >> span & mask
         return map(ContentClass, least, sizes, hists)
+
+    def _hists_of_tails(self, content: Composition) -> list[int]:
+        """At ``k class + b - 1`` for a content of ``k`` letters, the words
+        ``a t`` for ``t`` in the class beginning with ``b``: their histogram
+        per digit of ``a`` against ``b``, digit ``d`` from bit ``d span``."""
+        level, k, m = self.levels[content], len(content), sum(content)
+        hists, start, total = [0] * (k * len(level.least)), 0, _multinomial(content)
+        for b, r in enumerate(content, 1):  # the tails beginning with b
+            end = start + total * r // m
+            for t, code in zip(level.labels[start:end], level.codes[start:end]):
+                hists[k * t + b - 1] += self._digits[code]
+            start = end
+        return hists
 
     def _level(self, content: Composition) -> _Level:
         """The level of one packed content."""
@@ -228,18 +258,18 @@ class LevelFill:
 
     def _join(self, content: Composition) -> tuple[list, list, list, list]:
         """``(tails, class of each block, least word and size of each
-        class)``; ``tails`` holds per first letter its tails' level, their
-        letters as the content's (None: the same) and their first block."""
+        class)``; ``tails`` holds per first letter its tails' content, level,
+        letters as the content's (None: the same) and first block."""
         tails, blocks = [], 0
         for a, count in enumerate(content, 1):
             tail = content[: a - 1] + (count - 1,) * (count > 1) + content[a:]
             letters = None if count > 1 else (0, *range(1, a), *range(a + 1, len(content) + 1))
-            tails.append((a, self.levels[tail], letters, blocks))
-            blocks += len(tails[-1][1].least)
+            tails.append((a, tail, self.levels[tail], letters, blocks))
+            blocks += len(tails[-1][2].least)
         parent = list(range(blocks))
         for a, i, b, j, size in self._start_moves(content):
-            _, left, _, base_a = tails[a - 1]
-            _, right, _, base_b = tails[b - 1]
+            _, _, left, _, base_a = tails[a - 1]
+            _, _, right, _, base_b = tails[b - 1]
             for x, y in set(zip(left.labels[i : i + size], right.labels[j : j + size])):
                 x, y = _find(parent, base_a + x), _find(parent, base_b + y)
                 if x != y:  # a class's root is its least block
@@ -248,7 +278,7 @@ class LevelFill:
         label: list[int] = []
         least: list[Word] = []
         sizes: list[int] = []
-        for a, level, letters, base in tails:
+        for a, _, level, letters, base in tails:
             for t, (w, size) in enumerate(zip(level.least, level.sizes), base):
                 root = _find(parent, t)
                 if root == t:
@@ -266,7 +296,7 @@ class LevelFill:
         whose comparison digit with ``a`` leads the tails' codes."""
         n = sum(content)
         total = _multinomial(content)
-        for a, level, _, base in tails:
+        for a, _, level, _, base in tails:
             own = label[base : base + len(level.least)].__getitem__
             if not self.codes:
                 yield map(own, level.labels), None
@@ -324,9 +354,9 @@ class ScanTables:
     positivity of class images in one basis or several.
 
     A class comes as its words per statistic of the character (from a fill
-    keyed by ``statistics``, the statistic of each comparison code).  The
-    verdict depends only on that histogram, so it is memoised on the sorted
-    histogram: the expansion and the solve run once per histogram."""
+    keyed by ``lanes``, the lane of each comparison code's statistic).  The
+    verdict depends only on that histogram, so it is memoised on its int:
+    the decode, the expansion and the solve run once per histogram."""
 
     def __init__(self, length: int, character, bases: tuple[str, ...]):
         self.bases = tuple(bases)
@@ -344,19 +374,22 @@ class ScanTables:
             lam: next(m for m in masks if comps[m] == lam)
             for lam, masks in self.fibers.items()
         }
-        codes = range(3 ** max(length - 1, 0))  # the statistic of each code
-        self.statistics = [_statistic(_code_word(c, length), character) for c in codes]
-        self._memo: dict[tuple, tuple[bool, dict]] = {}  # histogram -> verdict
+        codes = range(3 ** max(length - 1, 0))
+        statistics = [_statistic(_code_word(c, length), character) for c in codes]
+        self._values = list(dict.fromkeys(statistics))  # the statistic of each lane
+        self.lanes = list(map({v: i for i, v in enumerate(self._values)}.get, statistics))
+        self._memo: dict[int, tuple[bool, dict]] = {}  # histogram -> verdict
 
     def class_verdict(self, members: ContentClass) -> dict:
         """Decide symmetry plus positivity in each basis of one class's
         image; an image outside a basis span is not positive there.
         ``positive`` maps each basis to its verdict."""
-        key = tuple(sorted(members.hist.items()))
-        decided = self._memo.get(key)
+        decided = self._memo.get(members.hist)
         if decided is None:
-            coeffs = image_of_histogram(key, self.character, self.length)
-            decided = self._memo[key] = self._decide(coeffs)
+            width, lanes = _lane_width(self.length), enumerate(self._values)
+            counts = [(v, members.hist >> width * i & (1 << width) - 1) for i, v in lanes]
+            coeffs = image_of_histogram([vc for vc in counts if vc[1]], self.character, self.length)
+            decided = self._memo[members.hist] = self._decide(coeffs)
         symmetric, positive = decided
         return dict(size=members.size, symmetric=symmetric, positive=dict(positive))
 
@@ -399,7 +432,7 @@ def _init_worker(builtin_name: str, length: int, scan_args) -> None:
     if scan_args:
         character, bases, detail = scan_args
         tables = ScanTables(length, character, bases)
-        fill = fill.keyed(tables.statistics)
+        fill = fill.keyed(tables.lanes, length)
     else:
         tables, detail = None, False
     _WORKER.update(fill=fill, tables=tables, detail=detail)

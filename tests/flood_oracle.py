@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from wordbialg.relations import RelationPresentation
 from wordbialg.rewrite import _ANYWHERE, _WHOLE, _rewrite_tables
-from wordbialg.scans import ContentClass, _comparison_code
+from wordbialg.scans import ContentClass, _comparison_code, _lane_width
 from wordbialg.words import Word, multiset_permutations
 
 LANE = 5  # bits per letter: four value bits under one guard bit
@@ -139,12 +138,14 @@ def flood_components(content, rewrites: CodedRewrites) -> Iterator[list[int]]:
 
 def word_class(members: Iterable[Word], key=None) -> ContentClass:
     """The class of the given words as the level fill yields it: least word,
-    size and words per comparison code, or per ``key[code]``."""
+    size and, with ``key``, its histogram, a one per word in lane
+    ``key[code]`` of :func:`wordbialg.scans._lane_width` bits."""
     members = list(map(tuple, members))
-    codes = map(_comparison_code, members)
+    hist = None
     if key is not None:
-        codes = map(key.__getitem__, codes)
-    return ContentClass(min(members), len(members), Counter(codes))
+        width = _lane_width(len(members[0]))
+        hist = sum(1 << width * key[_comparison_code(w)] for w in members)
+    return ContentClass(min(members), len(members), hist)
 
 
 def flood_classes(content, fill) -> Iterator[ContentClass]:

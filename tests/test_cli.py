@@ -239,6 +239,9 @@ def test_psi_requires_input():
         ["conjectures", "--which", "exotic-sym", "--relation", "knuth"],
         ["check", "--relation", "knuth", "--jobs", "2"],
         ["psi", "--word", "312", "--cache-dir", "x"],
+        # the closure path runs in one process and keeps no cache
+        ["classes", "--relation", "knuth", "--alphabet", "3", "--jobs", "2"],
+        ["classes", "--relation", "hecke", "--max-len", "3", "--jobs", "2"],
     ],
 )
 def test_input_errors_exit_with_the_usage_code(argv):
@@ -246,6 +249,23 @@ def test_input_errors_exit_with_the_usage_code(argv):
     assert proc.returncode == cli.EXIT_USAGE == 4
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1 and not proc.stdout
+
+
+def test_classes_closure_path_refuses_jobs_and_cache_dir(tmp_path):
+    cache = tmp_path / "X"
+    proc = run_cli(
+        "classes", "--relation", "knuth", "--alphabet", "3", "--max-len", "4",
+        "--cache-dir", str(cache), "--jobs", "2",
+    )
+    assert proc.returncode == cli.EXIT_USAGE
+    assert "--jobs" in proc.stderr and len(proc.stderr.strip().splitlines()) == 1
+    assert not cache.exists()
+    proc = run_cli(
+        "classes", "--relation", "knuth", "--headroom", "1", "--max-len", "4",
+        "--cache-dir", str(cache),
+    )
+    assert proc.returncode == cli.EXIT_USAGE and "--cache-dir" in proc.stderr
+    assert not cache.exists()
 
 
 @pytest.mark.parametrize(

@@ -263,7 +263,7 @@ def test_class_verdict_matches_generic_path(data, relation):
     for char in ALL_CHARACTERS:
         for basis in ("s", "Q"):
             tables = scans.ScanTables(n, char, (basis,))
-            verdict = tables.class_verdict(word_class(members, tables.statistics))
+            verdict = tables.class_verdict(word_class(members, tables.lanes))
             verdict["positive"] = verdict["positive"][basis]
             assert verdict == _generic_verdict(members, char, basis, n), (char, basis)
 
@@ -361,7 +361,7 @@ def test_scan_over_two_bases_bins_each_class_once(monkeypatch):
         )
         for basis in ("s", "Q"):
             tables = scans.ScanTables(5, peak, (basis,))
-            single = tables.class_verdict(word_class(members, tables.statistics))
+            single = tables.class_verdict(word_class(members, tables.lanes))
             assert single["positive"] == {basis: row["positive"][basis]}
             assert single["symmetric"] == row["symmetric"]
     # one expansion per distinct peak-mask histogram, for both bases at once
@@ -400,7 +400,7 @@ def test_shared_tables_memo_matches_generic_path(data, relation, rng):
             tables = scans.ScanTables(n, char, bases)
             for members in feed:
                 verdict = tables.class_verdict(
-                    word_class(members, tables.statistics)
+                    word_class(members, tables.lanes)
                 )
                 assert verdict == {
                     **generic[members, "s"],
