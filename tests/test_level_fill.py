@@ -1,12 +1,7 @@
 """The level fill against the per-word flood fill of ``flood_oracle``."""
 
-import json
-import os
-import subprocess
-import sys
 from collections import Counter
 from math import factorial
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -174,22 +169,16 @@ def test_keyed_fill_at_lengths_0_and_1_and_below_every_window(relation):
         list(view.classes((1,) * (narrowest - 1)))
 
 
-def test_scan_below_a_grown_fill_matches_a_fresh_process():
+def test_scan_below_a_grown_fill_matches_a_fresh_fill():
     # the shared fill grown to 7, then a scan at 6 reads levels that exist
     scans._level_fill.cache_clear()
     positivity_scan_homogeneous("exotic-knuth", 7, PEAK, ("s", "Q"), detail=True)
     assert scans._level_fill("exotic-knuth", True).length == 7
     report = positivity_scan_homogeneous("exotic-knuth", 6, PEAK, ("s", "Q"), detail=True)
-    src = str(Path(scans.__file__).resolve().parents[1])
-    code = (
-        "import json; from wordbialg.scans import positivity_scan_homogeneous as scan; "
-        "print(json.dumps(scan('exotic-knuth', 6, ('gt', 'le'), ('s', 'Q'), detail=True)))"
-    )
-    fresh = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, check=True,
-    )
-    assert json.loads(fresh.stdout) == json.loads(json.dumps(report))
+    scans._level_fill.cache_clear()
+    fresh = positivity_scan_homogeneous("exotic-knuth", 6, PEAK, ("s", "Q"), detail=True)
+    assert scans._level_fill("exotic-knuth", True).length == 6
+    assert report == fresh
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -223,7 +212,10 @@ def test_level_fill_matches_the_flood_fill_on_uniform_presentations(pairs):
         n: {c: _oracle_classes(pres, c, _identity(n)) for c in compositions(n)}
         for n in range(6)
     }
-    _check_lengths(LevelFill(pres, codes=True), oracle, pairs)
+    fill = LevelFill(pres, codes=True)
+    _check_lengths(fill, oracle, pairs)  # each length one above the levels
+    fill.grow(6)
+    _check_lengths(fill, oracle, pairs)  # each length below a grown fill
 
 
 @pytest.mark.parametrize(
