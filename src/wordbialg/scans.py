@@ -2,9 +2,9 @@
 
 Homogeneous, content-preserving relations (Knuth, exotic Knuth,
 commutation) never mix letter multisets, so their packed classes split by
-content.  Workers handle whole contents and the parent merges in sorted
-content order, so output is deterministic for any worker count.  A
-content's result is one row, the unit a resumable run caches and resumes.
+content.  The parent and ``jobs - 1`` forked children each run every
+``jobs``-th content; the reports sort the rows, the same for any ``jobs``.
+A content's result is one row, the unit a resumable run caches and resumes.
 A content's classes come from the classes one length down
 (:class:`LevelFill`), and a class comes as its histogram of a character's
 statistic, lane-packed in one int, which the characters kernel expands by
@@ -19,13 +19,16 @@ from __future__ import annotations
 import contextlib
 import copy
 import functools
+import marshal
 import os
+import queue
+import threading
 from array import array
 from math import comb, factorial
 from typing import Iterator, NamedTuple
 
 from .characters import _statistic, format_character, image_of_histogram
-from .qsym import _compositions_of, _triangular_solve
+from .qsym import _compositions_of, _in_m, _triangular_solve
 from .relations import (
     DEFAULT_CAP,
     RelationPresentation,
@@ -47,7 +50,9 @@ from .words import (
     compositions,
     format_word,
     is_packed,
+    is_strict_partition,
     multiset_permutations,
+    partitions,
 )
 
 MAX_LENGTH = 15  # longer packed words number over 10^13: refused outright
@@ -379,6 +384,9 @@ class ScanTables:
         self._values = list(dict.fromkeys(statistics))  # the statistic of each lane
         self.lanes = list(map({v: i for i, v in enumerate(self._values)}.get, statistics))
         self._memo: dict[int, tuple[bool, dict]] = {}  # histogram -> verdict
+        for lam in partitions(length):  # the solve's tables, warm before a fork
+            for b in (b for b in self.bases if b == "s" or is_strict_partition(lam)):
+                _in_m(lam, b)
 
     def class_verdict(self, members: ContentClass) -> dict:
         """Decide symmetry plus positivity in each basis of one class's
@@ -388,6 +396,8 @@ class ScanTables:
         if decided is None:
             width, lanes = _lane_width(self.length), enumerate(self._values)
             counts = [(v, members.hist >> width * i & (1 << width) - 1) for i, v in lanes]
+            if sum(c for _, c in counts) != members.size:  # a lane carried
+                raise ValueError(f"a class of {members.size} words overflows its histogram")
             coeffs = image_of_histogram([vc for vc in counts if vc[1]], self.character, self.length)
             decided = self._memo[members.hist] = self._decide(coeffs)
         symmetric, positive = decided
@@ -412,21 +422,21 @@ class ScanTables:
         return symmetric, positive
 
 
-# --- multiprocessing workers ------------------------------------------------
+# --- the scan's processes ---------------------------------------------------
 
 _WORKER: dict = {}
 
 
 @functools.lru_cache(maxsize=1)
 def _level_fill(builtin_name: str, codes: bool) -> LevelFill:
-    """One level fill kept at a time: a later length grows it, and pool
-    workers forked after it grew share it."""
+    """One level fill kept at a time: a later length grows it, and children
+    forked after it grew share it."""
     return LevelFill(builtin_relation(builtin_name), codes)
 
 
 def _init_worker(builtin_name: str, length: int, scan_args) -> None:
     """Set ``_WORKER`` up for the tasks of one length, in this process:
-    pool workers forked afterwards inherit it."""
+    children forked afterwards inherit it."""
     fill = _level_fill(builtin_name, scan_args is not None)
     fill.grow(length)
     if scan_args:
@@ -463,25 +473,50 @@ def _usable_cpus() -> int:
 
 
 def _worker_count(jobs: int, tasks: int) -> int:
-    """Pool size for ``tasks`` contents: never more workers than requested,
-    than usable CPUs, or than contents to hand out, and at least one."""
+    """Processes for ``tasks`` contents, the parent included: never more
+    than requested, than usable CPUs, or than contents, and at least one."""
     return max(1, min(jobs, _usable_cpus(), tasks))
 
 
-def _pool(jobs: int):
-    """A fork pool of ``jobs`` workers, which inherit ``_WORKER`` as set."""
-    import multiprocessing  # only pooled scans pay for importing it
+def _fork(task, contents: list[Composition]) -> tuple[int, int]:
+    """``(pid, read end)`` of a forked child that marshals ``task(content)``
+    down a pipe per content as it is made, or else its exception, pickled."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, read
+    try:  # the child never returns into the parent's frames
+        with open(write, "wb") as pipe:
+            try:
+                for content in contents:
+                    marshal.dump(task(content), pipe)
+                    pipe.flush()
+            except BaseException as err:  # the parent raises it again
+                import pickle  # only a failing scan pays for importing it
+                marshal.dump(pickle.dumps(err), pipe)
+        os._exit(0)
+    finally:  # reached only if the exception could not be sent
+        os._exit(1)
 
-    return multiprocessing.get_context("fork").Pool(jobs)
+
+def _relay(pid: int, read: int, inbox: queue.SimpleQueue) -> None:
+    """Put ``(pid, message)`` on ``inbox`` per message of the pipe, then ``(pid, None)``."""
+    with open(read, "rb") as pipe, contextlib.suppress(EOFError, ValueError):
+        while True:  # to the end, or to a message cut off by a kill
+            inbox.put((pid, marshal.load(pipe)))
+    inbox.put((pid, None))
 
 
 def _rows(
     builtin_name: str, length: int, scan_args, task, jobs: int, cache
 ) -> Iterator[dict]:
     """The row of every packed content of the length: first the rows that
-    ``cache.done`` holds, then ``task(content)``'s for the other contents,
-    computed in one process or on a clamped fork pool and each recorded
-    with ``cache.record`` as it comes (:func:`check_level_fill` first)."""
+    ``cache.done`` holds, then ``task(content)``'s for the others, each
+    recorded with ``cache.record`` as it comes (:func:`check_level_fill`
+    first).  The parent runs every ``jobs``-th content and ``jobs - 1``
+    forked children the rest; a child's exception, or its death, is raised
+    here, and every child is reaped however the caller stops."""
     check_level_fill(builtin_relation(builtin_name), length)
     done = {} if cache is None else cache.done
     yield from done.values()
@@ -489,18 +524,43 @@ def _rows(
     if not contents:
         return
     jobs = _worker_count(jobs, len(contents))
-    # the levels grow here, once, and forked workers share them
+    # the levels and tables grow here, once, and forked children share them
     _init_worker(builtin_name, length, scan_args)
-    with contextlib.ExitStack() as stack:
-        if jobs == 1:
-            fresh = map(task, contents)
-        else:
-            pool = stack.enter_context(_pool(jobs))
-            fresh = pool.imap_unordered(task, contents)
-        for content, row in fresh:
+    own, inbox = contents[::jobs], queue.SimpleQueue()
+    children: dict[int, threading.Thread] = {}  # pid -> its relay, until reaped
+    try:
+        for k in range(1, jobs):
+            pid, read = _fork(task, contents[k::jobs])
+            children[pid] = threading.Thread(target=_relay, args=(pid, read, inbox), daemon=True)
+        for relay in children.values():  # after the forks: a fork copies no thread
+            relay.start()
+        while own or children:
+            if own and inbox.empty():
+                content, row = task(own.pop(0))
+            else:
+                pid, message = inbox.get()
+                if isinstance(message, bytes):
+                    import pickle
+                    raise pickle.loads(message)
+                if message is None:  # the pipe closed: the child has ended
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    children.pop(pid).join()
+                    if code:
+                        how = f"killed by signal {-code}" if code < 0 else f"exited with {code}"
+                        raise RuntimeError(f"scan worker {pid} {how} before sending all its rows")
+                    continue
+                content, row = message
             if cache is not None:
                 cache.record(content, row)
             yield row
+    finally:
+        if children:
+            import signal  # only a scan stopped early pays for importing it
+        for pid, relay in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            if relay.is_alive():
+                relay.join()
 
 
 def packed_class_count(

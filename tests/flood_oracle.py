@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from wordbialg.relations import RelationPresentation
@@ -139,12 +140,16 @@ def flood_components(content, rewrites: CodedRewrites) -> Iterator[list[int]]:
 def word_class(members: Iterable[Word], key=None) -> ContentClass:
     """The class of the given words as the level fill yields it: least word,
     size and, with ``key``, its histogram, a one per word in lane
-    ``key[code]`` of :func:`wordbialg.scans._lane_width` bits."""
+    ``key[code]`` of :func:`wordbialg.scans._lane_width` bits.  Raises
+    ``ValueError`` if a lane would carry into the next one."""
     members = list(map(tuple, members))
     hist = None
     if key is not None:
         width = _lane_width(len(members[0]))
-        hist = sum(1 << width * key[_comparison_code(w)] for w in members)
+        lanes = Counter(key[_comparison_code(w)] for w in members)
+        if max(lanes.values()) >> width:
+            raise ValueError(f"a lane of {width} bits cannot count {max(lanes.values())} words")
+        hist = sum(count << width * lane for lane, count in lanes.items())
     return ContentClass(min(members), len(members), hist)
 
 

@@ -1,7 +1,11 @@
+import contextlib
+import os
+import signal
+import time
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from character_oracle import ALL_CHARACTERS, oracle_sum
@@ -21,9 +25,11 @@ from flood_oracle import (
 from wordbialg.qsym import is_symmetric, schur_positive, schur_q_positive
 from wordbialg.relations import bfs_class, builtin_relation, close
 from wordbialg.scans import (
+    ContentClass,
     LevelFill,
     _code_word,
     _comparison_code,
+    _lane_width,
     content_components,
     doubling_check,
     packed_class_count,
@@ -155,6 +161,10 @@ def test_parallel_matches_serial():
     a = packed_class_count("exotic-knuth", 6, jobs=1)
     b = packed_class_count("exotic-knuth", 6, jobs=2)
     assert a == b
+    peak = ("gt", "le")
+    serial = positivity_scan_homogeneous("exotic-knuth", 6, peak, "Q", jobs=1, detail=True)
+    parallel = positivity_scan_homogeneous("exotic-knuth", 6, peak, "Q", jobs=2, detail=True)
+    assert parallel == serial and len(serial["classes"]) == 412
 
 
 def test_fast_scan_matches_generic_scan():
@@ -202,9 +212,11 @@ class _MemoryCache:
     def __init__(self, done=()):
         self.done = dict(done)
         self.recorded = {}
+        self.order = []  # the contents recorded, in turn
 
     def record(self, content, row):
         self.recorded[content] = row
+        self.order.append(content)
 
 
 def test_scan_progress_and_resume():
@@ -256,15 +268,27 @@ def _generic_verdict(members, char, basis, n):
     ),
     st.sampled_from(["knuth", "exotic-knuth"]),
 )
+# four words of length 2 in one lane of 2 bits: the count would carry
+@example(data=(2, [3, 1], [[1, 1], [2, 1], [2, 2]]), relation="knuth")
 def test_class_verdict_matches_generic_path(data, relation):
     # a class is often symmetric, so both the symmetry test and the solve
-    # are reached; extra words usually break the symmetry
+    # are reached; extra words usually break the symmetry, and words of
+    # several contents may hold more words in a lane than it can count
     n, seed, extra = data
     members = bfs_class(builtin_relation(relation), tuple(seed), n)
     members = sorted(set(members) | {tuple(w) for w in extra})
+    width = _lane_width(n)
     for char in ALL_CHARACTERS:
         for basis in ("s", "Q"):
             tables = scans.ScanTables(n, char, (basis,))
+            lanes = [tables.lanes[_comparison_code(w)] for w in members]
+            if max(Counter(lanes).values()) >> width:
+                with pytest.raises(ValueError):
+                    word_class(members, tables.lanes)
+                carried = sum(1 << width * lane for lane in lanes)
+                with pytest.raises(ValueError):
+                    tables.class_verdict(ContentClass(members[0], len(members), carried))
+                continue
             verdict = tables.class_verdict(word_class(members, tables.lanes))
             verdict["positive"] = verdict["positive"][basis]
             assert verdict == _generic_verdict(members, char, basis, n), (char, basis)
@@ -303,35 +327,134 @@ def test_worker_count_clamps(monkeypatch):
     assert scans._worker_count(-3, 50) == 1
 
 
+def _counting_forks(monkeypatch, cpus: int = 2) -> list:
+    """Count the children the scans fork, on a host of ``cpus`` usable CPUs."""
+    forked = []
+    fork = os.fork
+
+    def counting():
+        pid = fork()
+        forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(scans, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", counting)
+    return forked
+
+
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@contextlib.contextmanager
+def _within(seconds: int):
+    """Fail, instead of hanging, if the block takes ``seconds``."""
+
+    def hung(signum, frame):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, signal.SIG_DFL)
+
+
 def test_scans_fork_the_clamped_pool(monkeypatch):
-    # the stand-in pool records its size and maps in this process, so no
-    # worker process is ever started
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, jobs):
-            sizes.append(jobs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap_unordered(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(scans, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(scans, "_pool", InlinePool)
+    # the parent is one of the clamped workers, so 2 CPUs fork 1 child
+    forked = _counting_forks(monkeypatch)
     peak = ("gt", "le")
     report = positivity_scan_homogeneous("exotic-knuth", 4, peak, "Q", jobs=10_000)
-    assert sizes == [2]
-    assert report == positivity_scan_homogeneous("exotic-knuth", 4, peak, "Q")
+    assert len(forked) == 1
     assert packed_class_count("exotic-knuth", 4, jobs=10_000) == (31, 75)
-    assert sizes == [2, 2]
-    # a single content needs no pool at all
+    assert len(forked) == 2
+    # one worker, or a single content, needs no child at all
+    assert report == positivity_scan_homogeneous("exotic-knuth", 4, peak, "Q", jobs=1)
+    assert packed_class_count("exotic-knuth", 4, jobs=1) == (31, 75)
     assert packed_class_count("exotic-knuth", 1, jobs=10_000) == (1, 1)
-    assert sizes == [2, 2]
+    assert len(forked) == 2
+    assert _no_child_left()
+
+
+def test_parallel_scan_with_cache_matches_serial(monkeypatch):
+    peak = ("gt", "le")
+    serial = positivity_scan_homogeneous("exotic-knuth", 6, peak, "Q", detail=True)
+    for cpus in (2, 4):  # 4: more processes than this host may have cores
+        forked = _counting_forks(monkeypatch, cpus)
+        full = _MemoryCache()
+        with _within(60):
+            report = positivity_scan_homogeneous(
+                "exotic-knuth", 6, peak, "Q", jobs=cpus, cache=full, detail=True
+            )
+        assert report == serial and len(forked) == cpus - 1
+        # the children's rows are recorded too, each once, as they arrive
+        assert sorted(full.order) == sorted(packed_contents(6))
+        resumed = _MemoryCache(list(full.recorded.items())[1::2])
+        with _within(60):
+            assert positivity_scan_homogeneous(
+                "exotic-knuth", 6, peak, "Q", jobs=cpus, cache=resumed, detail=True
+            ) == serial
+        assert sorted(resumed.order) == sorted(set(packed_contents(6)) - set(resumed.done))
+        assert _no_child_left()
+
+
+def test_a_child_exception_is_raised_in_the_parent(monkeypatch):
+    _counting_forks(monkeypatch)
+    count = scans._count_content
+    contents = packed_contents(6)
+    parent = os.getpid()
+
+    def failing(content):
+        if content == contents[1]:  # the child's first content
+            assert os.getpid() != parent
+            raise MemoryError("no room for this content")
+        return count(content)
+
+    monkeypatch.setattr(scans, "_count_content", failing)
+    with _within(30), pytest.raises(MemoryError, match="no room for this content"):
+        packed_class_count("exotic-knuth", 6, jobs=2)
+    assert _no_child_left()
+
+
+def test_a_killed_child_ends_the_scan_with_an_error(monkeypatch):
+    _counting_forks(monkeypatch)
+    count = scans._count_content
+    contents = packed_contents(7)
+
+    def killed(content):
+        if content == contents[3]:  # the child's second content
+            os.kill(os.getpid(), signal.SIGKILL)
+        return count(content)
+
+    monkeypatch.setattr(scans, "_count_content", killed)
+    with _within(10), pytest.raises(RuntimeError, match=f"signal {int(signal.SIGKILL)}"):
+        packed_class_count("exotic-knuth", 7, jobs=2)
+    assert _no_child_left()
+
+
+def test_closing_a_scan_early_reaps_its_child(monkeypatch):
+    forked = _counting_forks(monkeypatch)
+    count = scans._count_content
+    parent = os.getpid()
+
+    def slow_child(content):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return count(content)
+
+    monkeypatch.setattr(scans, "_count_content", slow_child)
+    rows = scans._rows("exotic-knuth", 7, None, scans._count_content, 2, None)
+    assert next(rows)["classes"] > 0
+    assert len(forked) == 1
+    with _within(10):  # the child is stopped, not waited for
+        rows.close()
+    assert _no_child_left()
 
 
 def test_scan_over_two_bases_bins_each_class_once(monkeypatch):
