@@ -4,12 +4,14 @@ images, bounded conjecture searches, and verification suites.
 Outputs are deterministic for a fixed invocation; JSON is emitted with
 sorted keys so repeated runs are byte-identical (wall-clock runtimes only
 appear in text output).  Exit codes: 0 success, 2 property failure with a
-witness, 3 resource cap exceeded, 4 usage or input error (a bad option, a
+witness, 3 resource cap exceeded or out of memory (a ``MemoryError``, or a
+scan's forked child killed or failed before sending all its rows, as the
+OOM killer would leave it), 4 usage or input error (a bad option, a
 bound out of range, an unparsable word or character, an unknown relation,
 a missing input), 141 standard output closed before all of it was written
 (as ``| head`` does; 128 plus SIGPIPE, what a shell reports for a process
-that signal ends); a cap or input error prints one line to stderr and no
-traceback.
+that signal ends); a cap, memory or input error prints one line to stderr
+and no traceback.
 """
 
 from __future__ import annotations
@@ -156,7 +158,7 @@ def _cache_key(payload: dict) -> str:
 
 # Part of every cache signature: bump it whenever the engine's results or
 # the row layout change, so a cache written by an older engine is not merged.
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 
 class ContentCache:
@@ -637,9 +639,13 @@ def main(argv=None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()
-    except (Refusal, relations.ResourceCapError) as err:
+    except (Refusal, relations.ResourceCapError, scans.ScanWorkerError) as err:
         print(err, file=sys.stderr)
         return getattr(err, "code", EXIT_RESOURCE_CAP)
+    except MemoryError as err:
+        detail = f": {err}" if str(err) else ""
+        print(f"wordbialg: error: out of memory{detail}", file=sys.stderr)
+        return EXIT_RESOURCE_CAP
     except BrokenPipeError:
         # the reader is gone; send what is still buffered to devnull, so
         # the interpreter's last flush raises nothing either

@@ -11,11 +11,15 @@ statistic, lane-packed in one int, which the characters kernel expands by
 cut mask (:func:`characters.image_of_histogram`).  Symmetry is constancy
 on sorting fibers; Schur and Schur-Q positivity come from the exact
 triangular solve in :mod:`qsym`.  Classes share few histograms (152 among
-the 6,465 exotic classes of length 8), so the verdict is memoised on them.
+the 6,465 exotic classes of length 8), so the verdict is memoised on them,
+and a content's row asks for it once per histogram of the content: the row
+counts the content's classes, symmetric ones and positive ones, and lists
+the representatives of the failures.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import copy
 import functools
@@ -33,7 +37,6 @@ from .relations import (
     DEFAULT_CAP,
     RelationPresentation,
     _check_cap,
-    _find,
     builtin_relation,
     class_roots,
     default_headroom,
@@ -158,8 +161,9 @@ class LevelFill:
     multinomials on a walk of the trie of windows.  Below the narrowest
     window every word is a class, and those levels are listed.  The code
     of ``a t`` is the digit of ``a`` against the first letter ``b`` of ``t``
-    and the code of ``t``, so a keyed view (:meth:`keyed`) sums a block's
-    histogram from its tails', ``b`` by ``b``, visiting no word of its own."""
+    and the code of ``t``, so a keyed view (:meth:`keyed`) reads a block's
+    histogram off prefix sums over ``b`` of its tails', visiting no word of
+    its own."""
 
     def __init__(self, pres: RelationPresentation, codes: bool):
         check_level_fill(pres, 0)
@@ -225,24 +229,28 @@ class LevelFill:
         hists, span, mask = [0] * len(least), self.span, (1 << self.span) - 1
         for a, tail, level, letters, base in tails:
             # digit 2 for the tails' letters below a, 1 for a repeated a, else 0
-            k, rises, rows = len(tail), a - (letters is not None), self._tail_hists[tail]
-            for t, c in enumerate(label[base : base + len(level.least)]):
-                row = rows[t * k : t * k + k]
-                hists[c] += (sum(row[: a - 1]) >> 2 * span) + (sum(row[rises:]) & mask)
-                hists[c] += sum(row[a - 1 : rises]) >> span & mask
+            k, rises, sums = len(tail) + 1, a - (letters is not None), self._tail_hists[tail]
+            blocks = label[base : base + len(level.least)]
+            for c, lo, mid, hi in zip(blocks, sums[a - 1 :: k], sums[rises::k], sums[k - 1 :: k]):
+                hists[c] += (lo >> 2 * span) + (mid - lo >> span & mask) + (hi - mid & mask)
         return map(ContentClass, least, sizes, hists)
 
     def _hists_of_tails(self, content: Composition) -> list[int]:
-        """At ``k class + b - 1`` for a content of ``k`` letters, the words
-        ``a t`` for ``t`` in the class beginning with ``b``: their histogram
-        per digit of ``a`` against ``b``, digit ``d`` from bit ``d span``."""
-        level, k, m = self.levels[content], len(content), sum(content)
+        """At ``(k + 1) class + j`` for a content of ``k`` letters, the words
+        ``a t`` for ``t`` in the class beginning with a letter ``b <= j``:
+        their histogram per digit of ``a`` against ``b``, digit ``d`` from
+        bit ``d span`` (a prefix sum over ``b``, so a range of ``b`` costs a
+        difference)."""
+        level, k, m = self.levels[content], len(content) + 1, sum(content)
         hists, start, total = [0] * (k * len(level.least)), 0, _multinomial(content)
         for b, r in enumerate(content, 1):  # the tails beginning with b
             end = start + total * r // m
             for t, code in zip(level.labels[start:end], level.codes[start:end]):
-                hists[k * t + b - 1] += self._digits[code]
+                hists[k * t + b] += self._digits[code]
             start = end
+        for i in range(0, len(hists), k):  # a repeated sum shares the last one's int
+            for j in range(i + 1, i + k):
+                hists[j] = hists[j] + hists[j - 1] if hists[j] else hists[j - 1]
         return hists
 
     def _level(self, content: Composition) -> _Level:
@@ -276,23 +284,30 @@ class LevelFill:
             _, _, left, _, base_a = tails[a - 1]
             _, _, right, _, base_b = tails[b - 1]
             for x, y in set(zip(left.labels[i : i + size], right.labels[j : j + size])):
-                x, y = _find(parent, base_a + x), _find(parent, base_b + y)
-                if x != y:  # a class's root is its least block
-                    parent[max(x, y)] = min(x, y)
-        # classes numbered in block order, the order of their least words
+                x += base_a
+                y += base_b
+                while parent[x] != x:  # _find, inlined in the hot loop
+                    parent[x] = x = parent[parent[x]]
+                while parent[y] != y:
+                    parent[y] = y = parent[parent[y]]
+                if x < y:  # a class's root is its least block
+                    parent[y] = x
+                elif y < x:
+                    parent[x] = y
+        # classes numbered in block order, the order of their least words;
+        # a block's parent is a lesser block of its class, labelled already
         label: list[int] = []
         least: list[Word] = []
         sizes: list[int] = []
         for a, _, level, letters, base in tails:
             for t, (w, size) in enumerate(zip(level.least, level.sizes), base):
-                root = _find(parent, t)
-                if root == t:
+                if parent[t] == t:
                     label.append(len(least))
                     least.append((a, *(w if letters is None else map(letters.__getitem__, w))))
                     sizes.append(size)
                 else:
-                    label.append(label[root])
-                    sizes[label[root]] += size
+                    label.append(label[parent[t]])
+                    sizes[label[t]] += size
         return tails, label, least, sizes
 
     def _ranges(self, content: Composition, tails: list, label: list) -> Iterator:
@@ -454,15 +469,32 @@ def _count_content(content: Composition) -> tuple[Composition, dict]:
 
 
 def _scan_content(content: Composition) -> tuple[Composition, dict]:
+    """One content's row: its counts of classes, of symmetric ones and of
+    positive ones, the representatives of the failing ones, and, with
+    ``detail``, every class's verdict.  A verdict depends on the histogram
+    alone, so it is asked for once per histogram, of its first class."""
     tables: ScanTables = _WORKER["tables"]
-    detail: bool = _WORKER["detail"]
-    out = []
-    for members in content_components(content, _WORKER["fill"]):
-        verdict = tables.class_verdict(members)
-        if detail or not (verdict["symmetric"] and all(verdict["positive"].values())):
-            verdict["representative"] = format_word(members.least)
-        out.append(verdict)
-    return content, {"verdicts": out}
+    classes = list(content_components(content, _WORKER["fill"]))
+    first = {members.hist: members for members in reversed(classes)}
+    row = {"classes": len(classes), "symmetric": 0, "positive": 0,
+           "non_symmetric": [], "non_positive": []}
+    failed = {}  # histogram -> the list its classes' representatives go to
+    for hist, count in collections.Counter(members.hist for members in classes).items():
+        verdict = tables.class_verdict(first[hist])
+        row["symmetric"] += count * verdict["symmetric"]
+        if verdict["symmetric"] and all(verdict["positive"].values()):
+            row["positive"] += count
+        else:
+            failed[hist] = row["non_positive" if verdict["symmetric"] else "non_symmetric"]
+    for members in classes:
+        if members.hist in failed:
+            failed[members.hist].append(format_word(members.least))
+    if _WORKER["detail"]:  # the memo answers: no more verdicts are solved
+        row["verdicts"] = [
+            dict(tables.class_verdict(members), representative=format_word(members.least))
+            for members in classes
+        ]
+    return content, row
 
 
 def _usable_cpus() -> int:
@@ -508,6 +540,10 @@ def _relay(pid: int, read: int, inbox: queue.SimpleQueue) -> None:
     inbox.put((pid, None))
 
 
+class ScanWorkerError(RuntimeError):
+    """A forked scan child died, or exited non-zero, before sending all its rows."""
+
+
 def _rows(
     builtin_name: str, length: int, scan_args, task, jobs: int, cache
 ) -> Iterator[dict]:
@@ -515,8 +551,9 @@ def _rows(
     ``cache.done`` holds, then ``task(content)``'s for the others, each
     recorded with ``cache.record`` as it comes (:func:`check_level_fill`
     first).  The parent runs every ``jobs``-th content and ``jobs - 1``
-    forked children the rest; a child's exception, or its death, is raised
-    here, and every child is reaped however the caller stops."""
+    forked children the rest; a child's exception is raised here, its death
+    as :class:`ScanWorkerError`, and every child is reaped however the
+    caller stops."""
     check_level_fill(builtin_relation(builtin_name), length)
     done = {} if cache is None else cache.done
     yield from done.values()
@@ -547,7 +584,9 @@ def _rows(
                     children.pop(pid).join()
                     if code:
                         how = f"killed by signal {-code}" if code < 0 else f"exited with {code}"
-                        raise RuntimeError(f"scan worker {pid} {how} before sending all its rows")
+                        raise ScanWorkerError(
+                            f"scan worker {pid} {how} before sending all its rows"
+                        )
                     continue
                 content, row = message
             if cache is not None:
@@ -593,7 +632,8 @@ def positivity_scan_homogeneous(
     symmetric classes, and positive-in-every-basis classes, listing a
     representative for each failure (for every class with ``detail``).
     ``cache`` resumes a run as in :func:`packed_class_count`; its rows are
-    ``{"verdicts"}``, one content's verdicts each."""
+    one content's ``{"classes", "symmetric", "positive", "non_symmetric",
+    "non_positive"}``, with ``detail`` also its classes' ``"verdicts"``."""
     bases = (basis,) if isinstance(basis, str) else tuple(basis)
     report = {"relation": builtin_name, "character": format_character(character),
               "basis": "+".join(bases), "length": length, "total_classes": 0,
@@ -601,16 +641,11 @@ def positivity_scan_homogeneous(
     details: list[dict] = []
     scan_args = (character, bases, detail)
     for row in _rows(builtin_name, length, scan_args, _scan_content, jobs, cache):
-        for v in row["verdicts"]:
-            positive = v["symmetric"] and all(v["positive"].values())
-            report["total_classes"] += 1
-            report["symmetric"] += v["symmetric"]
-            report["positive"] += positive
-            if not positive:
-                failed = "non_positive" if v["symmetric"] else "non_symmetric"
-                report[failed].append(v["representative"])
-            if detail:
-                details.append(v)
+        report["total_classes"] += row["classes"]
+        for key in ("symmetric", "positive", "non_symmetric", "non_positive"):
+            report[key] += row[key]
+        if detail:
+            details.extend(row["verdicts"])
     report["non_symmetric"].sort()
     report["non_positive"].sort()
     if detail:

@@ -3,8 +3,10 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
 import re
 import resource
+import signal
 import subprocess
 import sys
 import time
@@ -17,6 +19,8 @@ from hypothesis import strategies as st
 from wordbialg import cli, relations, scans
 from wordbialg.cli import ContentCache, main, resolve_relation
 from wordbialg.scans import packed_contents
+
+from test_scans import _counting_forks, _no_child_left, _within
 
 
 def run_cli(*args, timeout=None):
@@ -390,6 +394,30 @@ def test_capped_class_exits_before_listing_it():
     assert int(peak_kb) < 150 * 1024
 
 
+@pytest.mark.parametrize("failure", ["killed", "memory"])
+def test_a_failed_scan_child_exits_3_without_a_traceback(monkeypatch, capsys, failure):
+    # forks forced on any host; the child of length 7 fails on its second content
+    _counting_forks(monkeypatch)
+    scan = scans._scan_content
+    doomed, parent = packed_contents(7)[3], os.getpid()
+
+    def failing(content):
+        if content == doomed and os.getpid() != parent:
+            if failure == "killed":  # as the OOM killer would end it
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise MemoryError
+        return scan(content)
+
+    monkeypatch.setattr(scans, "_scan_content", failing)
+    argv = ["conjectures", "--which", "exotic-sym", "--max-len", "7", "--extended", "--jobs", "2"]
+    with _within(30):
+        assert main(argv) == cli.EXIT_RESOURCE_CAP == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert ("killed by signal" if failure == "killed" else "out of memory") in err
+    assert _no_child_left()
+
+
 def test_closed_stdout_exits_with_the_broken_pipe_code():
     # the reader closes the pipe before the answer is written, as ``| head``
     # does once it has its lines
@@ -520,12 +548,12 @@ def test_content_cache_ignores_stale_versions(tmp_path, monkeypatch):
     assert ContentCache(str(tmp_path), signature).done == {}
 
 
-def test_version_2_cache_rows_resume_with_nothing_recomputed(tmp_path, monkeypatch):
-    # rows as CACHE_VERSION 2 writes them, under the file names it gives
+def test_version_3_cache_rows_resume_with_nothing_recomputed(tmp_path, monkeypatch):
+    # rows as CACHE_VERSION 3 writes them, under the file names it gives
     # them: a change to the version, the key or the row layout recomputes
-    assert cli.CACHE_VERSION == 2
+    assert cli.CACHE_VERSION == 3
     counts = {"command": "classes", "relation": "exotic-knuth", "length": 3}
-    (tmp_path / "scan-08227cfe29f6b6fb.jsonl").write_text(
+    (tmp_path / "scan-bdd98456f067dfd3.jsonl").write_text(
         '{"classes": 4, "content": [1, 1, 1], "words": 6}\n'
         '{"classes": 1, "content": [1, 2], "words": 3}\n'
         '{"classes": 3, "content": [2, 1], "words": 3}\n'
@@ -534,13 +562,11 @@ def test_version_2_cache_rows_resume_with_nothing_recomputed(tmp_path, monkeypat
     verdicts = {
         "command": "conjectures", "which": "exotic-sym", "bases": ["Q"], "max_len": 3,
     }
-    true = '{"positive": {"Q": true}, "size": %d, "symmetric": true}'
-    (tmp_path / "scan-769e0a482f5a97ef.jsonl").write_text(
-        '{"content": [1, 1, 1], "verdicts": [%s, %s, %s, %s]}\n'
-        % (true % 1, true % 2, true % 2, true % 1)
-        + '{"content": [1, 2], "verdicts": [%s]}\n' % (true % 3)
-        + '{"content": [2, 1], "verdicts": [%s, %s, %s]}\n' % ((true % 1,) * 3)
-        + '{"content": [3], "verdicts": [%s]}\n' % (true % 1)
+    row = '{"classes": %d, "content": %s, "non_positive": [], "non_symmetric": [], '
+    row += '"positive": %d, "symmetric": %d}\n'
+    (tmp_path / "scan-c7b744046f39c0f5.jsonl").write_text(
+        "".join(row % (n, content, n, n) for content, n in
+                [([1, 1, 1], 4), ([1, 2], 1), ([2, 1], 3), ([3], 1)])
     )
     files = {path: path.read_bytes() for path in tmp_path.iterdir()}
     peak = ("gt", "le")

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import os
 import signal
 import time
@@ -225,7 +226,7 @@ def test_scan_progress_and_resume():
     full = _MemoryCache()
     report = positivity_scan_homogeneous("exotic-knuth", 4, peak, "Q", cache=full)
     assert set(full.recorded) == contents
-    assert sum(len(row["verdicts"]) for row in full.recorded.values()) == 31
+    assert sum(row["classes"] for row in full.recorded.values()) == 31
     assert report == positivity_scan_homogeneous("exotic-knuth", 4, peak, "Q")
     # a resumed run folds the cached rows in and records only the rest
     resumed = _MemoryCache(list(full.recorded.items())[:2])
@@ -243,6 +244,34 @@ def test_scan_progress_and_resume():
     complete = _MemoryCache(counts.recorded)
     assert packed_class_count("exotic-knuth", 4, cache=complete) == total
     assert complete.recorded == {}
+
+
+@pytest.mark.parametrize("bases", [("s",), ("Q",), ("s", "Q")], ids="+".join)
+def test_content_rows_match_class_verdicts(monkeypatch, bases):
+    # a row per content counts what the per-class verdicts of detail count;
+    # the three scans of a length share their tables, so a histogram's
+    # verdict is solved once and the rows differ only in how they add up
+    monkeypatch.setattr(scans, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(scans, "ScanTables", functools.lru_cache(maxsize=1)(scans.ScanTables))
+    for char in ALL_CHARACTERS:
+        for n in range(8):
+            detailed = positivity_scan_homogeneous("exotic-knuth", n, char, bases, detail=True)
+            verdicts = detailed.pop("classes")
+            assert len(verdicts) == detailed["total_classes"]
+            for jobs in (1, 2):
+                report = positivity_scan_homogeneous("exotic-knuth", n, char, bases, jobs=jobs)
+                assert report == detailed, (char, n, jobs)
+    assert _no_child_left()
+
+
+def test_content_rows_check_each_histogram_for_a_carry(monkeypatch):
+    # four words of length 2 in lane 0 of 2 bits carry into lane 1
+    tables = scans.ScanTables(2, "le", ("Q",))
+    forged = [ContentClass((1, 2), 1, 1), ContentClass((2, 1), 4, 4 << 2 * tables.lanes[0])]
+    monkeypatch.setattr(scans, "content_components", lambda content, fill: iter(forged))
+    monkeypatch.setattr(scans, "_WORKER", {"fill": None, "tables": tables, "detail": False})
+    with pytest.raises(ValueError, match="overflows its histogram"):
+        scans._scan_content((1, 1))
 
 
 def _generic_verdict(members, char, basis, n):
@@ -433,7 +462,8 @@ def test_a_killed_child_ends_the_scan_with_an_error(monkeypatch):
         return count(content)
 
     monkeypatch.setattr(scans, "_count_content", killed)
-    with _within(10), pytest.raises(RuntimeError, match=f"signal {int(signal.SIGKILL)}"):
+    killed = f"signal {int(signal.SIGKILL)}"
+    with _within(10), pytest.raises(scans.ScanWorkerError, match=killed):
         packed_class_count("exotic-knuth", 7, jobs=2)
     assert _no_child_left()
 
